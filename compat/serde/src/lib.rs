@@ -12,7 +12,48 @@
 //! can read back) but intentionally *not* byte-compatible with upstream
 //! serde_json; nothing in the repo depends on the exact bytes, only on
 //! round-tripping.
+//!
+//! ## Absent keys
+//!
+//! A derived `Deserialize` reads each named field from its key. When the
+//! key is absent, the field's type answers through
+//! [`Deserialize::from_missing`]: an `Option` is `None` (upstream serde's
+//! rule), anything else is the error ``missing field `name` ``. Two field
+//! attributes, the only ones the derive reads, replace that answer:
+//! `#[serde(default)]` takes `Default::default()` and
+//! `#[serde(default = "path")]` calls `path()`. A present `null` is not
+//! an absent key, so `null` for a `#[serde(default)] bool` is still an
+//! error.
+#![cfg_attr(
+    feature = "derive",
+    doc = r#"
+```
+use serde::{Deserialize, Value};
 
+#[derive(Debug, PartialEq, Deserialize)]
+struct Hello {
+    id: u64,
+    note: Option<String>,
+    #[serde(default)]
+    verbose: bool,
+}
+
+let old = Value::Object(vec![("id".to_string(), Value::UInt(7))]);
+let hello = Hello { id: 7, note: None, verbose: false };
+assert_eq!(Hello::from_value(&old).unwrap(), hello);
+```
+
+Any other `serde` attribute is a compile error, never silently ignored:
+
+```compile_fail
+#[derive(serde::Deserialize)]
+struct Renamed {
+    #[serde(rename = "x")]
+    y: u64,
+}
+```
+"#
+)]
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
@@ -110,6 +151,14 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Rebuild `Self` from a value tree.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// The value of a struct field whose key is absent: an error unless
+    /// the type has an answer (`Option` reads as `None`). A derived
+    /// `Deserialize` asks this for every absent field without a
+    /// `#[serde(default)]` attribute.
+    fn from_missing(field: &str) -> Result<Self, DeError> {
+        Err(DeError::msg(format!("missing field `{field}`")))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,6 +322,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             Value::Null => Ok(None),
             other => T::from_value(other).map(Some),
         }
+    }
+
+    fn from_missing(_field: &str) -> Result<Self, DeError> {
+        Ok(None)
     }
 }
 

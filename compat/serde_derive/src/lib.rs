@@ -14,6 +14,10 @@
 //! - unit struct → null
 //! - enum: unit variant → `"Variant"`; tuple/struct variant →
 //!   single-entry object `{ "Variant": payload }`
+//!
+//! Named fields may carry `#[serde(default)]` or
+//! `#[serde(default = "path")]` (see the `serde` crate docs on absent
+//! keys); any other `#[serde(..)]` stops the build.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,7 +25,16 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Fields {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// A named field.
+struct Field {
+    name: String,
+    /// The expression an absent key decodes to, from `#[serde(default)]`
+    /// or `#[serde(default = "path")]`; `None` asks the field's type
+    /// (`Deserialize::from_missing`).
+    default: Option<String>,
 }
 
 /// Parsed item shape.
@@ -36,13 +49,59 @@ enum Item {
     },
 }
 
-/// Skip one attribute (`#` + bracket group) if present at `i`.
-fn skip_attrs(toks: &[TokenTree], i: &mut usize) {
-    while *i < toks.len() {
-        match &toks[*i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => *i += 2,
-            _ => break,
+/// Skip the attributes (`#` + bracket group) at `i`, returning the
+/// default expression a `#[serde(..)]` among them names.
+fn parse_attrs(toks: &[TokenTree], i: &mut usize) -> Option<String> {
+    let mut default = None;
+    while let Some(TokenTree::Punct(p)) = toks.get(*i) {
+        if p.as_char() != '#' {
+            break;
         }
+        if let Some(TokenTree::Group(g)) = toks.get(*i + 1) {
+            let attr: Vec<TokenTree> = g.stream().into_iter().collect();
+            if matches!(attr.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+                && default.replace(parse_serde_attr(&attr)).is_some()
+            {
+                panic!("serde_derive: a field takes at most one `#[serde(..)]` attribute");
+            }
+        }
+        *i += 2;
+    }
+    default
+}
+
+/// Read `serde(default)` or `serde(default = "path")` into the expression
+/// it names; anything else stops the build rather than being ignored.
+fn parse_serde_attr(attr: &[TokenTree]) -> String {
+    if let [_, TokenTree::Group(args)] = attr {
+        let args: Vec<TokenTree> = args.stream().into_iter().collect();
+        match args.as_slice() {
+            [TokenTree::Ident(id)] if id.to_string() == "default" => {
+                return "::std::default::Default::default()".to_string();
+            }
+            [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                if id.to_string() == "default" && eq.as_char() == '=' =>
+            {
+                let path = path.to_string();
+                if let Some(path) = path.strip_prefix('"').and_then(|p| p.strip_suffix('"')) {
+                    return format!("{path}()");
+                }
+            }
+            _ => {}
+        }
+    }
+    let attr: TokenStream = attr.iter().cloned().collect();
+    panic!(
+        "serde_derive: unsupported attribute `#[{attr}]`; only `#[serde(default)]` and \
+         `#[serde(default = \"path\")]` are supported"
+    )
+}
+
+/// Skip attributes where no `serde` attribute applies (items, variants,
+/// tuple fields).
+fn skip_attrs(toks: &[TokenTree], i: &mut usize) {
+    if parse_attrs(toks, i).is_some() {
+        panic!("serde_derive: `#[serde(default)]` applies only to named fields");
     }
 }
 
@@ -79,13 +138,13 @@ fn skip_to_next_field(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Parse `{ field: Type, ... }` into field names.
-fn parse_named(stream: TokenStream) -> Vec<String> {
+/// Parse `{ field: Type, ... }` into fields.
+fn parse_named(stream: TokenStream) -> Vec<Field> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
-    let mut names = Vec::new();
+    let mut fields = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        skip_attrs(&toks, &mut i);
+        let default = parse_attrs(&toks, &mut i);
         skip_vis(&toks, &mut i);
         if i >= toks.len() {
             break;
@@ -97,9 +156,9 @@ fn parse_named(stream: TokenStream) -> Vec<String> {
         i += 1; // name
         i += 1; // ':'
         skip_to_next_field(&toks, &mut i);
-        names.push(name);
+        fields.push(Field { name, default });
     }
-    names
+    fields
 }
 
 /// Count the fields of `( Type, ... )`.
@@ -220,9 +279,9 @@ fn gen_serialize(item: &Item) -> String {
                 "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ "
             ));
             match fields {
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
                     s.push_str("::serde::Value::Object(::std::vec![");
-                    for f in names {
+                    for Field { name: f, .. } in fields {
                         s.push_str(&format!(
                             "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
                         ));
@@ -265,7 +324,8 @@ fn gen_serialize(item: &Item) -> String {
                         }
                         s.push_str("]))]),");
                     }
-                    Fields::Named(names) => {
+                    Fields::Named(fields) => {
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         s.push_str(&format!("{name}::{v} {{ {} }} => ", names.join(",")));
                         s.push_str(&format!(
                             "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Object(::std::vec!["
@@ -286,14 +346,17 @@ fn gen_serialize(item: &Item) -> String {
 }
 
 /// Emit a named-field constructor body reading from value `src`.
-fn gen_named_build(ty_path: &str, names: &[String], src: &str) -> String {
+fn gen_named_build(ty_path: &str, fields: &[Field], src: &str) -> String {
     let mut s = format!("{ty_path} {{ ");
-    for f in names {
+    for Field { name: f, default } in fields {
+        let if_absent = match default {
+            Some(expr) => expr.clone(),
+            None => format!("::serde::Deserialize::from_missing(\"{f}\")?"),
+        };
         s.push_str(&format!(
             "{f}: match {src}.field(\"{f}\") {{ \
              Some(__v) => ::serde::Deserialize::from_value(__v)?, \
-             None => return ::std::result::Result::Err(::serde::DeError::msg(\
-                 \"missing field {ty_path}.{f}\")) }},"
+             None => {if_absent} }},"
         ));
     }
     s.push_str(" }");
@@ -310,10 +373,10 @@ fn gen_deserialize(item: &Item) -> String {
                  fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ "
             ));
             match fields {
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
                     s.push_str(&format!(
                         "::std::result::Result::Ok({})",
-                        gen_named_build(name, names, "__v")
+                        gen_named_build(name, fields, "__v")
                     ));
                 }
                 Fields::Tuple(1) => s.push_str(&format!(
@@ -381,10 +444,10 @@ fn gen_deserialize(item: &Item) -> String {
                         }
                         s.push_str(")) },");
                     }
-                    Fields::Named(names) => {
+                    Fields::Named(fields) => {
                         s.push_str(&format!(
                             "\"{v}\" => ::std::result::Result::Ok({}),",
-                            gen_named_build(&format!("{name}::{v}"), names, "__inner")
+                            gen_named_build(&format!("{name}::{v}"), fields, "__inner")
                         ));
                     }
                 }
@@ -403,7 +466,7 @@ fn gen_deserialize(item: &Item) -> String {
 }
 
 /// Derive `serde::Serialize` (value-model flavour; see crate docs).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -412,7 +475,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive `serde::Deserialize` (value-model flavour; see crate docs).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)

@@ -56,6 +56,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -157,9 +158,17 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// serde_json's limit). The parser recurses once per level, so without a
+/// cap one line of `[` bytes overflows the stack of whatever thread
+/// decodes it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +214,8 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -214,6 +223,20 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Run `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -310,6 +333,11 @@ impl Parser<'_> {
                                 // Surrogate pair.
                                 if self.eat_literal("\\u") {
                                     let lo = self.parse_hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(Error(format!(
+                                            "\\u{hi:04x} is not followed by a low surrogate"
+                                        )));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     0xFFFD
@@ -405,6 +433,31 @@ mod tests {
         let json = to_string_pretty(&m).unwrap();
         let back: std::collections::HashMap<(u32, u32), f64> = from_str(&json).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count too, and the cap holds far past it: no stack
+        // overflow, however deep the input.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_broken_pairs_are_errors() {
+        assert_eq!(
+            from_str::<String>(r#""\ud83d\ude00""#).unwrap(),
+            "\u{1F600}"
+        );
+        for lo in ["0041", "d800", "e000"] {
+            let text = format!(r#""\ud800\u{lo}""#);
+            assert!(from_str::<String>(&text).is_err(), "{text}");
+        }
     }
 
     #[test]

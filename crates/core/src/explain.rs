@@ -15,8 +15,9 @@
 //! produced the verdict and `evidence` carries that detector's
 //! [`DetectorEvidence`] variant. The flat SAM statistics stay as
 //! top-level fields (they describe the route set whichever detector
-//! judged it), and both new fields decode leniently so explanation lines
-//! written before the detector redesign still parse.
+//! judged it). Explanation lines written before the detector redesign
+//! lack `detector`, `score` and `evidence`; they decode as SAM's, with
+//! score 0 and no evidence.
 
 use crate::detect::{DetectorEvidence, DetectorVerdict};
 use crate::detector::SamAnalysis;
@@ -74,15 +75,18 @@ pub struct RouteExplanation {
 /// The full explanation of one detection, serialized into flight
 /// recordings, telemetry JSONL, and `results/*.json` reports (its
 /// `kind` field discriminates the line).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Explanation {
     /// Line discriminator, always `"explanation"`.
     pub kind: String,
     /// Name of the detector that produced the verdict (`"sam"`,
-    /// `"zscore"`, `"geometric"`, `"ensemble"`).
+    /// `"zscore"`, `"geometric"`, `"ensemble"`); `"sam"` on explanations
+    /// predating the detector redesign.
+    #[serde(default = "sam_detector")]
     pub detector: String,
     /// The detector's normalized anomaly score (1.0 = decision
     /// boundary); 0 on explanations predating the detector redesign.
+    #[serde(default)]
     pub score: f64,
     /// Detector-specific evidence, when the producing path supplied it.
     pub evidence: Option<DetectorEvidence>,
@@ -110,45 +114,10 @@ pub struct Explanation {
     pub routes: Vec<RouteExplanation>,
 }
 
-// Hand-written so explanation lines recorded before the detector
-// redesign (no `detector`/`score`/`evidence` fields) keep decoding:
-// those three default, everything else stays required.
-impl Deserialize for Explanation {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(Explanation {
-            kind: Deserialize::from_value(required("kind")?)?,
-            detector: match v.field("detector") {
-                None => "sam".to_string(),
-                Some(d) => Deserialize::from_value(d)?,
-            },
-            score: match v.field("score") {
-                None => 0.0,
-                Some(s) => Deserialize::from_value(s)?,
-            },
-            evidence: match v.field("evidence") {
-                None => None,
-                Some(e) => Deserialize::from_value(e)?,
-            },
-            suspect_link: match v.field("suspect_link") {
-                None => None,
-                Some(l) => Deserialize::from_value(l)?,
-            },
-            suspect_count: Deserialize::from_value(required("suspect_count")?)?,
-            total_links: Deserialize::from_value(required("total_links")?)?,
-            p_max: Deserialize::from_value(required("p_max")?)?,
-            delta: Deserialize::from_value(required("delta")?)?,
-            z_p_max: Deserialize::from_value(required("z_p_max")?)?,
-            z_delta: Deserialize::from_value(required("z_delta")?)?,
-            lambda: Deserialize::from_value(required("lambda")?)?,
-            anomalous: Deserialize::from_value(required("anomalous")?)?,
-            tunnel_traversals: Deserialize::from_value(required("tunnel_traversals")?)?,
-            routes: Deserialize::from_value(required("routes")?)?,
-        })
-    }
+/// The detector an explanation names when its line predates the
+/// detector redesign: SAM was the only one.
+fn sam_detector() -> String {
+    "sam".to_string()
 }
 
 /// Leave-one-out statistics: `(p_max, Δ)` of `routes` with index `skip`
@@ -450,25 +419,6 @@ mod tests {
             v.field("detector").and_then(serde::Value::as_str),
             Some("sam")
         );
-    }
-
-    #[test]
-    fn pre_redesign_explanation_lines_still_decode() {
-        // An explanation serialized before the detector redesign carries
-        // none of `detector`/`score`/`evidence` — it must decode with
-        // the documented defaults, not error.
-        let old = concat!(
-            r#"{"kind":"explanation","suspect_link":[7,8],"suspect_count":3,"#,
-            r#""total_links":14,"p_max":0.214,"delta":0.5,"z_p_max":9.1,"#,
-            r#""z_delta":8.2,"lambda":0.001,"anomalous":true,"#,
-            r#""tunnel_traversals":0,"routes":[]}"#
-        );
-        let ex: Explanation = serde_json::from_str(old).unwrap();
-        assert_eq!(ex.detector, "sam");
-        assert_eq!(ex.score, 0.0);
-        assert_eq!(ex.evidence, None);
-        assert_eq!(ex.suspect_link, Some((7, 8)));
-        assert!(ex.anomalous);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property tests for the JSONL wire codec the gateway and the remote
 //! load generator share: requests survive encode→frame→decode across
 //! arbitrary read-chunk boundaries, pipelined lines never bleed into each
-//! other, truncation and oversizing surface as typed errors, and an
-//! oversized line is rejected *without* being buffered wholesale.
+//! other, truncation and oversizing surface as typed errors, an
+//! oversized line is rejected *without* being buffered wholesale, and
+//! hostile JSON (deep nesting, broken surrogate pairs) fails typed.
 
 mod common;
 
 use common::{traced_wire_request, wire_request};
 use proptest::prelude::*;
-use sam_serve::wire::{decode_line, FrameError, FrameReader, WireLine, WireRequest, WireResponse};
+use sam_serve::wire::{
+    decode_line, FrameError, FrameReader, WireError, WireLine, WireRequest, WireResponse,
+};
 use std::io::Read;
 
 /// A reader that hands out its bytes in a caller-chosen chunk pattern,
@@ -140,10 +143,29 @@ proptest! {
     #[test]
     fn arbitrary_garbage_never_panics_the_decoder(
         bytes in proptest::collection::vec(0..=255u8, 0..=64),
+        depth in 0..=20_000usize,
+        hi in 0xD800..0xDC00u32,
+        lo in 0..=0xFFFFu32,
     ) {
         // decode_line must fail typed (or succeed) on anything — panics
         // here would let one bad client kill a connection worker.
         let _ = decode_line(&bytes);
+        // Deep nesting must not overflow the decoding thread's stack:
+        // past 128 levels it is a typed error, whatever the shape.
+        let open = "[".repeat(depth);
+        let balanced = format!("{open}{}", "]".repeat(depth));
+        let request = format!(r#"{{"id":1,"topology":"t","protocol":"p","routes":{balanced}}}"#);
+        for line in [open, balanced, request] {
+            let decoded = decode_line(line.as_bytes());
+            if depth > 128 {
+                prop_assert!(matches!(decoded, Err(WireError::Json(_))), "depth {depth}");
+            }
+        }
+        // A high surrogate decodes only when a low one follows it;
+        // anything else is a typed error, not an arithmetic overflow.
+        let line = format!(r#"{{"cmd":"ping","x":"\u{hi:04x}\u{lo:04x}"}}"#);
+        let paired = (0xDC00..0xE000).contains(&lo);
+        prop_assert_eq!(decode_line(line.as_bytes()).is_ok(), paired, "{}", line);
     }
 
     #[test]

@@ -170,6 +170,25 @@ fn detector_selection_serves_alternatives_and_types_unknown_names() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_a_typed_error_not_a_dead_worker() {
+    let gateway = test_gateway(1);
+    let mut client = Client::connect(gateway.local_addr()).expect("connect");
+
+    // 10,000 levels would overflow a conn worker's stack in a parser
+    // that recursed without a cap, taking the whole gateway down.
+    client.send_raw(&"[".repeat(10_000)).expect("send");
+    let resp = client.recv().expect("error response");
+    assert_eq!(resp.status, STATUS_ERROR);
+    assert!(resp.error.unwrap().contains("nesting deeper than 128"));
+
+    // Same connection, still served.
+    client.send_raw("{\"cmd\":\"ping\"}").expect("send");
+    let resp = client.recv().expect("pong");
+    assert_eq!(resp.status, STATUS_OK);
+    drop(gateway.drain());
+}
+
+#[test]
 fn ping_answers_ok() {
     let gateway = test_gateway(1);
     let mut client = Client::connect(gateway.local_addr()).expect("connect");

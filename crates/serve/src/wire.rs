@@ -243,7 +243,7 @@ impl std::error::Error for WireError {}
 /// One detection request as it crosses the wire. Flat key fields keep the
 /// protocol self-describing; routes are plain node-id arrays, validated
 /// into [`Route`]s (no short or looped paths) on decode.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireRequest {
     /// Caller-chosen correlation id, echoed in the response.
     pub id: u64,
@@ -263,47 +263,13 @@ pub struct WireRequest {
     pub detector: Option<String>,
     /// When `true`, the gateway returns the per-stage latency breakdown
     /// (`queue_wait_us`/`compute_us`/`serialize_us`) in the response's
-    /// `timings` field.
+    /// `timings` field. Absent → `false`.
+    #[serde(default)]
     pub timings: bool,
     /// Client-stamped trace id (32 hex digits). The gateway adopts it for
     /// the request's spans and echoes it on the response; absent or
     /// unparseable → the gateway mints its own.
     pub trace: Option<String>,
-}
-
-// Hand-written instead of derived: the derive treats every key as
-// required, but `timings`, `trace` (and the optional `probe_ack_ratio`)
-// joined the protocol after clients shipped — a request line that omits
-// them must still decode, defaulting to `false`/`None`.
-impl Deserialize for WireRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(WireRequest {
-            id: Deserialize::from_value(required("id")?)?,
-            topology: Deserialize::from_value(required("topology")?)?,
-            protocol: Deserialize::from_value(required("protocol")?)?,
-            routes: Deserialize::from_value(required("routes")?)?,
-            probe_ack_ratio: match v.field("probe_ack_ratio") {
-                None => None,
-                Some(p) => Deserialize::from_value(p)?,
-            },
-            detector: match v.field("detector") {
-                None => None,
-                Some(d) => Deserialize::from_value(d)?,
-            },
-            timings: match v.field("timings") {
-                None => false,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-            trace: match v.field("trace") {
-                None => None,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-        })
-    }
 }
 
 impl WireRequest {
@@ -457,7 +423,7 @@ pub fn decode_line(bytes: &[u8]) -> Result<WireLine, WireError> {
 /// One response line. A flat struct (rather than an enum) keeps every
 /// field addressable by `jq` without knowing the variant encoding; the
 /// `status` constants above discriminate.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WireResponse {
     /// Correlation id from the request (0 when the line had none).
     pub id: u64,
@@ -497,58 +463,17 @@ pub struct WireResponse {
     pub error: Option<String>,
 }
 
-// Hand-written for the same reason as `WireRequest`: `trace` and
-// `exemplars` joined the response after clients shipped, and a new
-// client must still decode an old gateway's lines (missing → `None`).
-impl Deserialize for WireResponse {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        fn opt<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                None => Ok(None),
-                Some(f) => <Option<T> as Deserialize>::from_value(f),
-            }
-        }
-        Ok(WireResponse {
-            id: Deserialize::from_value(required("id")?)?,
-            status: Deserialize::from_value(required("status")?)?,
-            detector: opt(v, "detector")?,
-            score: opt(v, "score")?,
-            verdict: opt(v, "verdict")?,
-            profile_cache_hit: opt(v, "profile_cache_hit")?,
-            explanation: opt(v, "explanation")?,
-            queue_depth: opt(v, "queue_depth")?,
-            timings: opt(v, "timings")?,
-            stats: opt(v, "stats")?,
-            stats_text: opt(v, "stats_text")?,
-            trace: opt(v, "trace")?,
-            exemplars: opt(v, "exemplars")?,
-            error: opt(v, "error")?,
-        })
-    }
-}
-
 impl WireResponse {
     /// A served verdict.
     pub fn ok(resp: DetectionResponse) -> Self {
         WireResponse {
             id: resp.id,
-            status: STATUS_OK.to_string(),
             detector: Some(resp.detector),
             score: Some(resp.score),
             verdict: Some(resp.verdict),
             profile_cache_hit: Some(resp.profile_cache_hit),
             explanation: resp.explanation,
-            queue_depth: None,
-            timings: None,
-            stats: None,
-            stats_text: None,
-            trace: None,
-            exemplars: None,
-            error: None,
+            ..WireResponse::ok_empty()
         }
     }
 
@@ -576,24 +501,14 @@ impl WireResponse {
     /// Prometheus text exposition when the command asked for it.
     pub fn stats(report: StatsReport, text: Option<String>) -> Self {
         WireResponse {
-            id: 0,
-            status: STATUS_OK.to_string(),
-            detector: None,
-            score: None,
-            verdict: None,
-            profile_cache_hit: None,
-            explanation: None,
-            queue_depth: None,
-            timings: None,
             stats: Some(report),
             stats_text: text,
-            trace: None,
-            exemplars: None,
-            error: None,
+            ..WireResponse::ok_empty()
         }
     }
 
-    /// A verdict-free `"ok"` — the `ping` reply.
+    /// A verdict-free `"ok"` — the `ping` reply, and the one place every
+    /// field is listed: the other constructors override what they carry.
     pub fn ok_empty() -> Self {
         WireResponse {
             id: 0,
@@ -618,18 +533,8 @@ impl WireResponse {
         WireResponse {
             id,
             status: STATUS_SHED.to_string(),
-            detector: None,
-            score: None,
-            verdict: None,
-            profile_cache_hit: None,
-            explanation: None,
             queue_depth: Some(queue_depth as u64),
-            timings: None,
-            stats: None,
-            stats_text: None,
-            trace: None,
-            exemplars: None,
-            error: None,
+            ..WireResponse::ok_empty()
         }
     }
 
@@ -638,18 +543,7 @@ impl WireResponse {
         WireResponse {
             id,
             status: STATUS_DRAINING.to_string(),
-            detector: None,
-            score: None,
-            verdict: None,
-            profile_cache_hit: None,
-            explanation: None,
-            queue_depth: None,
-            timings: None,
-            stats: None,
-            stats_text: None,
-            trace: None,
-            exemplars: None,
-            error: None,
+            ..WireResponse::ok_empty()
         }
     }
 
@@ -675,18 +569,8 @@ impl WireResponse {
         WireResponse {
             id,
             status: STATUS_ERROR.to_string(),
-            detector: None,
-            score: None,
-            verdict: None,
-            profile_cache_hit: None,
-            explanation: None,
-            queue_depth: None,
-            timings: None,
-            stats: None,
-            stats_text: None,
-            trace: None,
-            exemplars: None,
             error: Some(reason.into()),
+            ..WireResponse::ok_empty()
         }
     }
 
@@ -778,6 +662,18 @@ mod tests {
     }
 
     #[test]
+    fn null_timings_and_a_missing_id_are_typed_errors() {
+        // An absent `timings` key reads as `false`, but `null` is a value,
+        // and not a bool.
+        let line = br#"{"id":1,"topology":"t","protocol":"p","routes":[[0,1,2]],"timings":null}"#;
+        assert!(matches!(decode_line(line), Err(WireError::Json(_))));
+        match decode_line(br#"{"topology":"t","protocol":"p","routes":[]}"#) {
+            Err(WireError::Json(e)) => assert!(e.ends_with("missing field `id`"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn stats_command_arguments_round_trip() {
         let cmd = WireCommand {
             cmd: "stats".to_string(),
@@ -803,34 +699,6 @@ mod tests {
             decode_line(b"{\"cmd\":\"stats\",\"format\":7}"),
             Err(WireError::Json(_))
         ));
-    }
-
-    #[test]
-    fn requests_without_the_timings_key_still_decode() {
-        // The key shapes clients sent before stage timing existed.
-        let line = br#"{"id":7,"topology":"uniform6x6","protocol":"mr","routes":[[0,3,9,11]],"probe_ack_ratio":null}"#;
-        match decode_line(line).unwrap() {
-            WireLine::Request(r) => {
-                assert_eq!(r.id, 7);
-                assert!(!r.timings, "missing key defaults to false");
-            }
-            other => panic!("{other:?}"),
-        }
-        // Even probe_ack_ratio may be omitted.
-        let line = br#"{"id":8,"topology":"t","protocol":"p","routes":[[0,1,2]]}"#;
-        match decode_line(line).unwrap() {
-            WireLine::Request(r) => {
-                assert_eq!(r.probe_ack_ratio, None);
-                assert!(!r.timings);
-            }
-            other => panic!("{other:?}"),
-        }
-        // And an explicit true is honoured.
-        let line = br#"{"id":9,"topology":"t","protocol":"p","routes":[[0,1,2]],"timings":true}"#;
-        match decode_line(line).unwrap() {
-            WireLine::Request(r) => assert!(r.timings),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -865,14 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn responses_from_pre_trace_gateways_still_decode() {
-        // A response line captured before `trace`/`exemplars` existed.
-        let line = br#"{"id":7,"status":"ok","verdict":null,"profile_cache_hit":true,"explanation":null,"queue_depth":null,"timings":null,"stats":null,"stats_text":null,"error":null}"#;
-        let back = WireResponse::decode(line).unwrap();
-        assert_eq!(back.id, 7);
-        assert_eq!(back.trace, None);
-        assert_eq!(back.exemplars, None);
-        // And the new fields round-trip when present.
+    fn trace_rides_the_response_when_attached() {
         let resp = WireResponse::ok_empty().with_trace("000000000000002a000000000000007b");
         let back = WireResponse::decode(resp.encode().as_bytes()).unwrap();
         assert_eq!(

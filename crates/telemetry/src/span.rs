@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One finished span or point event, as exported to JSONL.
-#[derive(Clone, Debug, Serialize, PartialEq)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct EventRecord {
     /// Line discriminator: `"span"` or `"event"`.
     pub kind: String,
@@ -42,31 +42,6 @@ pub struct EventRecord {
     pub trace: Option<String>,
     /// `key=value` annotations, in insertion order.
     pub fields: Vec<(String, String)>,
-}
-
-// Hand-written instead of derived: `trace` joined the schema after
-// JSONL exports shipped, so recordings written without it must still
-// load (missing → `None`). The derive would treat every key as required.
-impl Deserialize for EventRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(EventRecord {
-            kind: Deserialize::from_value(required("kind")?)?,
-            id: Deserialize::from_value(required("id")?)?,
-            parent: Deserialize::from_value(required("parent")?)?,
-            name: Deserialize::from_value(required("name")?)?,
-            start_us: Deserialize::from_value(required("start_us")?)?,
-            dur_us: Deserialize::from_value(required("dur_us")?)?,
-            trace: match v.field("trace") {
-                None => None,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-            fields: Deserialize::from_value(required("fields")?)?,
-        })
-    }
 }
 
 /// The recording half shared between a `Telemetry` handle and its spans.
@@ -341,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn untraced_spans_have_no_context_and_old_jsonl_still_decodes() {
+    fn untraced_spans_have_no_context() {
         let tel = Telemetry::new();
         {
             let s = tel.span("plain");
@@ -349,11 +324,6 @@ mod tests {
         }
         let records = tel.drain();
         assert_eq!(records[0].trace, None);
-        // A pre-trace JSONL line (no `trace` key) must still load.
-        let legacy = r#"{"kind":"span","id":3,"parent":0,"name":"old","start_us":5,"dur_us":9,"fields":[["k","v"]]}"#;
-        let back: EventRecord = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.name, "old");
-        assert_eq!(back.trace, None);
     }
 
     #[test]
