@@ -99,15 +99,24 @@ fn bench_service_throughput(c: &mut Criterion) {
         );
     }
 
-    // The per-request pipeline the service amortizes: one full procedure
-    // execution against a pre-trained profile.
+    // The per-request pipeline the service amortizes: the procedure a
+    // worker runs for a request naming no detector — `run_procedure` over
+    // the registry's `"sam"` entry — against a pre-trained profile.
     let profile = profiles()(&ProfileKey::new("bench", "mr"));
-    let procedure = Procedure::default();
+    let registry = DetectorRegistry::with_sam(ServiceConfig::default().detector);
+    let sam = registry.get("sam").expect("standard registry entry");
+    let procedure = ServiceConfig::default().procedure;
     let attacked = worm_set(3);
     group.bench_function("pipeline_single", |b| {
         b.iter(|| {
             let mut transport = all_ack_transport();
-            black_box(procedure.execute(&attacked, &profile, &mut transport))
+            let input = DetectorInput::new(&attacked, &profile);
+            black_box(run_procedure(
+                sam.as_ref(),
+                &input,
+                &procedure,
+                &mut transport,
+            ))
         })
     });
 

@@ -744,9 +744,9 @@ impl DetectorRegistry {
     }
 }
 
-/// Outcome of [`run_procedure`] — the trait-path mirror of
-/// [`DetectionOutcome`](crate::procedure::DetectionOutcome), carrying
-/// the unified verdict instead of the SAM-specific analysis.
+/// Outcome of [`run_procedure`]: the step-1 verdict plus what steps 2–3
+/// concluded from it. [`DetectionOutcome`](crate::procedure::DetectionOutcome)
+/// is the same outcome seen through SAM's analysis.
 #[derive(Clone, Debug)]
 pub enum DetectorOutcome {
     /// No anomaly; these routes go back to the source.
@@ -788,37 +788,42 @@ impl DetectorOutcome {
     }
 }
 
-/// The three-step procedure over any [`Detector`] — step-for-step the
-/// same logic as [`Procedure::execute`](crate::procedure::Procedure),
-/// with the step-1 analysis swapped for `detector.detect`. The
-/// differential harness pins that running it with a [`SamDetector`]
-/// reproduces `Procedure::execute` byte-identically.
+/// The three-step procedure (paper Fig. 3) over any [`Detector`]: step 1
+/// is `detector.detect`, steps 2–3 are the shared `conclude`. This is the
+/// one procedure; [`Procedure::execute`](crate::procedure::Procedure) is
+/// SAM's step 1 followed by the same `conclude`, for callers that need
+/// the SAM analysis.
 pub fn run_procedure<T: ProbeTransport>(
     detector: &dyn Detector,
     input: &DetectorInput,
     cfg: &ProcedureConfig,
     transport: &mut T,
 ) -> DetectorOutcome {
-    // Step 1: analysis.
-    let verdict = detector.detect(input);
+    conclude(detector.detect(input), input.routes, cfg, transport)
+}
+
+/// Steps 2–3 of the procedure on a step-1 `verdict` over `routes`: probe
+/// the paths crossing the suspect link, confirm on failed probes or
+/// conclusive λ, and otherwise select routes for the source, avoiding the
+/// suspect link when the verdict is anomalous.
+pub(crate) fn conclude<T: ProbeTransport>(
+    verdict: DetectorVerdict,
+    routes: &[Route],
+    cfg: &ProcedureConfig,
+    transport: &mut T,
+) -> DetectorOutcome {
     if !verdict.anomalous {
         return DetectorOutcome::Normal {
             verdict,
-            selected_routes: select_disjoint(input.routes, cfg.routes_to_source),
+            selected_routes: select_disjoint(routes, cfg.routes_to_source),
         };
     }
+    let crosses_suspect = |r: &Route| verdict.suspect_link.is_some_and(|l| r.contains_link(l));
 
     // Step 2: probe the suspicious paths (those crossing the suspect).
-    let suspicious: Vec<&Route> = match verdict.suspect_link {
-        Some(link) => input
-            .routes
-            .iter()
-            .filter(|r| r.contains_link(link))
-            .collect(),
-        None => Vec::new(),
-    };
-    let tested: Vec<ProbeOutcome> = suspicious
+    let tested: Vec<ProbeOutcome> = routes
         .iter()
+        .filter(|r| crosses_suspect(r))
         .take(cfg.max_paths_tested)
         .map(|route| transport.probe(route, cfg.probes_per_path))
         .collect();
@@ -850,19 +855,15 @@ pub fn run_procedure<T: ProbeTransport>(
         // rather than fabricate a suspect.
     }
 
-    let safe: Vec<Route> = match verdict.suspect_link {
-        Some(link) => input
-            .routes
-            .iter()
-            .filter(|r| !r.contains_link(link))
-            .cloned()
-            .collect(),
-        None => input.routes.to_vec(),
-    };
-    let selected_routes = select_disjoint(&safe, cfg.routes_to_source);
+    // Anomalous but unconfirmed: steer traffic around the suspect.
+    let safe: Vec<Route> = routes
+        .iter()
+        .filter(|r| !crosses_suspect(r))
+        .cloned()
+        .collect();
     DetectorOutcome::SuspiciousUnconfirmed {
         verdict,
-        selected_routes,
+        selected_routes: select_disjoint(&safe, cfg.routes_to_source),
     }
 }
 
@@ -1261,6 +1262,10 @@ mod tests {
         }
     }
 
+    /// `Procedure::execute` is SAM's step 1 plus the shared steps 2–3, so
+    /// this pins its view: the same outcome class and report as
+    /// `run_procedure`, with the analysis behind the verdict on the
+    /// anomalous variants.
     #[test]
     fn run_procedure_with_sam_matches_concrete_procedure() {
         let profile = NormalProfile::train(&normal_sets(), 20);
@@ -1305,7 +1310,7 @@ mod tests {
                     },
                 ) => {
                     assert_eq!(a, b);
-                    assert_eq!(verdict.lambda, analysis.lambda);
+                    assert_eq!(verdict_from_sam(sam.config(), analysis), *verdict);
                 }
                 (
                     DetectionOutcome::Confirmed {
@@ -1323,7 +1328,7 @@ mod tests {
                     assert_eq!(a.probe_ack_ratio, b.probe_ack_ratio);
                     assert_eq!(a.paths_tested, b.paths_tested);
                     assert_eq!(a.isolate, b.isolate);
-                    assert_eq!(verdict.lambda, analysis.lambda);
+                    assert_eq!(verdict_from_sam(sam.config(), analysis), *verdict);
                 }
                 (c, t) => panic!("outcomes diverge: {c:?} vs {t:?}"),
             }

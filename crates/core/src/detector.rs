@@ -193,19 +193,6 @@ impl SamDetector {
             untrained: false,
         }
     }
-
-    /// The routes that traverse the suspect link — the "suspicious paths"
-    /// step 2 tests.
-    pub fn suspicious_routes<'r>(
-        &self,
-        routes: &'r [Route],
-        analysis: &SamAnalysis,
-    ) -> Vec<&'r Route> {
-        match analysis.suspect_link {
-            Some(link) => routes.iter().filter(|r| r.contains_link(link)).collect(),
-            None => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,24 +313,14 @@ mod tests {
     }
 
     #[test]
-    fn suspicious_routes_filters_on_suspect_link() {
+    fn an_interior_repeated_link_is_the_suspect() {
+        // Endpoint-adjacent links are excluded from localization, so the
+        // interior repeated link 1-2 is the suspect.
         let profile = NormalProfile::train(&normal_sets(), 20);
         let d = SamDetector::default();
-        let routes = attacked_set();
+        let routes = vec![r(&[0, 1, 2, 9]), r(&[0, 3, 1, 2, 9]), r(&[0, 4, 5, 9])];
         let analysis = d.analyze(&routes, &profile);
-        let sus = d.suspicious_routes(&routes, &analysis);
-        assert_eq!(sus.len(), routes.len(), "all attacked routes cross 7-8");
-        // A set with an *interior* repeated link (1-2): endpoint-adjacent
-        // links are excluded from localization, so 1-2 is the suspect and
-        // only its two routes are suspicious.
-        let routes2 = vec![r(&[0, 1, 2, 9]), r(&[0, 3, 1, 2, 9]), r(&[0, 4, 5, 9])];
-        let analysis2 = d.analyze(&routes2, &profile);
-        assert_eq!(
-            analysis2.suspect_link,
-            Some(Link::new(NodeId(1), NodeId(2)))
-        );
-        let sus2 = d.suspicious_routes(&routes2, &analysis2);
-        assert_eq!(sus2.len(), 2, "only the 1-2 routes are suspicious");
+        assert_eq!(analysis.suspect_link, Some(Link::new(NodeId(1), NodeId(2))));
     }
 
     #[test]

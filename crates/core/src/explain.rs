@@ -20,7 +20,6 @@
 //! score 0 and no evidence.
 
 use crate::detect::{DetectorEvidence, DetectorVerdict};
-use crate::detector::SamAnalysis;
 use crate::stats::LinkStats;
 use manet_routing::Route;
 use serde::{Deserialize, Serialize};
@@ -133,96 +132,14 @@ fn loo_stats(routes: &[Route], skip: usize) -> (f64, f64) {
     (stats.p_max(), stats.delta())
 }
 
-/// Shared construction: list the suspect-crossing routes with their
-/// leave-one-out contributions. `p_max`/`delta` are the observed set
-/// statistics whichever detector produced the verdict.
-#[allow(clippy::too_many_arguments)]
-fn build_explanation(
-    routes: &[Route],
-    suspect: Option<manet_sim::Link>,
-    detector: String,
-    score: f64,
-    evidence: Option<DetectorEvidence>,
-    p_max: f64,
-    delta: f64,
-    z_p_max: f64,
-    z_delta: f64,
-    lambda: f64,
-    anomalous: bool,
-) -> Explanation {
-    let stats = LinkStats::from_routes(routes);
-    let mut explained = Vec::new();
-    for (i, route) in routes.iter().enumerate() {
-        let crosses = suspect.map(|l| route.contains_link(l)).unwrap_or(false);
-        if !crosses {
-            continue;
-        }
-        let (loo_p_max, loo_delta) = loo_stats(routes, i);
-        explained.push(RouteExplanation {
-            nodes: route.nodes().iter().map(|n| n.0).collect(),
-            hops: route
-                .nodes()
-                .windows(2)
-                .map(|w| HopProvenance::plain(w[0].0, w[1].0))
-                .collect(),
-            tunnel_hops: 0,
-            lineage_depth: 0,
-            p_max_contribution: p_max - loo_p_max,
-            delta_contribution: delta - loo_delta,
-        });
-    }
-    Explanation {
-        kind: "explanation".to_string(),
-        detector,
-        score,
-        evidence,
-        suspect_link: suspect.map(|l| (l.lo().0, l.hi().0)),
-        suspect_count: suspect.map(|l| u64::from(stats.count(l))).unwrap_or(0),
-        total_links: stats.total_links(),
-        p_max,
-        delta,
-        z_p_max,
-        z_delta,
-        lambda,
-        anomalous,
-        tunnel_traversals: 0,
-        routes: explained,
-    }
-}
-
 impl Explanation {
-    /// Build the explanation of a SAM `analysis` over the route set it
-    /// was computed from. Hop provenance starts plain; callers holding a
-    /// flight recording fill it in with [`Explanation::set_provenance`].
-    /// The normalized `score` is unknown at this layer (it needs the
-    /// detector's threshold) and stays 0; paths that hold a
-    /// [`DetectorVerdict`] should prefer [`Explanation::from_verdict`].
-    pub fn from_analysis(routes: &[Route], analysis: &SamAnalysis) -> Self {
-        build_explanation(
-            routes,
-            analysis.suspect_link,
-            "sam".to_string(),
-            0.0,
-            Some(DetectorEvidence::Sam {
-                z_p_max: analysis.z_p_max,
-                z_delta: analysis.z_delta,
-                z_hops_short: analysis.z_hops_short,
-                pmf_anomalous: analysis.pmf_verdict.map(|v| v.anomalous),
-                untrained: analysis.untrained,
-            }),
-            analysis.features.p_max,
-            analysis.features.delta,
-            analysis.z_p_max,
-            analysis.z_delta,
-            analysis.lambda,
-            analysis.anomalous,
-        )
-    }
-
-    /// Build the explanation of any detector's verdict over the route
-    /// set it judged. The top-level z-scores are filled from SAM
-    /// evidence when the verdict carries it (they are SAM statistics;
-    /// other detectors leave them 0).
+    /// Build the explanation of any detector's verdict over the route set
+    /// it judged: list the routes crossing the suspect link with their
+    /// leave-one-out contributions. The top-level z-scores are filled from
+    /// SAM evidence when the verdict carries it (they are SAM statistics;
+    /// other detectors leave them 0). Hop provenance starts plain; callers
+    /// holding a flight recording fill it in with
+    /// [`Explanation::set_provenance`].
     pub fn from_verdict(routes: &[Route], verdict: &DetectorVerdict) -> Self {
         let (z_p_max, z_delta) = match &verdict.evidence {
             DetectorEvidence::Sam {
@@ -230,19 +147,45 @@ impl Explanation {
             } => (*z_p_max, *z_delta),
             _ => (0.0, 0.0),
         };
-        build_explanation(
-            routes,
-            verdict.suspect_link,
-            verdict.detector.clone(),
-            verdict.score,
-            Some(verdict.evidence.clone()),
-            verdict.p_max,
-            verdict.delta,
+        let suspect = verdict.suspect_link;
+        let stats = LinkStats::from_routes(routes);
+        let explained = routes
+            .iter()
+            .enumerate()
+            .filter(|(_, route)| suspect.is_some_and(|l| route.contains_link(l)))
+            .map(|(i, route)| {
+                let (loo_p_max, loo_delta) = loo_stats(routes, i);
+                RouteExplanation {
+                    nodes: route.nodes().iter().map(|n| n.0).collect(),
+                    hops: route
+                        .nodes()
+                        .windows(2)
+                        .map(|w| HopProvenance::plain(w[0].0, w[1].0))
+                        .collect(),
+                    tunnel_hops: 0,
+                    lineage_depth: 0,
+                    p_max_contribution: verdict.p_max - loo_p_max,
+                    delta_contribution: verdict.delta - loo_delta,
+                }
+            })
+            .collect();
+        Explanation {
+            kind: "explanation".to_string(),
+            detector: verdict.detector.clone(),
+            score: verdict.score,
+            evidence: Some(verdict.evidence.clone()),
+            suspect_link: suspect.map(|l| (l.lo().0, l.hi().0)),
+            suspect_count: suspect.map(|l| u64::from(stats.count(l))).unwrap_or(0),
+            total_links: stats.total_links(),
+            p_max: verdict.p_max,
+            delta: verdict.delta,
             z_p_max,
             z_delta,
-            verdict.lambda,
-            verdict.anomalous,
-        )
+            lambda: verdict.lambda,
+            anomalous: verdict.anomalous,
+            tunnel_traversals: 0,
+            routes: explained,
+        }
     }
 
     /// Fill route `idx`'s hop provenance from a reconstructed lineage and
@@ -266,6 +209,7 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::verdict_from_sam;
     use crate::detector::SamDetector;
     use crate::profile::NormalProfile;
     use manet_sim::NodeId;
@@ -300,12 +244,18 @@ mod tests {
         ]
     }
 
+    /// SAM's explanation of `routes`: the verdict of its analysis,
+    /// explained.
+    fn sam_explanation(routes: &[Route], profile: &NormalProfile) -> Explanation {
+        let d = SamDetector::default();
+        let verdict = verdict_from_sam(d.config(), &d.analyze(routes, profile));
+        Explanation::from_verdict(routes, &verdict)
+    }
+
     fn explain() -> (Vec<Route>, Explanation) {
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = SamDetector::default();
         let routes = attacked_set();
-        let analysis = d.analyze(&routes, &profile);
-        let ex = Explanation::from_analysis(&routes, &analysis);
+        let ex = sam_explanation(&routes, &profile);
         (routes, ex)
     }
 
@@ -351,10 +301,8 @@ mod tests {
     fn zero_routes_explains_without_panicking() {
         // A discovery that found nothing still gets a (vacuous) verdict.
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = SamDetector::default();
         let routes: Vec<Route> = Vec::new();
-        let analysis = d.analyze(&routes, &profile);
-        let ex = Explanation::from_analysis(&routes, &analysis);
+        let ex = sam_explanation(&routes, &profile);
         assert_eq!(ex.suspect_link, None);
         assert_eq!(ex.suspect_count, 0);
         assert_eq!(ex.total_links, 0);
@@ -370,20 +318,18 @@ mod tests {
         // strong as the first. Δ must be exactly 0 and the suspect must
         // be the normalized-order smaller link, every time.
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = SamDetector::default();
         let routes = vec![
             r(&[0, 7, 8, 9]),
             r(&[0, 1, 7, 8, 2, 9]),
             r(&[0, 11, 12, 9]),
             r(&[0, 3, 11, 12, 4, 9]),
         ];
-        let analysis = d.analyze(&routes, &profile);
-        let ex = Explanation::from_analysis(&routes, &analysis);
+        let ex = sam_explanation(&routes, &profile);
         assert_eq!(ex.delta, 0.0, "a perfect tie has no frequency gap");
         assert_eq!(ex.suspect_link, Some((7, 8)), "tie broken by link order");
         assert_eq!(ex.suspect_count, 2);
         // Re-running is byte-stable: same suspect, same listed routes.
-        let again = Explanation::from_analysis(&routes, &d.analyze(&routes, &profile));
+        let again = sam_explanation(&routes, &profile);
         assert_eq!(again, ex);
     }
 
@@ -393,10 +339,8 @@ mod tests {
         // which must not panic and must attribute everything to that
         // route.
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = SamDetector::default();
         let routes = vec![r(&[0, 7, 8, 9])];
-        let analysis = d.analyze(&routes, &profile);
-        let ex = Explanation::from_analysis(&routes, &analysis);
+        let ex = sam_explanation(&routes, &profile);
         assert_eq!(ex.routes.len(), 1);
         let only = &ex.routes[0];
         assert_eq!(only.p_max_contribution, ex.p_max);
@@ -426,18 +370,19 @@ mod tests {
         let profile = NormalProfile::train(&normal_sets(), 20);
         let routes = attacked_set();
         let d = SamDetector::default();
-        let verdict = crate::detect::verdict_from_sam(d.config(), &d.analyze(&routes, &profile));
+        let analysis = d.analyze(&routes, &profile);
+        let verdict = verdict_from_sam(d.config(), &analysis);
         let ex = Explanation::from_verdict(&routes, &verdict);
         assert_eq!(ex.detector, "sam");
         assert_eq!(ex.score, verdict.score);
         assert!(ex.score > 1.0, "attacked set must sit past the boundary");
         assert_eq!(ex.evidence.as_ref(), Some(&verdict.evidence));
-        // The listed routes match the analysis-built explanation exactly.
-        let from_analysis = Explanation::from_analysis(&routes, &d.analyze(&routes, &profile));
-        assert_eq!(ex.routes, from_analysis.routes);
-        assert_eq!(ex.suspect_link, from_analysis.suspect_link);
-        assert_eq!(ex.z_p_max, from_analysis.z_p_max);
-        assert_eq!(ex.z_delta, from_analysis.z_delta);
+        // The top-level SAM statistics are the analysis's own.
+        assert_eq!(ex.z_p_max, analysis.z_p_max);
+        assert_eq!(ex.z_delta, analysis.z_delta);
+        assert_eq!(ex.lambda, analysis.lambda);
+        assert_eq!(ex.p_max, analysis.features.p_max);
+        assert_eq!(ex.suspect_link, Some((7, 8)));
     }
 
     #[test]

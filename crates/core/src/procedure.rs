@@ -16,9 +16,10 @@
 //! discovery [`Session`](manet_routing::Session) (see `manet-attacks` and
 //! the `sam-experiments` crate for the wiring).
 
+use crate::detect::{conclude, verdict_from_sam, DetectorOutcome};
 use crate::detector::{SamAnalysis, SamDetector};
 use crate::profile::NormalProfile;
-use manet_routing::{select_disjoint, ProbeOutcome, Route};
+use manet_routing::{ProbeOutcome, Route};
 use manet_sim::{Link, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +91,10 @@ pub struct AttackReport {
     pub isolate: Vec<NodeId>,
 }
 
-/// Outcome of one run of the procedure.
+/// Outcome of one run of [`Procedure::execute`]: the
+/// [`DetectorOutcome`] of the shared steps 2–3, seen through SAM's
+/// analysis. Callers that read the analysis use this view (the IDS agent
+/// adapts its profile from `analysis.features`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum DetectionOutcome {
     /// No anomaly; these (maximally disjoint) routes go back to the source.
@@ -123,7 +127,8 @@ impl DetectionOutcome {
     }
 }
 
-/// The three-step procedure runner.
+/// The three-step procedure with SAM as step 1, returning the SAM-typed
+/// [`DetectionOutcome`].
 #[derive(Clone, Debug, Default)]
 pub struct Procedure {
     detector: SamDetector,
@@ -141,67 +146,33 @@ impl Procedure {
         &self.detector
     }
 
-    /// Execute the procedure over the route set of one discovery.
+    /// Execute the procedure over the route set of one discovery: SAM's
+    /// analysis as step 1, then the steps 2–3
+    /// [`run_procedure`](crate::detect::run_procedure) runs for every
+    /// detector. The outcome keeps the analysis on the anomalous
+    /// variants. An anomalous analysis with no suspect link is reported
+    /// unconfirmed.
     pub fn execute<T: ProbeTransport>(
         &self,
         routes: &[Route],
         profile: &NormalProfile,
         transport: &mut T,
     ) -> DetectionOutcome {
-        // Step 1: statistical analysis.
         let analysis = self.detector.analyze(routes, profile);
-        if !analysis.anomalous {
-            return DetectionOutcome::Normal {
-                selected_routes: select_disjoint(routes, self.cfg.routes_to_source),
-            };
-        }
-
-        // Step 2: probe the suspicious paths.
-        let suspicious = self.detector.suspicious_routes(routes, &analysis);
-        let tested: Vec<ProbeOutcome> = suspicious
-            .iter()
-            .take(self.cfg.max_paths_tested)
-            .map(|route| transport.probe(route, self.cfg.probes_per_path))
-            .collect();
-        let paths_tested = tested.len();
-        let probe_ack_ratio = if tested.is_empty() {
-            1.0
-        } else {
-            tested.iter().map(|o| o.ack_ratio()).sum::<f64>() / tested.len() as f64
-        };
-
-        // Step 3: confirm on failed probes OR overwhelming statistics.
-        let probes_failed = paths_tested > 0 && probe_ack_ratio < self.cfg.ack_threshold;
-        let stats_conclusive = analysis.lambda < self.cfg.lambda_confirm;
-        if probes_failed || stats_conclusive {
-            let link = analysis
-                .suspect_link
-                .expect("anomalous set has at least one link");
-            let (a, b) = link.endpoints();
-            let report = AttackReport {
-                suspect_link: (a, b),
-                lambda: analysis.lambda,
-                p_max: analysis.features.p_max,
-                delta: analysis.features.delta,
-                probe_ack_ratio,
-                paths_tested,
-                isolate: vec![a, b],
-            };
-            return DetectionOutcome::Confirmed { report, analysis };
-        }
-
-        // Anomalous but unconfirmed: steer traffic around the suspect.
-        let safe: Vec<Route> = match analysis.suspect_link {
-            Some(link) => routes
-                .iter()
-                .filter(|r| !r.contains_link(link))
-                .cloned()
-                .collect(),
-            None => routes.to_vec(),
-        };
-        DetectionOutcome::SuspiciousUnconfirmed {
-            analysis,
-            selected_routes: select_disjoint(&safe, self.cfg.routes_to_source),
+        let verdict = verdict_from_sam(self.detector.config(), &analysis);
+        match conclude(verdict, routes, &self.cfg, transport) {
+            DetectorOutcome::Normal {
+                selected_routes, ..
+            } => DetectionOutcome::Normal { selected_routes },
+            DetectorOutcome::SuspiciousUnconfirmed {
+                selected_routes, ..
+            } => DetectionOutcome::SuspiciousUnconfirmed {
+                analysis,
+                selected_routes,
+            },
+            DetectorOutcome::Confirmed { report, .. } => {
+                DetectionOutcome::Confirmed { report, analysis }
+            }
         }
     }
 }
@@ -230,7 +201,7 @@ pub fn blackhole_transport(link: Link) -> impl ProbeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::SamDetector;
+    use crate::detector::{SamConfig, SamDetector};
     use manet_sim::NodeId;
 
     fn r(ids: &[u32]) -> Route {
@@ -348,6 +319,30 @@ mod tests {
                 selected_routes, ..
             } => {
                 // Every route crosses the suspect link → nothing safe.
+                assert!(selected_routes.is_empty());
+            }
+            other => panic!("expected SuspiciousUnconfirmed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn anomalous_analysis_without_a_suspect_link_is_unconfirmed() {
+        // A route set with no links has no suspect; a threshold below any
+        // z-score flags it anyway, with λ ≈ 0 (statistically conclusive).
+        let p = trained_profile();
+        let sam = SamConfig {
+            z_threshold: -1000.0,
+            min_routes: 0,
+            ..SamConfig::default()
+        };
+        let proc = Procedure::new(SamDetector::new(sam), ProcedureConfig::default());
+        let mut t = all_ack_transport();
+        match proc.execute(&[], &p, &mut t) {
+            DetectionOutcome::SuspiciousUnconfirmed {
+                analysis,
+                selected_routes,
+            } => {
+                assert!(analysis.anomalous && analysis.suspect_link.is_none());
                 assert!(selected_routes.is_empty());
             }
             other => panic!("expected SuspiciousUnconfirmed, got {other:?}"),

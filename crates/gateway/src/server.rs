@@ -52,7 +52,7 @@ use sam_serve::prelude::*;
 use sam_serve::service::ProfileSource;
 use sam_serve::stats::{ShardStats, StatsReport, StatsTotals, WindowStats, DEFAULT_WINDOWS_S};
 use sam_serve::trace::{sample_reason, AuditRecord, TraceExemplar, TraceSpan};
-use sam_serve::wire::{self, FrameError, FrameReader, WireLine, WireResponse};
+use sam_serve::wire::{self, FrameError, FrameReader, WireLine, WireRequest, WireResponse};
 use sam_telemetry::{
     Counter, EventRecord, Gauge, Histogram, Registry, SpanGuard, TraceContext, TraceId, TraceIdGen,
     WindowRing, DEFAULT_WINDOW_SLOTS,
@@ -193,20 +193,19 @@ struct Shared {
     tracer: Option<Tracer>,
 }
 
-/// Everything the tail sampler needs about one finished request. One
-/// struct instead of nine arguments — the ok/shed/error paths all build
-/// it the same way.
+/// Everything the tail sampler needs about one finished request: its
+/// identity, the response line it was answered with (status, verdict,
+/// detector, score), and its stage timings.
 struct FinishedRequest<'a> {
     trace: TraceId,
     id: u64,
     key: &'a str,
     shard: Option<u64>,
-    status: &'a str,
+    response: &'a WireResponse,
     timing: StageTiming,
+    /// Acceptance to just before encoding; serialization is
+    /// `timing.serialize_us` on top.
     total_us: u64,
-    verdict: Option<&'a Verdict>,
-    detector: Option<&'a str>,
-    score: Option<f64>,
 }
 
 /// The sam-wiretrace back end: mints trace ids, tail-samples finished
@@ -237,10 +236,12 @@ impl Tracer {
     /// is kept for the most alarming thing about it.
     fn finish(&self, req: &FinishedRequest<'_>) {
         self.traced_requests.inc();
-        let reason = match req.status {
+        let status = req.response.status.as_str();
+        let verdict = req.response.verdict.as_ref();
+        let reason = match status {
             wire::STATUS_ERROR => Some(sample_reason::ERROR),
             wire::STATUS_SHED => Some(sample_reason::SHED),
-            _ => match req.verdict {
+            _ => match verdict {
                 Some(v) if v.anomalous || v.confirmed => Some(sample_reason::VERDICT),
                 _ => match self.slow_us {
                     Some(t) if req.total_us > t => Some(sample_reason::SLOW),
@@ -254,7 +255,7 @@ impl Tracer {
                 id: req.id,
                 key: req.key.to_string(),
                 shard: req.shard,
-                status: req.status.to_string(),
+                status: status.to_string(),
                 reason: reason.to_string(),
                 total_us: req.total_us,
                 spans: stage_spans(&req.timing, req.total_us),
@@ -274,15 +275,13 @@ impl Tracer {
                 id: req.id,
                 key: req.key.to_string(),
                 shard: req.shard,
-                status: req.status.to_string(),
-                detector: req.detector.map(str::to_string),
-                score: req.score,
-                anomalous: req.verdict.map(|v| v.anomalous),
-                confirmed: req.verdict.map(|v| v.confirmed),
-                p_max: req.verdict.map(|v| v.p_max),
-                suspect_link: req
-                    .verdict
-                    .and_then(|v| v.suspect_link.map(|(a, b)| (a.0, b.0))),
+                status: status.to_string(),
+                detector: req.response.detector.clone(),
+                score: req.response.score,
+                anomalous: verdict.map(|v| v.anomalous),
+                confirmed: verdict.map(|v| v.confirmed),
+                p_max: verdict.map(|v| v.p_max),
+                suspect_link: verdict.and_then(|v| v.suspect_link.map(|(a, b)| (a.0, b.0))),
                 total_us: req.total_us,
                 queue_wait_us: req.timing.queue_wait_us,
                 compute_us: req.timing.compute_us,
@@ -349,7 +348,7 @@ impl Shared {
 
     /// Microseconds since the gateway started — the window ring's clock.
     fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros().min(u64::MAX as u128) as u64
+        micros(self.started.elapsed())
     }
 
     fn begin_drain(&self) {
@@ -652,7 +651,7 @@ fn build_stats(shared: &Shared, window_s: Option<u64>) -> StatsReport {
 /// The longest answerable stats window, seconds: the ring holds
 /// [`DEFAULT_WINDOW_SLOTS`] snapshots spaced `stats_interval` apart.
 fn ring_span_s(cfg: &GatewayConfig) -> u64 {
-    let interval_us = cfg.stats_interval.as_micros().min(u64::MAX as u128) as u64;
+    let interval_us = micros(cfg.stats_interval);
     ((DEFAULT_WINDOW_SLOTS as u64).saturating_mul(interval_us) / 1_000_000).max(1)
 }
 
@@ -857,200 +856,159 @@ fn serve_line(
                 Ok(true)
             }
         },
-        WireLine::Request(wire_req) => {
-            let id = wire_req.id;
-            let want_timings = wire_req.timings;
-            let accepted_at = Instant::now();
-            // The trace context exists before any outcome is known —
-            // rejected and shed requests get audit lines too. A
-            // well-formed client-stamped id is honored so `loadgen
-            // --remote` can correlate its own records with the gateway's.
-            let trace_ctx = shared
-                .tracer
-                .as_ref()
-                .map(|t| t.context(wire_req.trace.as_deref()));
-            // Same string `ProfileKey` displays as — valid before
-            // `into_request` consumes the frame.
-            let key = format!("{}/{}", wire_req.topology, wire_req.protocol);
-            let finish = |status: &str,
-                          shard: Option<u64>,
-                          timing: StageTiming,
-                          verdict: Option<&Verdict>,
-                          detector: Option<&str>,
-                          score: Option<f64>| {
-                if let (Some(t), Some(ctx)) = (&shared.tracer, &trace_ctx) {
-                    t.finish(&FinishedRequest {
-                        trace: ctx.trace,
-                        id,
-                        key: &key,
-                        shard,
-                        status,
-                        timing,
-                        total_us: accepted_at.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                        verdict,
-                        detector,
-                        score,
-                    });
-                }
-            };
-            let stamp = |resp: WireResponse| match &trace_ctx {
-                Some(ctx) => resp.with_trace(ctx.trace.to_string()),
-                None => resp,
-            };
-            if let Some(known) = &shared.cfg.known_keys {
-                if !known.contains(&key) {
-                    shared.unknown_key.inc();
-                    let resp = stamp(WireResponse::error(
-                        id,
-                        format!("unknown deployment key {key}"),
-                    ));
-                    finish(
-                        wire::STATUS_ERROR,
-                        None,
-                        StageTiming::default(),
-                        None,
-                        None,
-                        None,
-                    );
-                    write_line(writer, &resp)?;
-                    return Ok(true);
-                }
-            }
-            let request = match wire_req.into_request() {
-                Ok(r) => r,
-                Err(e) => {
-                    shared.codec_errors.inc();
-                    let resp = stamp(WireResponse::error(id, e.to_string()));
-                    finish(
-                        wire::STATUS_ERROR,
-                        None,
-                        StageTiming::default(),
-                        None,
-                        None,
-                        None,
-                    );
-                    write_line(writer, &resp)?;
-                    return Ok(true);
-                }
-            };
-            let shard = shared.ring.route(&key) as usize;
-            // The conn worker's own span opens before submission so the
-            // shard-queue wait happens inside it; the worker thread's
-            // `serve.process` span parents here via the explicit handoff.
-            let mut gw_span = match (&trace_ctx, sam_telemetry::global()) {
-                (Some(ctx), Some(tel)) => tel.span_in("gateway.request", ctx),
-                _ => SpanGuard::disabled(),
-            };
-            if gw_span.is_recording() {
-                gw_span.field("id", id);
-                gw_span.field("key", key.as_str());
-                gw_span.field("shard", shard);
-            }
-            let submit_ctx = gw_span.context().or(trace_ctx);
-            match shared.services[shard].submit_traced(request, submit_ctx) {
-                Ok(pending) => {
-                    let response = pending.wait();
-                    shared.requests.inc();
-                    shared.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
-                    let total_us = accepted_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                    shared.latency_us.record(total_us);
-                    if matches!(shared.cfg.slo_p99_us, Some(slo) if total_us > slo) {
-                        shared.slo_violations.inc();
-                    }
-                    let mut timing = response.timing;
-                    let verdict = response.verdict.clone();
-                    let detector = response.detector.clone();
-                    let score = response.score;
-                    let wire_resp = stamp(WireResponse::ok(response));
-                    // Encoding doubles as the serialize-stage measurement;
-                    // when the client asked for timings the line is
-                    // re-encoded with the breakdown attached (the only
-                    // request path that pays the double encode).
-                    let encode_started = Instant::now();
-                    let mut encoded = wire_resp.encode();
-                    timing.serialize_us =
-                        encode_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                    shared.serialize_us.record(timing.serialize_us);
-                    if want_timings {
-                        encoded = wire_resp.with_timings(timing).encode();
-                    }
-                    if matches!(shared.cfg.slow_request_us, Some(t) if total_us > t) {
-                        shared.slow_requests.inc();
-                        if let Some(tel) = sam_telemetry::global() {
-                            tel.event(
-                                "gateway.slow_request",
-                                &[
-                                    ("key", key.as_str()),
-                                    ("shard", &shard.to_string()),
-                                    ("total_us", &total_us.to_string()),
-                                    ("queue_wait_us", &timing.queue_wait_us.to_string()),
-                                    ("compute_us", &timing.compute_us.to_string()),
-                                    ("serialize_us", &timing.serialize_us.to_string()),
-                                ],
-                            );
-                        }
-                    }
-                    finish(
-                        wire::STATUS_OK,
-                        Some(shard as u64),
-                        timing,
-                        Some(&verdict),
-                        Some(&detector),
-                        Some(score),
-                    );
-                    emit_stage_children(&gw_span, &timing, accepted_at, total_us);
-                    drop(gw_span);
-                    write_encoded_line(writer, &encoded)?;
-                }
-                Err(SubmitError::Rejected { queue_depth }) => {
-                    shared.request_shed.inc();
-                    drop(gw_span);
-                    let resp = stamp(WireResponse::shed(id, queue_depth));
-                    finish(
-                        wire::STATUS_SHED,
-                        Some(shard as u64),
-                        StageTiming::default(),
-                        None,
-                        None,
-                        None,
-                    );
-                    write_line(writer, &resp)?;
-                }
-                Err(SubmitError::UnknownDetector { name }) => {
-                    // A typo in the detector name is the client's
-                    // mistake, not the connection's: answer with the
-                    // typed status and keep serving the line stream.
-                    shared.unknown_detector.inc();
-                    drop(gw_span);
-                    let resp = stamp(WireResponse::unknown_detector(id, &name));
-                    finish(
-                        wire::STATUS_UNKNOWN_DETECTOR,
-                        Some(shard as u64),
-                        StageTiming::default(),
-                        None,
-                        Some(&name),
-                        None,
-                    );
-                    write_line(writer, &resp)?;
-                }
-                Err(SubmitError::Closed) => {
-                    drop(gw_span);
-                    let resp = stamp(WireResponse::error(id, "service shut down"));
-                    finish(
-                        wire::STATUS_ERROR,
-                        Some(shard as u64),
-                        StageTiming::default(),
-                        None,
-                        None,
-                        None,
-                    );
-                    write_line(writer, &resp)?;
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
+        WireLine::Request(wire_req) => serve_request(shared, *wire_req, writer),
     }
+}
+
+/// Serve one request line. Admission (known-key check, decode, shard
+/// routing, submission) ends in either the served response or the line
+/// refusing the request; one tail then stamps the trace id, finishes the
+/// trace and writes the line. Returns `Ok(false)` when the connection
+/// should close (the shard service has shut down).
+fn serve_request(
+    shared: &Shared,
+    wire_req: WireRequest,
+    writer: &mut BufWriter<TcpStream>,
+) -> std::io::Result<bool> {
+    let id = wire_req.id;
+    let want_timings = wire_req.timings;
+    let accepted_at = Instant::now();
+    // The trace context exists before any outcome is known — rejected
+    // and shed requests get audit lines too. A well-formed client-stamped
+    // id is honored so `loadgen --remote` can correlate its own records
+    // with the gateway's.
+    let trace_ctx = shared
+        .tracer
+        .as_ref()
+        .map(|t| t.context(wire_req.trace.as_deref()));
+    // Same string `ProfileKey` displays as — valid before `into_request`
+    // consumes the frame.
+    let key = format!("{}/{}", wire_req.topology, wire_req.protocol);
+    let mut shard = None;
+    let mut gw_span = SpanGuard::disabled();
+    let mut keep_open = true;
+    let admitted: Result<DetectionResponse, WireResponse> = 'admit: {
+        if let Some(known) = &shared.cfg.known_keys {
+            if !known.contains(&key) {
+                shared.unknown_key.inc();
+                break 'admit Err(WireResponse::error(
+                    id,
+                    format!("unknown deployment key {key}"),
+                ));
+            }
+        }
+        let request = match wire_req.into_request() {
+            Ok(r) => r,
+            Err(e) => {
+                shared.codec_errors.inc();
+                break 'admit Err(WireResponse::error(id, e.to_string()));
+            }
+        };
+        let s = shared.ring.route(&key) as usize;
+        shard = Some(s);
+        // The conn worker's own span opens before submission so the
+        // shard-queue wait happens inside it; the worker thread's
+        // `serve.process` span parents here via the explicit handoff.
+        if let (Some(ctx), Some(tel)) = (&trace_ctx, sam_telemetry::global()) {
+            gw_span = tel.span_in("gateway.request", ctx);
+        }
+        if gw_span.is_recording() {
+            gw_span.field("id", id);
+            gw_span.field("key", key.as_str());
+            gw_span.field("shard", s);
+        }
+        let submit_ctx = gw_span.context().or(trace_ctx);
+        match shared.services[s].submit_traced(request, submit_ctx) {
+            Ok(pending) => {
+                let response = pending.wait();
+                shared.requests.inc();
+                shared.shard_requests[s].fetch_add(1, Ordering::Relaxed);
+                Ok(response)
+            }
+            Err(SubmitError::Rejected { queue_depth }) => {
+                shared.request_shed.inc();
+                Err(WireResponse::shed(id, queue_depth))
+            }
+            Err(SubmitError::UnknownDetector { name }) => {
+                // A typo in the detector name is the client's mistake,
+                // not the connection's: answer with the typed status and
+                // keep serving the line stream.
+                shared.unknown_detector.inc();
+                Err(WireResponse::unknown_detector(id, &name))
+            }
+            Err(SubmitError::Closed) => {
+                keep_open = false;
+                Err(WireResponse::error(id, "service shut down"))
+            }
+        }
+    };
+
+    // The one exit. `total_us` is read once, just before encoding: the
+    // latency histogram, the SLO and slow-request checks and the tail
+    // sampler all see this value, and serialization is `serialize_us`.
+    let total_us = micros(accepted_at.elapsed());
+    let served = admitted.is_ok();
+    let (resp, mut timing) = match admitted {
+        Ok(response) => {
+            let timing = response.timing;
+            (WireResponse::ok(response), timing)
+        }
+        Err(refusal) => (refusal, StageTiming::default()),
+    };
+    let mut resp = match &trace_ctx {
+        Some(ctx) => resp.with_trace(ctx.trace.to_string()),
+        None => resp,
+    };
+    // Encoding doubles as the serialize-stage measurement; when the
+    // client asked for timings the line is re-encoded with the breakdown
+    // attached (the only request path that pays the double encode).
+    let encode_started = Instant::now();
+    let mut encoded = resp.encode();
+    if served {
+        timing.serialize_us = micros(encode_started.elapsed());
+        shared.latency_us.record(total_us);
+        shared.serialize_us.record(timing.serialize_us);
+        if matches!(shared.cfg.slo_p99_us, Some(slo) if total_us > slo) {
+            shared.slo_violations.inc();
+        }
+        if matches!(shared.cfg.slow_request_us, Some(t) if total_us > t) {
+            shared.slow_requests.inc();
+            if let (Some(tel), Some(s)) = (sam_telemetry::global(), shard) {
+                tel.event(
+                    "gateway.slow_request",
+                    &[
+                        ("key", key.as_str()),
+                        ("shard", &s.to_string()),
+                        ("total_us", &total_us.to_string()),
+                        ("queue_wait_us", &timing.queue_wait_us.to_string()),
+                        ("compute_us", &timing.compute_us.to_string()),
+                        ("serialize_us", &timing.serialize_us.to_string()),
+                    ],
+                );
+            }
+        }
+        if want_timings {
+            resp.timings = Some(timing);
+            encoded = resp.encode();
+        }
+        emit_stage_children(&gw_span, &timing, accepted_at, total_us);
+    }
+    drop(gw_span);
+    // Finish before writing: a client holding its response must already
+    // find the request's exemplar and audit line.
+    if let (Some(t), Some(ctx)) = (&shared.tracer, &trace_ctx) {
+        t.finish(&FinishedRequest {
+            trace: ctx.trace,
+            id,
+            key: &key,
+            shard: shard.map(|s| s as u64),
+            response: &resp,
+            timing,
+            total_us,
+        });
+    }
+    write_encoded_line(writer, &encoded)?;
+    Ok(keep_open)
 }
 
 /// Synthesize the queue-wait and serialize stages as child spans of the
@@ -1085,6 +1043,11 @@ fn emit_stage_children(
             fields: Vec::new(),
         });
     }
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Write one response line and flush (responses are latency-sensitive;

@@ -1,8 +1,8 @@
 //! Request/response types crossing the service boundary.
 
 use manet_routing::Route;
-use manet_sim::NodeId;
-use sam::{DetectionOutcome, DetectorOutcome, DetectorVerdict, SamAnalysis};
+use manet_sim::{Link, NodeId};
+use sam::{AttackReport, DetectionOutcome, DetectorOutcome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -81,69 +81,66 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// Project a procedure outcome down to the wire verdict.
+    /// Project a SAM procedure outcome down to the wire verdict, the same
+    /// way [`Verdict::from_detector_outcome`] does. Kept for the
+    /// benchmark's in-process judge; the service itself runs
+    /// `run_procedure`.
     pub fn from_outcome(outcome: &DetectionOutcome) -> Self {
-        fn of_analysis(a: &SamAnalysis, confirmed: bool, isolate: Vec<NodeId>) -> Verdict {
-            Verdict {
-                anomalous: a.anomalous,
-                confirmed,
-                lambda: a.lambda,
-                p_max: a.features.p_max,
-                delta: a.features.delta,
-                suspect_link: a.suspect_link.map(|l| l.endpoints()),
-                isolate,
-            }
-        }
-        match outcome {
-            DetectionOutcome::Normal { .. } => Verdict {
-                anomalous: false,
-                confirmed: false,
-                lambda: 1.0,
-                p_max: 0.0,
-                delta: 0.0,
-                suspect_link: None,
-                isolate: Vec::new(),
-            },
-            DetectionOutcome::SuspiciousUnconfirmed { analysis, .. } => {
-                of_analysis(analysis, false, Vec::new())
-            }
-            DetectionOutcome::Confirmed { report, analysis } => {
-                of_analysis(analysis, true, report.isolate.clone())
-            }
+        let (a, report) = match outcome {
+            DetectionOutcome::Normal { .. } => return Verdict::normal(),
+            DetectionOutcome::SuspiciousUnconfirmed { analysis, .. } => (analysis, None),
+            DetectionOutcome::Confirmed { report, analysis } => (analysis, Some(report)),
+        };
+        Verdict::flagged(
+            a.lambda,
+            a.features.p_max,
+            a.features.delta,
+            a.suspect_link,
+            report,
+        )
+    }
+
+    /// Project a procedure outcome down to the wire verdict. A Normal
+    /// outcome zeroes the statistics.
+    pub fn from_detector_outcome(outcome: &DetectorOutcome) -> Self {
+        let (v, report) = match outcome {
+            DetectorOutcome::Normal { .. } => return Verdict::normal(),
+            DetectorOutcome::SuspiciousUnconfirmed { verdict, .. } => (verdict, None),
+            DetectorOutcome::Confirmed { verdict, report } => (verdict, Some(report)),
+        };
+        Verdict::flagged(v.lambda, v.p_max, v.delta, v.suspect_link, report)
+    }
+
+    /// The verdict of a Normal outcome: nothing flagged, statistics zeroed.
+    fn normal() -> Self {
+        Verdict {
+            anomalous: false,
+            confirmed: false,
+            lambda: 1.0,
+            p_max: 0.0,
+            delta: 0.0,
+            suspect_link: None,
+            isolate: Vec::new(),
         }
     }
 
-    /// Project a trait-path procedure outcome down to the wire verdict,
-    /// arm for arm the same shape as [`Verdict::from_outcome`] (a Normal
-    /// outcome zeroes the statistics the same way).
-    pub fn from_detector_outcome(outcome: &DetectorOutcome) -> Self {
-        fn of_verdict(v: &DetectorVerdict, confirmed: bool, isolate: Vec<NodeId>) -> Verdict {
-            Verdict {
-                anomalous: v.anomalous,
-                confirmed,
-                lambda: v.lambda,
-                p_max: v.p_max,
-                delta: v.delta,
-                suspect_link: v.suspect_link.map(|l| l.endpoints()),
-                isolate,
-            }
-        }
-        match outcome {
-            DetectorOutcome::Normal { .. } => Verdict {
-                anomalous: false,
-                confirmed: false,
-                lambda: 1.0,
-                p_max: 0.0,
-                delta: 0.0,
-                suspect_link: None,
-                isolate: Vec::new(),
-            },
-            DetectorOutcome::SuspiciousUnconfirmed { verdict, .. } => {
-                of_verdict(verdict, false, Vec::new())
-            }
-            DetectorOutcome::Confirmed { verdict, report } => {
-                of_verdict(verdict, true, report.isolate.clone())
-            }
+    /// The verdict of an anomalous outcome (the procedure's only other
+    /// kind); `report` is present when step 3 confirmed it.
+    fn flagged(
+        lambda: f64,
+        p_max: f64,
+        delta: f64,
+        suspect_link: Option<Link>,
+        report: Option<&AttackReport>,
+    ) -> Self {
+        Verdict {
+            anomalous: true,
+            confirmed: report.is_some(),
+            lambda,
+            p_max,
+            delta,
+            suspect_link: suspect_link.map(|l| l.endpoints()),
+            isolate: report.map(|r| r.isolate.clone()).unwrap_or_default(),
         }
     }
 }
@@ -178,8 +175,11 @@ pub struct DetectionResponse {
     /// request named none).
     pub detector: String,
     /// The detector's normalized anomaly score (1.0 = the decision
-    /// boundary). 0 for a Normal SAM outcome, mirroring the zeroed
-    /// verdict statistics.
+    /// boundary). One rule is SAM's alone: a `"sam"` verdict that is not
+    /// anomalous reports 0, mirroring the zeroed verdict statistics. SAM
+    /// clients from before the detector registry have always seen that
+    /// 0, and the benchmark's judge checks it. The explanation's own
+    /// `score` is always the real one.
     pub score: f64,
     /// The verdict. Deterministic in the request contents — independent
     /// of worker count, batching, and arrival order.

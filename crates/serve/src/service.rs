@@ -29,8 +29,7 @@ use crate::request::{DetectionRequest, DetectionResponse, ProfileKey, SubmitErro
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use manet_routing::{ProbeOutcome, Route};
 use sam::{
-    run_procedure, verdict_from_sam, DetectionOutcome, DetectorInput, DetectorRegistry,
-    NormalProfile, Procedure, ProcedureConfig, SamConfig, SamDetector,
+    run_procedure, DetectorInput, DetectorRegistry, NormalProfile, ProcedureConfig, SamConfig,
 };
 use sam_telemetry::{Registry, TraceContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,15 +50,18 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// The SAM configuration — the one threshold-calibration point. The
     /// service builds its [`DetectorRegistry`] from it
-    /// ([`DetectorRegistry::with_sam`]), so the `"sam"` entry, the
-    /// ensemble's SAM member, and the concrete fast path all share it.
+    /// ([`DetectorRegistry::with_sam`]), so the `"sam"` entry (which
+    /// requests naming no detector get) and the ensemble's SAM member
+    /// share it.
     pub detector: SamConfig,
     /// Three-step procedure configuration.
     pub procedure: ProcedureConfig,
     /// Attach a verdict [`Explanation`](sam::Explanation) to every
-    /// response (suspect link, per-route leave-one-out contributions).
-    /// Off by default: explanations re-run the step-1 analysis and grow
-    /// responses considerably.
+    /// response (suspect link, per-route leave-one-out contributions),
+    /// built from the verdict the procedure already computed. Off by
+    /// default: the leave-one-out statistics cost a tabulation per
+    /// suspect-crossing route, and explanations grow responses
+    /// considerably.
     pub explain: bool,
 }
 
@@ -189,8 +191,7 @@ impl DetectionService {
             let worker = Worker {
                 rx,
                 max_batch: cfg.max_batch,
-                procedure: Procedure::new(SamDetector::new(cfg.detector), cfg.procedure),
-                procedure_cfg: cfg.procedure,
+                procedure: cfg.procedure,
                 detectors: detectors.clone(),
                 explain: cfg.explain,
                 cache: cache.clone(),
@@ -322,13 +323,9 @@ impl Drop for DetectionService {
 struct Worker {
     rx: Receiver<Job>,
     max_batch: usize,
-    /// The concrete SAM procedure — the fast path every request without
-    /// a `detector` field (and every `"sam"` request) takes, unchanged
-    /// from before the detector registry existed.
-    procedure: Procedure,
-    procedure_cfg: ProcedureConfig,
-    /// Named detectors for requests that select one; shared across
-    /// workers (trait objects behind `Arc`s).
+    procedure: ProcedureConfig,
+    /// Named detectors requests select from (`"sam"` when they name
+    /// none); shared across workers (trait objects behind `Arc`s).
     detectors: DetectorRegistry,
     /// Attach an [`Explanation`](sam::Explanation) to every response.
     explain: bool,
@@ -405,49 +402,27 @@ impl Worker {
             acked: ((count as f64) * ratio).round() as u32,
         };
 
-        // Route on the requested detector. No `detector` field (or an
-        // explicit `"sam"`) takes the concrete SAM procedure — the exact
-        // pre-registry code path, so old clients observe nothing new.
-        // Other names run the trait-path procedure over the registry
-        // entry. Explanations stay deterministic in (routes, profile)
-        // either way, keeping the determinism contract intact.
-        let requested = request.detector.as_deref().unwrap_or("sam");
-        let (verdict, score, explanation) = if requested == "sam" {
-            let outcome = self
-                .procedure
-                .execute(&request.routes, &profile, &mut transport);
-            let score = match &outcome {
-                DetectionOutcome::Normal { .. } => 0.0,
-                DetectionOutcome::SuspiciousUnconfirmed { analysis, .. }
-                | DetectionOutcome::Confirmed { analysis, .. } => {
-                    verdict_from_sam(self.procedure.detector().config(), analysis).score
-                }
-            };
-            let explanation = self.explain.then(|| {
-                let d = self.procedure.detector();
-                let analysis = d.analyze(&request.routes, &profile);
-                let v = verdict_from_sam(d.config(), &analysis);
-                sam::Explanation::from_verdict(&request.routes, &v)
-            });
-            (Verdict::from_outcome(&outcome), score, explanation)
+        // One path for every request: the procedure over the registry
+        // entry it names. Explanations explain the verdict already
+        // computed, so they stay deterministic in (routes, profile).
+        let name = request.detector.as_deref().unwrap_or("sam");
+        let detector = self
+            .detectors
+            .get(name)
+            .expect("submit validated the detector name");
+        let input = DetectorInput::new(&request.routes, &profile);
+        let outcome = run_procedure(detector.as_ref(), &input, &self.procedure, &mut transport);
+        let step1 = outcome.verdict();
+        // The one SAM-specific wire rule (see `DetectionResponse::score`).
+        let score = if name == "sam" && !step1.anomalous {
+            0.0
         } else {
-            let detector = self
-                .detectors
-                .get(requested)
-                .expect("submit validated the detector name");
-            let input = DetectorInput::new(&request.routes, &profile);
-            let outcome = run_procedure(
-                detector.as_ref(),
-                &input,
-                &self.procedure_cfg,
-                &mut transport,
-            );
-            let score = outcome.verdict().score;
-            let explanation = self
-                .explain
-                .then(|| sam::Explanation::from_verdict(&request.routes, outcome.verdict()));
-            (Verdict::from_detector_outcome(&outcome), score, explanation)
+            step1.score
         };
+        let explanation = self
+            .explain
+            .then(|| sam::Explanation::from_verdict(&request.routes, step1));
+        let verdict = Verdict::from_detector_outcome(&outcome);
 
         // Count before waking the caller, so a metrics snapshot taken the
         // instant `wait` returns already includes this response.
@@ -457,7 +432,7 @@ impl Worker {
         drop(span); // close before the caller wakes
         reply.fill(DetectionResponse {
             id: request.id,
-            detector: requested.to_string(),
+            detector: name.to_string(),
             score,
             verdict,
             profile_cache_hit: cache_hit,

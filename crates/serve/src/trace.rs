@@ -65,7 +65,9 @@ pub struct TraceExemplar {
     pub status: String,
     /// Why the sampler kept it — a [`sample_reason`] constant.
     pub reason: String,
-    /// End-to-end gateway latency, microseconds.
+    /// Gateway latency from acceptance to just before the response is
+    /// encoded, microseconds. Serialization is not included: it is the
+    /// `serialize` span (`serialize_us`), which starts here.
     pub total_us: u64,
     /// Per-stage spans, all sharing `trace`.
     pub spans: Vec<TraceSpan>,
@@ -103,7 +105,8 @@ pub struct AuditRecord {
     pub p_max: Option<f64>,
     /// The suspected wormhole link endpoints, when one was isolated.
     pub suspect_link: Option<(u32, u32)>,
-    /// End-to-end gateway latency, microseconds.
+    /// Gateway latency from acceptance to just before the response is
+    /// encoded, microseconds. Serialization is `serialize_us`, on top.
     pub total_us: u64,
     /// Shard-queue wait, microseconds (0 when never queued).
     pub queue_wait_us: u64,

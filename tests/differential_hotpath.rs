@@ -246,14 +246,12 @@ fn random_disc_selective_wormhole_matches_under_faults() {
     );
 }
 
-/// The detector-trait path must be *observably identical* to the
-/// concrete procedure it generalizes: `run_procedure` driving a
-/// [`SamDetector`] as a `&dyn Detector` against the exact routes the
-/// seed cluster-1 scenarios produce, compared field-by-field with
-/// `Procedure::execute` — same outcome class, same `p_max`/`Δ`/suspect,
-/// same selected routes, same confirmed report. This pins the
-/// api-redesign contract the same way the queue/store rewrites above
-/// pin theirs.
+/// `Procedure::execute` is SAM's analysis followed by the steps 2–3
+/// `run_procedure` runs for every detector; this pins its SAM-typed view
+/// on the exact routes the seed cluster-1 scenarios produce. Against
+/// `run_procedure` driving a [`SamDetector`] as a `&dyn Detector`: the
+/// same outcome class, selected routes and confirmed report, and on the
+/// anomalous variants the analysis the verdict was built from.
 #[test]
 fn trait_object_sam_path_matches_concrete_procedure() {
     use sam::prelude::*;
@@ -336,13 +334,11 @@ fn trait_object_sam_path_matches_concrete_procedure() {
                         selected_routes: b,
                     },
                 ) => {
-                    assert_eq!(analysis.features.p_max, verdict.p_max, "{ctx}: p_max");
-                    assert_eq!(analysis.features.delta, verdict.delta, "{ctx}: delta");
                     assert_eq!(
-                        analysis.suspect_link, verdict.suspect_link,
-                        "{ctx}: suspect"
+                        verdict_from_sam(&sam_cfg, analysis),
+                        *verdict,
+                        "{ctx}: analysis"
                     );
-                    assert_eq!(analysis.lambda, verdict.lambda, "{ctx}: lambda");
                     assert_eq!(a, b, "{ctx}: selected routes");
                 }
                 (
@@ -356,11 +352,10 @@ fn trait_object_sam_path_matches_concrete_procedure() {
                     },
                 ) => {
                     confirmed += 1;
-                    assert_eq!(analysis.features.p_max, verdict.p_max, "{ctx}: p_max");
-                    assert_eq!(analysis.features.delta, verdict.delta, "{ctx}: delta");
                     assert_eq!(
-                        analysis.suspect_link, verdict.suspect_link,
-                        "{ctx}: suspect"
+                        verdict_from_sam(&sam_cfg, analysis),
+                        *verdict,
+                        "{ctx}: analysis"
                     );
                     assert_eq!(ra, rb, "{ctx}: confirmed report");
                 }
