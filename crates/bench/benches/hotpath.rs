@@ -10,40 +10,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use manet_routing::prelude::*;
-use manet_sim::event::{EventKind, EventQueue};
+use manet_sim::event::EventQueue;
 use manet_sim::prelude::*;
-use manet_sim::time::SimTime;
 use sam::prelude::*;
+use sam_experiments::microbench::churn;
 use std::hint::black_box;
 use std::time::Duration;
-
-/// Deterministic (time, key) workload shared by both queue backends: a
-/// sawtooth of bursts and drains that keeps a deep backlog, like a
-/// flood wavefront does.
-fn churn(queue: &mut EventQueue<u64>, ops: u64) -> u64 {
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut popped = 0u64;
-    for step in 0..ops {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        if x % 5 < 3 {
-            queue.schedule(
-                SimTime(x % 10_000),
-                EventKind::Timer {
-                    node: NodeId((x % 64) as u32),
-                    key: step,
-                },
-            );
-        } else if let Some(e) = queue.pop() {
-            popped = popped.wrapping_add(e.at.0).wrapping_add(e.seq);
-        }
-    }
-    while let Some(e) = queue.pop() {
-        popped = popped.wrapping_add(e.at.0).wrapping_add(e.seq);
-    }
-    popped
-}
 
 /// Normal-condition route sets for the tabulation bench: one flood's
 /// worth of routes per set, grid topology.

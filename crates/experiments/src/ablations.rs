@@ -19,7 +19,7 @@
 //! * [`channel_loss`] — SAM under a lossy radio.
 
 use crate::report::{Cell, Table};
-use crate::runner::{run_once_configured, RunRecord};
+use crate::runner::{mean_of, run_once_configured, RunRecord, TRAIN_OFFSET};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
@@ -34,13 +34,6 @@ fn configured_series(
     (0..runs)
         .map(|i| run_once_configured(spec, i, router, worm).0)
         .collect()
-}
-
-fn mean(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
-    records.iter().map(f).sum::<f64>() / records.len() as f64
 }
 
 /// Sweep the destination's collection window.
@@ -66,11 +59,11 @@ pub fn collection_window(runs: u64) -> Table {
         let a = configured_series(&attacked, runs, &cfg, WormholeConfig::default());
         table.push_row(vec![
             Cell::Int(ms as i64),
-            Cell::Num(mean(&n, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&n, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Num(mean_of(&n, |r| r.n_routes as f64)),
+            Cell::Num(mean_of(&a, |r| r.n_routes as f64)),
+            Cell::Num(mean_of(&n, |r| r.p_max)),
+            Cell::Num(mean_of(&a, |r| r.p_max)),
+            Cell::Num(mean_of(&a, |r| r.p_max) - mean_of(&n, |r| r.p_max)),
         ]);
     }
     table.note("short windows starve SAM of routes; the 200 ms default collects the full flood at ms-scale hop latencies");
@@ -100,8 +93,8 @@ pub fn tunnel_length(runs: u64) -> Table {
         table.push_row(vec![
             Cell::Int(cols as i64),
             Cell::Int(span as i64),
-            Cell::Num(100.0 * mean(&a, |r| r.affected)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Num(100.0 * mean_of(&a, |r| r.affected)),
+            Cell::Num(mean_of(&a, |r| r.p_max) - mean_of(&n, |r| r.p_max)),
         ]);
     }
     table.note("paper: the tunneled link must be long enough for the attack (and hence its signature) to be strong");
@@ -121,9 +114,9 @@ pub fn wormhole_mode(runs: u64) -> Table {
     let n = configured_series(&normal, runs, &cfg, WormholeConfig::default());
     table.push_row(vec![
         Cell::from("none"),
-        Cell::Num(mean(&n, |r| r.n_routes as f64)),
-        Cell::Num(mean(&n, |r| r.p_max)),
-        Cell::Num(mean(&n, |r| r.delta)),
+        Cell::Num(mean_of(&n, |r| r.n_routes as f64)),
+        Cell::Num(mean_of(&n, |r| r.p_max)),
+        Cell::Num(mean_of(&n, |r| r.delta)),
         Cell::Num(0.0),
     ]);
     for (label, worm) in [
@@ -133,10 +126,10 @@ pub fn wormhole_mode(runs: u64) -> Table {
         let a = configured_series(&attacked, runs, &cfg, worm);
         table.push_row(vec![
             Cell::from(label),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.delta)),
-            Cell::Num(100.0 * mean(&a, |r| r.affected)),
+            Cell::Num(mean_of(&a, |r| r.n_routes as f64)),
+            Cell::Num(mean_of(&a, |r| r.p_max)),
+            Cell::Num(mean_of(&a, |r| r.delta)),
+            Cell::Num(100.0 * mean_of(&a, |r| r.affected)),
         ]);
     }
     table.note("hidden mode keeps the attackers off the routes (%affected counts the literal attacker link, so it reads 0)");
@@ -169,9 +162,9 @@ pub fn protocol_rule(runs: u64) -> Table {
         let a = configured_series(&attacked, runs, &cfg, WormholeConfig::default());
         table.push_row(vec![
             Cell::from(protocol.label()),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.overhead as f64)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Num(mean_of(&a, |r| r.n_routes as f64)),
+            Cell::Num(mean_of(&a, |r| r.overhead as f64)),
+            Cell::Num(mean_of(&a, |r| r.p_max) - mean_of(&n, |r| r.p_max)),
         ]);
     }
     table.note("paper §V: SMR and AOMDV provide more routes for statistical analysis than single-path protocols");
@@ -194,7 +187,7 @@ pub fn hidden_detection(runs: u64) -> Table {
     let normal = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
     let training: Vec<Vec<Route>> = (0..runs.max(6))
-        .map(|i| run_once_with_routes(&normal, 1000 + i).1)
+        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
         .collect();
     let paper = SamDetector::default();
     let extended = SamDetector::new(SamConfig {
@@ -258,7 +251,7 @@ pub fn mobility(runs: u64) -> Table {
     let detector = SamDetector::default();
     let spec_n = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&spec_n, 1000 + i).1)
+        .map(|i| run_once_with_routes(&spec_n, TRAIN_OFFSET + i).1)
         .collect();
     let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
@@ -378,7 +371,7 @@ pub fn threshold_sweep(runs: u64) -> Table {
     let normal = ScenarioSpec::normal(TopologyKind::uniform10x6(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
     let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&normal, 1000 + i).1)
+        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
         .collect();
     let profile = NormalProfile::train(&training, SamConfig::default().pmf_bins);
 

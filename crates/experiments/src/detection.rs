@@ -11,17 +11,13 @@
 //! *confirmed* false-positive rate.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_with_routes};
+use crate::runner::{build_plan, run_once_with_routes, TRAIN_OFFSET};
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Offset separating training run indices from evaluation indices (so the
-/// profile never sees its own evaluation data).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// Quality metrics for one configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]

@@ -23,17 +23,13 @@
 //! (`BENCH_robustness.json`) for CI trend tracking.
 
 use crate::report::{Cell, Table};
-use crate::runner::run_once_faulted;
+use crate::runner::{run_once_faulted, TRAIN_OFFSET};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use sam::prelude::*;
 use sam_faults::{ChurnKind, FaultPlan};
 use serde::{Deserialize, Serialize};
-
-/// Offset separating training run indices from evaluation indices (same
-/// convention as the `detection` experiment).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// Loss probabilities swept (the CI smoke asserts at least three).
 pub const LOSS_LEVELS: &[f64] = &[0.0, 0.05, 0.1, 0.2];

@@ -24,16 +24,12 @@
 //! abstaining.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_configured};
+use crate::runner::{build_plan, run_once_configured, TRAIN_OFFSET};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Offset separating training run indices from evaluation indices (same
-/// convention as the `detection` and `robustness` experiments).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// The selective attacker's tunneling probability — the headline
 /// operating point (`p ≤ 0.3` is where frequency statistics starve).

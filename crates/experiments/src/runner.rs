@@ -286,6 +286,10 @@ pub fn mean_of(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
 /// The paper's standard series length.
 pub const PAPER_RUNS: u64 = 10;
 
+/// Offset separating profile-training run indices from evaluation (and
+/// serving) indices, so a profile never sees its own evaluation data.
+pub const TRAIN_OFFSET: u64 = 1000;
+
 #[cfg(test)]
 mod tests {
     use super::*;

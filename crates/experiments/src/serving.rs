@@ -9,14 +9,12 @@
 //! [`ScenarioSpec`]s — and therefore the same trained profile — on the
 //! server.
 
+pub use crate::runner::TRAIN_OFFSET;
 use crate::runner::{run_once_with_routes, run_once_with_routes_faulted};
 use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
 use manet_routing::{ProtocolKind, Route};
 use sam::NormalProfile;
 
-/// Offset separating profile-training runs from serving traffic (matches
-/// the convention in [`crate::detection`]).
-pub const TRAIN_OFFSET: u64 = 1000;
 /// Training route sets per profile.
 pub const TRAIN_RUNS: u64 = 8;
 /// Distinct replayed route sets per scenario in a loadgen corpus.

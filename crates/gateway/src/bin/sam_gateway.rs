@@ -7,8 +7,8 @@
 //!             [--max-conns N] [--backlog N] [--explain]
 //!             [--telemetry PATH] [--stats-interval-ms N]
 //!             [--slo-p99-us N] [--slow-request-us N]
-//!             [--trace] [--trace-slow-us N] [--trace-seed N]
-//!             [--trace-capacity N] [--audit-log PATH]
+//!             [--trace] [--trace-seed N] [--trace-capacity N]
+//!             [--audit-log PATH]
 //! ```
 //!
 //! Profiles train on demand from the shared serving catalogue
@@ -51,7 +51,6 @@ struct Args {
     slo_p99_us: Option<u64>,
     slow_request_us: Option<u64>,
     trace: bool,
-    trace_slow_us: Option<u64>,
     trace_seed: u64,
     trace_capacity: usize,
     audit_log: Option<String>,
@@ -76,7 +75,6 @@ impl Default for Args {
             slo_p99_us: None,
             slow_request_us: None,
             trace: false,
-            trace_slow_us: None,
             trace_seed: 0,
             trace_capacity: 64,
             audit_log: None,
@@ -112,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
             "--slo-p99-us" => args.slo_p99_us = Some(parse!("--slo-p99-us")),
             "--slow-request-us" => args.slow_request_us = Some(parse!("--slow-request-us")),
             "--trace" => args.trace = true,
-            "--trace-slow-us" => args.trace_slow_us = Some(parse!("--trace-slow-us")),
             "--trace-seed" => args.trace_seed = parse!("--trace-seed"),
             "--trace-capacity" => args.trace_capacity = parse!("--trace-capacity"),
             "--audit-log" => args.audit_log = Some(value("--audit-log")?),
@@ -133,9 +130,9 @@ fn parse_args() -> Result<Args, String> {
                      --telemetry PATH  write spans + final snapshot as JSONL on exit\n  \
                      --stats-interval-ms N  window-ring sampling period (default 1000)\n  \
                      --slo-p99-us N    latency SLO; slower requests count into slo_burn\n  \
-                     --slow-request-us N  log requests slower than this as telemetry events\n  \
+                     --slow-request-us N  count and log requests slower than this as telemetry\n                       \
+                        events; with --trace, also tail-sample them as slow\n  \
                      --trace           follow requests under trace ids; serve {{\"cmd\":\"trace\"}}\n  \
-                     --trace-slow-us N tail-sample requests slower than this\n  \
                      --trace-seed N    seed for minted trace ids (default 0)\n  \
                      --trace-capacity N  exemplars kept in the tail-sampler ring (default 64)\n  \
                      --audit-log PATH  append one verdict-audit JSONL line per request",
@@ -158,10 +155,8 @@ fn parse_args() -> Result<Args, String> {
     if args.trace_capacity == 0 {
         return Err("--trace-capacity must be at least 1".into());
     }
-    if (args.audit_log.is_some() || args.trace_slow_us.is_some() || args.trace_seed != 0)
-        && !args.trace
-    {
-        return Err("--audit-log, --trace-slow-us, and --trace-seed need --trace".into());
+    if (args.audit_log.is_some() || args.trace_seed != 0) && !args.trace {
+        return Err("--audit-log and --trace-seed need --trace".into());
     }
     Ok(args)
 }
@@ -215,7 +210,6 @@ fn main() -> ExitCode {
         slo_p99_us: args.slo_p99_us,
         slow_request_us: args.slow_request_us,
         trace: args.trace,
-        trace_slow_us: args.trace_slow_us,
         trace_seed: args.trace_seed,
         trace_capacity: args.trace_capacity,
         audit_log: args.audit_log.as_ref().map(std::path::PathBuf::from),

@@ -49,12 +49,12 @@
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use sam_serve::prelude::*;
+use sam_serve::request::micros;
 use sam_serve::service::ProfileSource;
 use sam_serve::stats::{ShardStats, StatsReport, StatsTotals, WindowStats, DEFAULT_WINDOWS_S};
-use sam_serve::trace::{sample_reason, AuditRecord, TraceExemplar, TraceSpan};
 use sam_serve::wire::{self, FrameError, FrameReader, WireLine, WireRequest, WireResponse};
 use sam_telemetry::{
-    Counter, EventRecord, Gauge, Histogram, Registry, SpanGuard, TraceContext, TraceId, TraceIdGen,
+    Counter, EventRecord, Gauge, Histogram, Registry, SpanGuard, TraceContext, TraceIdGen,
     WindowRing, DEFAULT_WINDOW_SLOTS,
 };
 use std::collections::VecDeque;
@@ -106,19 +106,17 @@ pub struct GatewayConfig {
     /// fraction of its requests that crossed it. `None` disables the
     /// burn accounting.
     pub slo_p99_us: Option<u64>,
-    /// Slow-request threshold: requests slower than this emit a
-    /// `gateway.slow_request` telemetry event (deployment key, shard,
-    /// stage breakdown) when global telemetry is installed, and count
-    /// into `gateway.slow_requests`. `None` disables the logging.
+    /// Slow-request threshold: served requests slower than this count
+    /// into `gateway.slow_requests`, emit a `gateway.slow_request`
+    /// telemetry event (deployment key, shard, stage breakdown) when
+    /// global telemetry is installed, and, with `trace` on, are
+    /// tail-sampled as `slow`. `None` disables all three.
     pub slow_request_us: Option<u64>,
     /// Follow every request under a trace id (client-stamped or minted
     /// from `trace_seed`), tail-sample interesting ones into the exemplar
     /// ring, and answer `{"cmd":"trace"}`. Off by default — the disabled
     /// cost is one `Option` check per request.
     pub trace: bool,
-    /// Tail-sample requests slower than this many microseconds. `None`
-    /// leaves only shed/error/positive-verdict sampling.
-    pub trace_slow_us: Option<u64>,
     /// Seed for minted trace ids — fixed seeds give reproducible soaks.
     pub trace_seed: u64,
     /// Exemplars retained in the tail-sampler ring (oldest evicted).
@@ -146,7 +144,6 @@ impl Default for GatewayConfig {
             slo_p99_us: None,
             slow_request_us: None,
             trace: false,
-            trace_slow_us: None,
             trace_seed: 0,
             trace_capacity: 64,
             audit_log: None,
@@ -193,28 +190,16 @@ struct Shared {
     tracer: Option<Tracer>,
 }
 
-/// Everything the tail sampler needs about one finished request: its
-/// identity, the response line it was answered with (status, verdict,
-/// detector, score), and its stage timings.
-struct FinishedRequest<'a> {
-    trace: TraceId,
-    id: u64,
-    key: &'a str,
-    shard: Option<u64>,
-    response: &'a WireResponse,
-    timing: StageTiming,
-    /// Acceptance to just before encoding; serialization is
-    /// `timing.serialize_us` on top.
-    total_us: u64,
-}
-
-/// The sam-wiretrace back end: mints trace ids, tail-samples finished
-/// requests into the exemplar ring, and appends the verdict audit trail.
+/// The sam-wiretrace back end: mints trace ids, appends each finished
+/// request's record to the audit trail, and keeps the records the
+/// tail-sampling rule selects.
 struct Tracer {
     gen: TraceIdGen,
     slow_us: Option<u64>,
     capacity: usize,
-    exemplars: Mutex<VecDeque<TraceExemplar>>,
+    /// Sampled records with their reasons, oldest first; exemplars are
+    /// rendered from them only when `{"cmd":"trace"}` asks.
+    sampled: Mutex<VecDeque<(&'static str, AuditRecord)>>,
     traced_requests: Arc<Counter>,
     trace_exemplars: Arc<Counter>,
     audit_records: Arc<Counter>,
@@ -231,114 +216,43 @@ impl Tracer {
         TraceContext::root(trace)
     }
 
-    /// The tail-sample decision + audit append, once per finished
-    /// request. Failures outrank verdicts outrank slowness — a request
-    /// is kept for the most alarming thing about it.
-    fn finish(&self, req: &FinishedRequest<'_>) {
+    /// The audit append + tail-sample decision, once per finished
+    /// request.
+    fn finish(&self, record: AuditRecord) {
         self.traced_requests.inc();
-        let status = req.response.status.as_str();
-        let verdict = req.response.verdict.as_ref();
-        let reason = match status {
-            wire::STATUS_ERROR => Some(sample_reason::ERROR),
-            wire::STATUS_SHED => Some(sample_reason::SHED),
-            _ => match verdict {
-                Some(v) if v.anomalous || v.confirmed => Some(sample_reason::VERDICT),
-                _ => match self.slow_us {
-                    Some(t) if req.total_us > t => Some(sample_reason::SLOW),
-                    _ => None,
-                },
-            },
-        };
-        if let Some(reason) = reason {
-            let exemplar = TraceExemplar {
-                trace: req.trace.to_string(),
-                id: req.id,
-                key: req.key.to_string(),
-                shard: req.shard,
-                status: status.to_string(),
-                reason: reason.to_string(),
-                total_us: req.total_us,
-                spans: stage_spans(&req.timing, req.total_us),
-            };
-            let mut ring = self.exemplars.lock().unwrap_or_else(|e| e.into_inner());
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-            }
-            ring.push_back(exemplar);
-            drop(ring);
-            self.trace_exemplars.inc();
-        }
         if let Some(audit) = &self.audit {
-            let record = AuditRecord {
-                kind: "audit".to_string(),
-                trace: req.trace.to_string(),
-                id: req.id,
-                key: req.key.to_string(),
-                shard: req.shard,
-                status: status.to_string(),
-                detector: req.response.detector.clone(),
-                score: req.response.score,
-                anomalous: verdict.map(|v| v.anomalous),
-                confirmed: verdict.map(|v| v.confirmed),
-                p_max: verdict.map(|v| v.p_max),
-                suspect_link: verdict.and_then(|v| v.suspect_link.map(|(a, b)| (a.0, b.0))),
-                total_us: req.total_us,
-                queue_wait_us: req.timing.queue_wait_us,
-                compute_us: req.timing.compute_us,
-                serialize_us: req.timing.serialize_us,
-            };
+            let line = record.encode();
             let mut w = audit.lock().unwrap_or_else(|e| e.into_inner());
             // Flushed per line: audit lines are evidence, and a crash
             // must not swallow the requests that preceded it.
-            if writeln!(w, "{}", record.encode())
-                .and_then(|()| w.flush())
-                .is_ok()
-            {
+            if writeln!(w, "{line}").and_then(|()| w.flush()).is_ok() {
                 self.audit_records.inc();
             }
+        }
+        if let Some(reason) = record.sample_reason(self.slow_us) {
+            let mut ring = self.sampled.lock().unwrap_or_else(|e| e.into_inner());
+            if ring.len() >= self.capacity {
+                ring.pop_front();
+            }
+            ring.push_back((reason, record));
+            drop(ring);
+            self.trace_exemplars.inc();
         }
     }
 
     /// The newest `limit` exemplars (all of them when `limit` is absent),
     /// oldest first.
     fn recent(&self, limit: Option<u64>) -> Vec<TraceExemplar> {
-        let ring = self.exemplars.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = self.sampled.lock().unwrap_or_else(|e| e.into_inner());
         let skip = match limit {
             Some(l) => ring.len().saturating_sub(l.min(usize::MAX as u64) as usize),
             None => 0,
         };
-        ring.iter().skip(skip).cloned().collect()
+        ring.iter()
+            .skip(skip)
+            .map(|(reason, record)| TraceExemplar::from_record(record, reason))
+            .collect()
     }
-}
-
-/// Synthesize the exemplar's span ladder from the stage breakdown. The
-/// stages share the request's monotonic clock (started at acceptance),
-/// so the offsets compose: queue wait starts at 0, compute follows it,
-/// and serialization starts once the worker's reply lands back at the
-/// gateway (`total_us` is measured just before encoding).
-fn stage_spans(timing: &StageTiming, total_us: u64) -> Vec<TraceSpan> {
-    vec![
-        TraceSpan {
-            name: "request".to_string(),
-            start_us: 0,
-            dur_us: total_us.saturating_add(timing.serialize_us),
-        },
-        TraceSpan {
-            name: "queue_wait".to_string(),
-            start_us: 0,
-            dur_us: timing.queue_wait_us,
-        },
-        TraceSpan {
-            name: "compute".to_string(),
-            start_us: timing.queue_wait_us,
-            dur_us: timing.compute_us,
-        },
-        TraceSpan {
-            name: "serialize".to_string(),
-            start_us: total_us,
-            dur_us: timing.serialize_us,
-        },
-    ]
 }
 
 impl Shared {
@@ -429,9 +343,9 @@ impl Gateway {
             };
             Some(Tracer {
                 gen: TraceIdGen::new(cfg.trace_seed),
-                slow_us: cfg.trace_slow_us,
+                slow_us: cfg.slow_request_us,
                 capacity: cfg.trace_capacity.max(1),
-                exemplars: Mutex::new(VecDeque::new()),
+                sampled: Mutex::new(VecDeque::new()),
                 traced_requests: registry.counter("gateway.traced_requests"),
                 trace_exemplars: registry.counter("gateway.trace_exemplars"),
                 audit_records: registry.counter("gateway.audit_records"),
@@ -884,7 +798,7 @@ fn serve_request(
     // Same string `ProfileKey` displays as — valid before `into_request`
     // consumes the frame.
     let key = format!("{}/{}", wire_req.topology, wire_req.protocol);
-    let mut shard = None;
+    let mut shard: Option<u64> = None;
     let mut gw_span = SpanGuard::disabled();
     let mut keep_open = true;
     let admitted: Result<DetectionResponse, WireResponse> = 'admit: {
@@ -905,7 +819,7 @@ fn serve_request(
             }
         };
         let s = shared.ring.route(&key) as usize;
-        shard = Some(s);
+        shard = Some(s as u64);
         // The conn worker's own span opens before submission so the
         // shard-queue wait happens inside it; the worker thread's
         // `serve.process` span parents here via the explicit handoff.
@@ -991,63 +905,50 @@ fn serve_request(
             resp.timings = Some(timing);
             encoded = resp.encode();
         }
-        emit_stage_children(&gw_span, &timing, accepted_at, total_us);
+    }
+    // The request's one record: the audit line, the sampled exemplar and
+    // the synthesized stage spans are all views of it.
+    let record =
+        trace_ctx.map(|ctx| AuditRecord::new(ctx.trace, &key, shard, &resp, timing, total_us));
+    if let Some(record) = record.as_ref().filter(|_| served) {
+        emit_stage_children(&gw_span, record, accepted_at);
     }
     drop(gw_span);
     // Finish before writing: a client holding its response must already
     // find the request's exemplar and audit line.
-    if let (Some(t), Some(ctx)) = (&shared.tracer, &trace_ctx) {
-        t.finish(&FinishedRequest {
-            trace: ctx.trace,
-            id,
-            key: &key,
-            shard: shard.map(|s| s as u64),
-            response: &resp,
-            timing,
-            total_us,
-        });
+    if let (Some(t), Some(record)) = (&shared.tracer, record) {
+        t.finish(record);
     }
     write_encoded_line(writer, &encoded)?;
     Ok(keep_open)
 }
 
 /// Synthesize the queue-wait and serialize stages as child spans of the
-/// live `gateway.request` span. No thread is parked inside either stage
-/// (the wait happens in a channel, the encode is measured around a
-/// call), so they cannot be spanned live — but the timing breakdown
-/// pins them exactly, and emitting them makes the telemetry JSONL carry
-/// the same stage ladder the exemplar does. Compute needs no synthesis:
-/// the worker's `serve.process` span records it for real.
-fn emit_stage_children(
-    span: &SpanGuard,
-    timing: &StageTiming,
-    accepted_at: Instant,
-    total_us: u64,
-) {
+/// live `gateway.request` span, cut from the record's stage ladder. No
+/// thread is parked inside either stage (the wait happens in a channel,
+/// the encode is measured around a call), so they cannot be spanned live
+/// — but the timing breakdown pins them exactly, and emitting them makes
+/// the telemetry JSONL carry the same ladder the exemplar does. Compute
+/// needs no synthesis: the worker's `serve.process` span records it for
+/// real.
+fn emit_stage_children(span: &SpanGuard, record: &AuditRecord, accepted_at: Instant) {
     let (Some(tel), Some(ctx)) = (sam_telemetry::global(), span.context()) else {
         return;
     };
     let base = tel.offset_us(accepted_at);
-    for (name, start_us, dur_us) in [
-        ("gateway.queue_wait", 0, timing.queue_wait_us),
-        ("gateway.serialize", total_us, timing.serialize_us),
-    ] {
+    let [_, queue_wait, _, serialize] = record.ladder();
+    for stage in [queue_wait, serialize] {
         tel.record_raw(EventRecord {
             kind: "span".to_string(),
             id: 0, // record_raw assigns a fresh collector-unique id
             parent: ctx.span,
-            name: name.to_string(),
-            start_us: base.saturating_add(start_us),
-            dur_us,
-            trace: Some(ctx.trace.to_string()),
+            name: format!("gateway.{}", stage.name),
+            start_us: base.saturating_add(stage.start_us),
+            dur_us: stage.dur_us,
+            trace: Some(record.trace.clone()),
             fields: Vec::new(),
         });
     }
-}
-
-/// A duration in whole microseconds, saturating.
-fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Write one response line and flush (responses are latency-sensitive;

@@ -23,7 +23,7 @@ fn traced_gateway(shards: usize, audit: Option<&std::path::Path>) -> Gateway {
         read_timeout: Duration::from_secs(5),
         drain_grace: Duration::from_secs(5),
         trace: true,
-        trace_slow_us: Some(0),
+        slow_request_us: Some(0),
         trace_seed: 7,
         trace_capacity: 256,
         audit_log: audit.map(|p| p.to_path_buf()),
@@ -239,4 +239,58 @@ fn untraced_gateways_refuse_the_trace_command_and_stamp_nothing() {
 
     drop(client);
     gateway.drain();
+}
+
+#[test]
+fn unknown_detector_refusals_are_sampled_as_errors_with_their_shard() {
+    let audit_path = scratch("oracle.audit.jsonl");
+    let gateway = traced_gateway(2, Some(&audit_path));
+    let mut client = Client::connect(gateway.local_addr()).unwrap();
+
+    client
+        .send(&common::detector_wire_request(1, "oracle"))
+        .unwrap();
+    let resp = client.recv().expect("response");
+    assert_eq!(resp.status, sam_serve::wire::STATUS_UNKNOWN_DETECTOR);
+    let trace = resp.trace.expect("even refusals carry their trace");
+
+    // A refusal is an error whatever the slow threshold (0 here): never
+    // dropped, never filed as `slow`.
+    let exemplars = fetch_trace(
+        &gateway.local_addr().to_string(),
+        None,
+        Duration::from_secs(5),
+    )
+    .expect("trace answered");
+    assert_eq!(exemplars.len(), 1);
+    let ex = &exemplars[0];
+    assert_eq!(ex.reason, sample_reason::ERROR);
+    assert_eq!(ex.status, sam_serve::wire::STATUS_UNKNOWN_DETECTOR);
+    assert_eq!(ex.trace, trace);
+    assert!(ex.shard.is_some(), "the request was routed before refusal");
+
+    drop(client);
+    gateway.drain();
+    let text = std::fs::read_to_string(&audit_path).expect("audit log written");
+    std::fs::remove_file(&audit_path).ok();
+    let records: Vec<AuditRecord> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("audit line parses"))
+        .collect();
+    assert_eq!(records.len(), 1);
+    let rec = &records[0];
+    assert_eq!(
+        (
+            &rec.trace,
+            rec.id,
+            &rec.key,
+            rec.shard,
+            &rec.status,
+            rec.total_us
+        ),
+        (&ex.trace, ex.id, &ex.key, ex.shard, &ex.status, ex.total_us),
+        "the audit line is the record the exemplar was cut from"
+    );
+    assert_eq!(rec.detector.as_deref(), Some("oracle"));
+    assert_eq!(rec.p_max, None, "no verdict evidence on refusals");
 }

@@ -38,8 +38,9 @@
 
 use sam_experiments::serving::{find, replay_corpus, train_profile, CorpusEntry};
 use sam_serve::prelude::*;
+use sam_serve::request::micros;
 use sam_serve::service::ProfileSource;
-use sam_serve::wire::{FrameReader, WireRequest, WireResponse, STATUS_OK, STATUS_SHED};
+use sam_serve::wire::{round_trip, FrameReader, WireRequest, WireResponse, STATUS_OK, STATUS_SHED};
 use sam_telemetry::{
     report::write_jsonl, BenchReport, Registry, RegistrySnapshot, Telemetry, TraceIdGen,
 };
@@ -671,11 +672,7 @@ fn remote_client(
                     tally.responded_ids ^= resp.id;
                     let latency = sent.elapsed();
                     metrics.record_completed(latency);
-                    tally.note_completed(
-                        id,
-                        latency.as_micros().min(u64::MAX as u128) as u64,
-                        Some(trace),
-                    );
+                    tally.note_completed(id, micros(latency), Some(trace));
                     if resp.verdict.as_ref().is_some_and(|v| v.confirmed) {
                         tally.confirmed += 1;
                     }
@@ -764,20 +761,6 @@ fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
 /// Ask the gateway to drain on a fresh connection; returns the
 /// acknowledged status string.
 fn send_drain(addr: &str) -> Result<String, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let mut reader = FrameReader::new(
-        BufReader::new(stream.try_clone().map_err(|e| e.to_string())?),
-        sam_serve::wire::MAX_LINE_BYTES,
-    );
-    let mut writer = stream;
-    writer
-        .write_all(b"{\"cmd\":\"drain\"}\n")
-        .map_err(|e| format!("write: {e}"))?;
-    let line = reader
-        .next_frame()
-        .map_err(|e| format!("read: {e}"))?
-        .ok_or("connection closed before acknowledging")?;
-    let resp = WireResponse::decode(&line).map_err(|e| format!("decode: {e}"))?;
+    let resp = round_trip(addr, &WireCommand::bare("drain"), Duration::from_secs(10))?;
     Ok(resp.status)
 }

@@ -8,6 +8,7 @@
 //! always produced and through any registry snapshot exported to JSONL.
 //! Everything on the hot path is still a single relaxed atomic update.
 
+use crate::request::{micros, StageTiming};
 use sam_telemetry::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -87,17 +88,14 @@ impl ServiceMetrics {
     /// A response was delivered `latency` after submission.
     pub fn record_completed(&self, latency: Duration) {
         self.completed.inc();
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        self.latency_us.record(us);
+        self.latency_us.record(micros(latency));
     }
 
     /// One request's stage breakdown: time spent queued and time spent
     /// computing the verdict.
-    pub fn record_stages(&self, queue_wait: Duration, compute: Duration) {
-        self.queue_wait_us
-            .record(queue_wait.as_micros().min(u64::MAX as u128) as u64);
-        self.compute_us
-            .record(compute.as_micros().min(u64::MAX as u128) as u64);
+    pub fn record_stages(&self, timing: &StageTiming) {
+        self.queue_wait_us.record(timing.queue_wait_us);
+        self.compute_us.record(timing.compute_us);
     }
 
     /// Requests accepted so far.

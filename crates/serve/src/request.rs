@@ -5,6 +5,7 @@ use manet_sim::{Link, NodeId};
 use sam::{AttackReport, DetectionOutcome, DetectorOutcome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::time::Duration;
 
 /// Identity of the deployment a route set was observed in.
 ///
@@ -164,6 +165,12 @@ pub struct StageTiming {
     /// Time spent encoding the response for the wire, microseconds
     /// (0 for in-process callers — nothing was serialized).
     pub serialize_us: u64,
+}
+
+/// A duration in whole microseconds, saturating — the one conversion
+/// behind every `*_us` figure the serving tier records.
+pub fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// The service's answer to one [`DetectionRequest`].

@@ -25,7 +25,9 @@
 
 use crate::cache::ProfileCache;
 use crate::metrics::ServiceMetrics;
-use crate::request::{DetectionRequest, DetectionResponse, ProfileKey, SubmitError, Verdict};
+use crate::request::{
+    micros, DetectionRequest, DetectionResponse, ProfileKey, StageTiming, SubmitError, Verdict,
+};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use manet_routing::{ProbeOutcome, Route};
 use sam::{
@@ -373,7 +375,10 @@ impl Worker {
         // predecessors); here → verdict is compute. Both land in the
         // serve.* histograms and travel back on the response.
         let dequeued_at = Instant::now();
-        let queue_wait = dequeued_at.duration_since(accepted_at);
+        let mut timing = StageTiming {
+            queue_wait_us: micros(dequeued_at.duration_since(accepted_at)),
+            ..StageTiming::default()
+        };
         // Traced requests open their compute under the handed-off
         // context, stitching this thread's work into the submitter's
         // trace. Untraced (or telemetry-off) requests skip even the
@@ -388,7 +393,7 @@ impl Worker {
         if span.is_recording() {
             span.field("id", request.id);
             span.field("key", &request.key);
-            span.field("queue_wait_us", queue_wait.as_micros());
+            span.field("queue_wait_us", timing.queue_wait_us);
         }
         let (profile, cache_hit) = self
             .cache
@@ -426,9 +431,9 @@ impl Worker {
 
         // Count before waking the caller, so a metrics snapshot taken the
         // instant `wait` returns already includes this response.
-        let compute = dequeued_at.elapsed();
+        timing.compute_us = micros(dequeued_at.elapsed());
         self.metrics.record_completed(accepted_at.elapsed());
-        self.metrics.record_stages(queue_wait, compute);
+        self.metrics.record_stages(&timing);
         drop(span); // close before the caller wakes
         reply.fill(DetectionResponse {
             id: request.id,
@@ -436,11 +441,7 @@ impl Worker {
             score,
             verdict,
             profile_cache_hit: cache_hit,
-            timing: crate::request::StageTiming {
-                queue_wait_us: queue_wait.as_micros().min(u64::MAX as u128) as u64,
-                compute_us: compute.as_micros().min(u64::MAX as u128) as u64,
-                serialize_us: 0,
-            },
+            timing,
             explanation,
         });
     }

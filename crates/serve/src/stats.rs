@@ -13,12 +13,10 @@
 //! the wire codec does: the consumers — `loadgen --remote`, `sam-top` —
 //! must share the exact struct without depending on the serving tier.
 
-use crate::wire::{FrameReader, WireCommand, WireResponse, MAX_LINE_BYTES};
+use crate::wire::{self, WireCommand};
 use sam_telemetry::{RegistrySnapshot, WindowDelta};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// The windows a stats query answers by default, seconds.
@@ -141,30 +139,13 @@ pub fn fetch_stats(
     prometheus: bool,
     timeout: Duration,
 ) -> Result<(StatsReport, Option<String>), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).ok();
-    stream.set_write_timeout(Some(timeout)).ok();
-    stream.set_nodelay(true).ok();
-    let mut reader = FrameReader::new(
-        BufReader::new(stream.try_clone().map_err(|e| e.to_string())?),
-        MAX_LINE_BYTES,
-    );
-    let mut writer = stream;
     let cmd = WireCommand {
-        cmd: "stats".to_string(),
         window_s,
         format: prometheus.then(|| "prometheus".to_string()),
-        limit: None,
+        ..WireCommand::bare("stats")
     };
-    writer
-        .write_all((cmd.encode() + "\n").as_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    let line = reader
-        .next_frame()
-        .map_err(|e| format!("read: {e}"))?
-        .ok_or("connection closed before answering stats")?;
-    let resp = WireResponse::decode(&line).map_err(|e| format!("decode: {e}"))?;
-    if resp.status != crate::wire::STATUS_OK {
+    let resp = wire::round_trip(addr, &cmd, timeout)?;
+    if resp.status != wire::STATUS_OK {
         return Err(format!(
             "stats refused: status {} ({})",
             resp.status,

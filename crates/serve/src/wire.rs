@@ -1,9 +1,10 @@
 //! The gateway wire protocol: newline-delimited JSON with length-guarded
 //! framing and typed decode errors.
 //!
-//! This module is transport-free — it works over any [`BufRead`] — so the
-//! same codec serves `sam-gateway`'s connection handlers, `loadgen
-//! --remote`'s client threads, and pure in-memory property tests.
+//! The codec is transport-free — it works over any [`BufRead`] — so the
+//! same code serves `sam-gateway`'s connection handlers, `loadgen
+//! --remote`'s client threads, and pure in-memory property tests. One TCP
+//! helper sits on top: [`round_trip`], the client side of a command.
 //!
 //! ## Protocol
 //!
@@ -55,7 +56,9 @@ use manet_routing::Route;
 use manet_sim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Default cap on one encoded line, request or response (1 MiB).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -584,6 +587,35 @@ impl WireResponse {
         let text = std::str::from_utf8(bytes).map_err(|_| WireError::Utf8)?;
         serde_json::from_str(text).map_err(|e| WireError::Json(e.to_string()))
     }
+}
+
+// ---------------------------------------------------------------------------
+// Client
+// ---------------------------------------------------------------------------
+
+/// One command round trip: connect to `addr`, write `cmd`, and read and
+/// decode the one response line. Callers check the status themselves.
+pub fn round_trip(
+    addr: &str,
+    cmd: &WireCommand,
+    timeout: Duration,
+) -> Result<WireResponse, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream.set_read_timeout(Some(timeout)).ok();
+    stream.set_write_timeout(Some(timeout)).ok();
+    stream.set_nodelay(true).ok();
+    let mut reader = FrameReader::new(
+        BufReader::new(stream.try_clone().map_err(|e| e.to_string())?),
+        MAX_LINE_BYTES,
+    );
+    (&stream)
+        .write_all((cmd.encode() + "\n").as_bytes())
+        .map_err(|e| format!("write: {e}"))?;
+    let line = reader
+        .next_frame()
+        .map_err(|e| format!("read: {e}"))?
+        .ok_or_else(|| format!("connection closed before answering {}", cmd.cmd))?;
+    WireResponse::decode(&line).map_err(|e| format!("decode: {e}"))
 }
 
 #[cfg(test)]
