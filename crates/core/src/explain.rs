@@ -119,23 +119,11 @@ fn sam_detector() -> String {
     "sam".to_string()
 }
 
-/// Leave-one-out statistics: `(p_max, Δ)` of `routes` with index `skip`
-/// removed.
-fn loo_stats(routes: &[Route], skip: usize) -> (f64, f64) {
-    let rest: Vec<Route> = routes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != skip)
-        .map(|(_, r)| r.clone())
-        .collect();
-    let stats = LinkStats::from_routes(&rest);
-    (stats.p_max(), stats.delta())
-}
-
 impl Explanation {
     /// Build the explanation of any detector's verdict over the route set
     /// it judged: list the routes crossing the suspect link with their
-    /// leave-one-out contributions. The top-level z-scores are filled from
+    /// leave-one-out contributions, read off one tabulation of the set
+    /// (`LinkStats::leave_one_out`). The top-level z-scores are filled from
     /// SAM evidence when the verdict carries it (they are SAM statistics;
     /// other detectors leave them 0). Hop provenance starts plain; callers
     /// holding a flight recording fill it in with
@@ -148,13 +136,12 @@ impl Explanation {
             _ => (0.0, 0.0),
         };
         let suspect = verdict.suspect_link;
-        let stats = LinkStats::from_routes(routes);
+        let mut stats = LinkStats::from_routes(routes);
         let explained = routes
             .iter()
-            .enumerate()
-            .filter(|(_, route)| suspect.is_some_and(|l| route.contains_link(l)))
-            .map(|(i, route)| {
-                let (loo_p_max, loo_delta) = loo_stats(routes, i);
+            .filter(|route| suspect.is_some_and(|l| route.contains_link(l)))
+            .map(|route| {
+                let (loo_p_max, loo_delta) = stats.leave_one_out(route);
                 RouteExplanation {
                     nodes: route.nodes().iter().map(|n| n.0).collect(),
                     hops: route

@@ -6,9 +6,12 @@
 //! `HashMap` pays SipHash plus pointer-chasing per tally; here a link's
 //! two `u32` node ids pack into one `u64` key that is mixed with
 //! splitmix64 and probed linearly in a power-of-two table — one
-//! multiply-shift per lookup, keys and values in flat arrays. No
-//! removal is supported (tabulation only ever inserts), which keeps
-//! linear probing trivially correct.
+//! multiply-shift per lookup, keys and values in flat arrays. Keys are
+//! never removed, which keeps linear probing trivially correct. Counts
+//! may be decremented, to zero at most, inside [`LinkStats`]'s
+//! leave-one-out, which restores them before it returns.
+//!
+//! [`LinkStats`]: crate::stats::LinkStats
 
 use manet_sim::{Link, NodeId};
 
@@ -35,7 +38,7 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Insert-only open-addressed map from [`Link`] to `V`.
+/// Open-addressed map from [`Link`] to `V`; keys are never removed.
 #[derive(Clone, Debug)]
 pub struct LinkMap<V> {
     keys: Vec<u64>,
@@ -93,6 +96,18 @@ impl<V: Copy + Default> LinkMap<V> {
         let key = pack(link);
         let i = self.probe(key);
         (self.keys[i] == key).then(|| self.vals[i])
+    }
+
+    /// Mutable access to the value stored for `link`, if any. Never
+    /// inserts, so the table never grows here.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, link: Link) -> Option<&mut V> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        let key = pack(link);
+        let i = self.probe(key);
+        (self.keys[i] == key).then_some(&mut self.vals[i])
     }
 
     /// Mutable access to the value for `link`, inserting `V::default()`
@@ -196,6 +211,10 @@ mod tests {
         *m.entry_or_default(link(1, 2)) += 1;
         assert_eq!(m.get(link(1, 2)), Some(1));
         assert_eq!(m.get(link(2, 3)), None);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get_mut(link(2, 3)), None);
+        *m.get_mut(link(1, 2)).unwrap() -= 1;
+        assert_eq!(m.get(link(1, 2)), Some(0), "a count at zero keeps its key");
         assert_eq!(m.len(), 1);
     }
 

@@ -145,6 +145,39 @@ impl LinkStats {
         f64::from(nmax - n2nd) / f64::from(nmax)
     }
 
+    /// `(p_max, Δ)` of the tabulated set with `route` left out: eq. 3
+    /// and eq. 7 over `R \ {route}`, without tabulating `R` again. The
+    /// route's links and hop count are taken out of the table,
+    /// [`LinkStats::p_max`] and [`LinkStats::delta`] read, and both put
+    /// back before returning, so the table is left as found. The pair
+    /// equals `LinkStats::from_routes` of the other routes to the bit:
+    /// the same integer counts reach the same two formulas, and a link
+    /// left at count 0 changes nothing, because [`LinkStats::top_two`]
+    /// starts from 0 and only takes larger counts.
+    ///
+    /// # Panics
+    ///
+    /// If `route` has a link the table holds no occurrence of, that is,
+    /// it is not one of the tabulated routes. The check runs before the
+    /// table is touched.
+    pub(crate) fn leave_one_out(&mut self, route: &Route) -> (f64, f64) {
+        assert!(
+            route.links().all(|l| self.count(l) > 0),
+            "leave_one_out: {route:?} is not a tabulated route"
+        );
+        let hops = route.hops() as u64;
+        for link in route.links() {
+            *self.counts.get_mut(link).expect("checked above") -= 1;
+        }
+        self.total -= hops;
+        let left_out = (self.p_max(), self.delta());
+        for link in route.links() {
+            *self.counts.get_mut(link).expect("checked above") += 1;
+        }
+        self.total += hops;
+        left_out
+    }
+
     /// The most frequent link — SAM's attacker localization ("the
     /// malicious nodes can be identified by the attack link which has the
     /// highest relative frequency"). Ties broken by normalized link order
@@ -418,6 +451,46 @@ mod tests {
         // The link 8-5 near the destination is also frequent (n=3 vs the
         // tunnel's 4), so Δ = 1/4 — still clearly positive.
         assert!(s.delta() >= 0.2);
+    }
+
+    #[test]
+    fn leave_one_out_leaves_the_table_as_found() {
+        // Links unique to one route drop to zero while it is out, and the
+        // tunnel link 7-8 ties with 8-5 once a tunneled route is out.
+        let routes = vec![
+            r(&[0, 7, 8, 5]),
+            r(&[0, 1, 7, 8, 5]),
+            r(&[0, 2, 7, 8, 5]),
+            r(&[0, 3, 7, 8, 4, 5]),
+            r(&[0, 5]),
+        ];
+        let fresh = LinkStats::from_routes(&routes);
+        let mut stats = LinkStats::from_routes(&routes);
+        for (i, route) in routes.iter().enumerate() {
+            let mut rest = routes.clone();
+            rest.remove(i);
+            let rest = LinkStats::from_routes(&rest);
+            assert_eq!(stats.leave_one_out(route), (rest.p_max(), rest.delta()));
+        }
+        // A route that was never tabulated is refused before the table is
+        // touched, though its first two links are in it.
+        let foreign = r(&[0, 7, 8, 9]);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stats.leave_one_out(&foreign)
+        }));
+        assert!(refused.is_err());
+
+        let sorted = |s: &LinkStats| {
+            let mut counts: Vec<(Link, u32)> = s.counts().collect();
+            counts.sort();
+            counts
+        };
+        assert_eq!(sorted(&stats), sorted(&fresh));
+        assert_eq!(stats.distinct_links(), fresh.distinct_links());
+        assert_eq!(stats.total_links(), fresh.total_links());
+        assert_eq!(stats.route_count(), fresh.route_count());
+        assert_eq!(stats.top_two(), fresh.top_two());
+        assert_eq!(stats.suspect_link(), fresh.suspect_link());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden-scenario snapshot tests: the cluster and 6×6-grid wormhole
 //! scenarios under one fixed fault plan must keep producing exactly the
-//! same flight summary and detector verdict.
+//! same flight summary, detector verdict and verdict explanation.
 //!
 //! Any engine, routing, attack, or fault-injection change that shifts a
 //! single traced event or statistic fails here first, with a readable
@@ -35,8 +35,9 @@ fn golden_plan() -> FaultPlan {
         })
 }
 
-/// Everything a snapshot pins: the full flight summary plus the
-/// detector-facing statistics of the recorded run.
+/// Everything a snapshot pins: the full flight summary, the
+/// detector-facing statistics of the recorded run, and the explained
+/// routes with their leave-one-out contributions and hop provenance.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct GoldenSnapshot {
     summary: FlightSummary,
@@ -44,6 +45,18 @@ struct GoldenSnapshot {
     delta: f64,
     suspect_link: Option<(u32, u32)>,
     anomalous: bool,
+    tunnel_traversals: u64,
+    routes: Vec<GoldenRoute>,
+}
+
+/// One suspect-crossing route of the explanation.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+struct GoldenRoute {
+    nodes: Vec<u32>,
+    p_max_contribution: f64,
+    delta_contribution: f64,
+    tunnel_hops: u64,
+    lineage_depth: u64,
 }
 
 fn snapshot_of(topology: TopologyKind) -> GoldenSnapshot {
@@ -59,6 +72,18 @@ fn snapshot_of(topology: TopologyKind) -> GoldenSnapshot {
         delta: explanation.delta,
         suspect_link: explanation.suspect_link,
         anomalous: explanation.anomalous,
+        tunnel_traversals: explanation.tunnel_traversals,
+        routes: explanation
+            .routes
+            .iter()
+            .map(|r| GoldenRoute {
+                nodes: r.nodes.clone(),
+                p_max_contribution: r.p_max_contribution,
+                delta_contribution: r.delta_contribution,
+                tunnel_hops: r.tunnel_hops,
+                lineage_depth: r.lineage_depth,
+            })
+            .collect(),
     }
 }
 
@@ -69,8 +94,11 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compare against (or with `UPDATE_GOLDEN=1`, rewrite) the stored
-/// snapshot. Floats are held to 1e-9 — tight enough to pin behaviour,
-/// loose enough to survive JSON round-tripping.
+/// snapshot. `p_max` and `Δ` are held to 1e-9 — tight enough to pin
+/// behaviour, loose enough to survive JSON round-tripping. The explained
+/// routes are compared exactly: the JSON writer emits the shortest text
+/// that parses back to the same `f64`, so a contribution that moves by
+/// one ulp fails here.
 fn check_golden(name: &str, actual: &GoldenSnapshot) {
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -106,6 +134,14 @@ fn check_golden(name: &str, actual: &GoldenSnapshot) {
     );
     assert_eq!(expected.suspect_link, actual.suspect_link, "{name}");
     assert_eq!(expected.anomalous, actual.anomalous, "{name}");
+    assert_eq!(
+        expected.tunnel_traversals, actual.tunnel_traversals,
+        "{name}: tunnel traversals"
+    );
+    assert_eq!(
+        expected.routes, actual.routes,
+        "{name}: explained routes drifted; if intended, rerun with UPDATE_GOLDEN=1"
+    );
 }
 
 #[test]

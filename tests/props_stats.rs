@@ -19,6 +19,108 @@ fn arb_route_set(routes: usize) -> impl Strategy<Value = Vec<Route>> {
     proptest::collection::vec(arb_route(24, 8), 1..=routes)
 }
 
+/// The two ends of a planted tunnel: node ids outside `arb_route`'s pool.
+const TUNNEL: [u32; 2] = [900, 901];
+
+/// Strategy: 1..=n routes with a tunnel planted the way a wormhole
+/// plants one. The `TUNNEL` link is spliced in at a random hop of every
+/// route but an honest share of 0%, 25% or 50% (one share per set), so
+/// the tunnel is usually the top link, ties appear once a crossing route
+/// is left out, and whole sets cross it.
+fn arb_tunneled_set(routes: usize) -> impl Strategy<Value = Vec<Route>> {
+    let route = (arb_route(24, 8), 0u32..100, 0usize..16);
+    (proptest::collection::vec(route, 1..=routes), 0u32..3).prop_map(|(drawn, share)| {
+        let honest_pct = [0, 25, 50][share as usize];
+        drawn
+            .into_iter()
+            .map(|(route, roll, at)| {
+                if roll < honest_pct {
+                    return route;
+                }
+                let mut nodes = route.into_nodes();
+                let at = at % (nodes.len() + 1);
+                nodes.splice(at..at, TUNNEL.map(NodeId));
+                Route::new(nodes).expect("tunnel ends are outside the pool")
+            })
+            .collect()
+    })
+}
+
+/// SAM's verdict over `routes`. The profile is untrained: the explainer
+/// reads only the verdict's `p_max`, `Δ` and suspect link, which SAM
+/// computes either way.
+fn sam_verdict(routes: &[Route]) -> DetectorVerdict {
+    let profile = NormalProfile::train(&[], 20);
+    SamDetector::default().detect(&DetectorInput::new(routes, &profile))
+}
+
+/// The explainer's leave-one-out contributions against their definition:
+/// rebuild the table without route `i` and subtract. Every route crossing
+/// the suspect link is listed, in input order, and both of its
+/// contributions equal the definition's to the bit.
+fn assert_contributions_match_the_definition(routes: &[Route]) {
+    let verdict = sam_verdict(routes);
+    let explanation = Explanation::from_verdict(routes, &verdict);
+    let suspect = verdict.suspect_link.expect("a non-empty set has a suspect");
+    let crossing: Vec<usize> = (0..routes.len())
+        .filter(|&i| routes[i].contains_link(suspect))
+        .collect();
+    let listed: Vec<&[u32]> = explanation.routes.iter().map(|r| &r.nodes[..]).collect();
+    let expected: Vec<Vec<u32>> = crossing
+        .iter()
+        .map(|&i| routes[i].nodes().iter().map(|n| n.0).collect())
+        .collect();
+    assert_eq!(
+        listed, expected,
+        "listed routes are the suspect-crossing ones"
+    );
+    for (&i, explained) in crossing.iter().zip(&explanation.routes) {
+        let mut rest = routes.to_vec();
+        rest.remove(i);
+        let rest = LinkStats::from_routes(&rest);
+        let p_max = verdict.p_max - rest.p_max();
+        let delta = verdict.delta - rest.delta();
+        assert_eq!(
+            explained.p_max_contribution.to_bits(),
+            p_max.to_bits(),
+            "route {i}: p_max contribution {} != {p_max}",
+            explained.p_max_contribution
+        );
+        assert_eq!(
+            explained.delta_contribution.to_bits(),
+            delta.to_bits(),
+            "route {i}: Δ contribution {} != {delta}",
+            explained.delta_contribution
+        );
+    }
+}
+
+#[test]
+fn leave_one_out_contributions_match_the_definition_on_tunnel_corner_cases() {
+    // A one-route set, a set whose every route crosses the tunnel, and a
+    // set whose top two counts tie once a crossing route is left out
+    // (the tunnel's 3 falls to the 2 of link 3-4).
+    let route = |ids: &[u32]| Route::new(ids.iter().map(|&i| NodeId(i)).collect()).unwrap();
+    let [a, b] = TUNNEL;
+    for routes in [
+        vec![route(&[0, a, b, 5])],
+        vec![
+            route(&[0, a, b, 5]),
+            route(&[1, a, b, 6]),
+            route(&[2, 3, a, b]),
+        ],
+        vec![
+            route(&[0, a, b, 5]),
+            route(&[1, a, b, 6]),
+            route(&[2, a, b, 7]),
+            route(&[3, 4, 8]),
+            route(&[3, 4, 9]),
+        ],
+    ] {
+        assert_contributions_match_the_definition(&routes);
+    }
+}
+
 proptest! {
     #[test]
     fn relative_frequencies_form_a_distribution(routes in arb_route_set(20)) {
@@ -89,6 +191,18 @@ proptest! {
         prop_assert!((single.p_max() - double.p_max()).abs() < 1e-12);
         prop_assert!((single.delta() - double.delta()).abs() < 1e-12);
         prop_assert_eq!(double.total_links(), 2 * single.total_links());
+    }
+
+    #[test]
+    fn leave_one_out_contributions_match_the_definition(routes in arb_route_set(40)) {
+        assert_contributions_match_the_definition(&routes);
+    }
+
+    #[test]
+    fn leave_one_out_contributions_match_the_definition_under_a_tunnel(
+        routes in arb_tunneled_set(40),
+    ) {
+        assert_contributions_match_the_definition(&routes);
     }
 
     #[test]
