@@ -1,22 +1,42 @@
 //! Offline stand-in for the subset of `serde` this workspace uses.
 //!
 //! The build environment has no registry access, so instead of the real
-//! serde (trait + visitor machinery + proc-macro stack) the workspace
-//! vendors a much smaller model: every serializable type converts to and
-//! from a JSON-shaped [`Value`] tree. `#[derive(Serialize, Deserialize)]`
-//! is provided by the sibling `serde_derive` proc-macro (enabled by the
-//! `derive` feature, like upstream), and `serde_json` renders/parses the
-//! tree as JSON text.
+//! serde (visitor machinery + proc-macro stack) the workspace vendors a
+//! much smaller model of the same two traits:
+//!
+//! - [`Serialize`] writes a value through a [`Sink`]: scalars, and arrays
+//!   and objects opened and closed around their elements and keys.
+//!   `serde_json`'s writer is the one sink, so a value goes straight to
+//!   JSON text.
+//! - [`Deserialize`] reads a value from a [`Source`]: `serde_json`'s
+//!   parser reading JSON text, or a [`Value`] tree. The impl is one body
+//!   for both, so [`Deserialize::from_value`] reads a tree with exactly
+//!   the rules, and the error texts, that `serde_json::from_str` applies
+//!   to text.
+//!
+//! [`Value`] stays as a plain JSON-shaped data type, for callers that
+//! build or inspect trees. `#[derive(Serialize, Deserialize)]` is provided
+//! by the sibling `serde_derive` proc-macro (enabled by the `derive`
+//! feature, like upstream).
 //!
 //! The wire format is self-consistent (everything the workspace writes it
 //! can read back) but intentionally *not* byte-compatible with upstream
 //! serde_json; nothing in the repo depends on the exact bytes, only on
 //! round-tripping.
 //!
+//! ## Reading rules
+//!
+//! A derived `Deserialize` for a named struct reads an object's keys in
+//! any order. The first occurrence of a key is the one decoded; a later
+//! duplicate, and any key the struct does not declare, is skipped (a
+//! text source still checks its syntax). A value that is not an object
+//! reads as an object with no keys. When several fields fail, the error
+//! of the first *declared* one is reported, whatever the key order; a
+//! syntax error anywhere in the text wins over every type error.
+//!
 //! ## Absent keys
 //!
-//! A derived `Deserialize` reads each named field from its key. When the
-//! key is absent, the field's type answers through
+//! When a named field's key is absent, the field's type answers through
 //! [`Deserialize::from_missing`]: an `Option` is `None` (upstream serde's
 //! rule), anything else is the error ``missing field `name` ``. Two field
 //! attributes, the only ones the derive reads, replace that answer:
@@ -56,6 +76,7 @@ struct Renamed {
 )]
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
@@ -63,7 +84,7 @@ use std::hash::{BuildHasher, Hash};
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The JSON-shaped data model every serializable type maps onto.
+/// A JSON-shaped value tree.
 ///
 /// Integers keep their signedness ([`Value::Int`] / [`Value::UInt`]) so
 /// `u64::MAX` survives a round trip exactly; floats are stored as `f64`
@@ -141,16 +162,193 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Conversion into the [`Value`] data model.
-pub trait Serialize {
-    /// Serialize `self` to a value tree.
-    fn to_value(&self) -> Value;
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// Where a [`Serialize`] impl writes to. An array is `begin_array`, then
+/// `element` before each element's value, then `end_array`; an object is
+/// `begin_object`, then `key` before each value, then `end_object`.
+pub trait Sink {
+    /// `null`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// A signed integer.
+    fn int(&mut self, n: i64);
+    /// An unsigned integer.
+    fn uint(&mut self, n: u64);
+    /// A float; a non-finite one is written as `null`.
+    fn float(&mut self, f: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Open an array.
+    fn begin_array(&mut self);
+    /// Start the array's next element.
+    fn element(&mut self);
+    /// Close the array.
+    fn end_array(&mut self);
+    /// Open an object.
+    fn begin_object(&mut self);
+    /// Start the object's next entry, named `key`.
+    fn key(&mut self, key: &str);
+    /// Close the object.
+    fn end_object(&mut self);
 }
 
-/// Conversion back from the [`Value`] data model.
+/// Conversion to JSON, written through a [`Sink`].
+pub trait Serialize {
+    /// Write `self` to `out`.
+    fn serialize<W: Sink>(&self, out: &mut W);
+}
+
+/// Write `items` as an array.
+fn serialize_seq<W: Sink>(items: impl IntoIterator<Item = impl Serialize>, out: &mut W) {
+    out.begin_array();
+    for item in items {
+        out.element();
+        item.serialize(out);
+    }
+    out.end_array();
+}
+
+// ---------------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------------
+
+/// The next value in a [`Source`]: a scalar, read whole, or the start of
+/// an array or object, which [`Source::open`] then enters.
+#[derive(Debug)]
+pub enum Token<'de> {
+    /// `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A negative integer (or `-0`).
+    Int(i64),
+    /// A non-negative integer.
+    UInt(u64),
+    /// Any other number.
+    Float(f64),
+    /// A string.
+    Str(Cow<'de, str>),
+    /// An array, not yet entered.
+    Array,
+    /// An object, not yet entered.
+    Object,
+}
+
+/// Where a [`Deserialize`] impl reads from: JSON text (`serde_json`'s
+/// parser) or a [`Value`] tree.
+///
+/// Every impl reads its whole value, also when it fails with a type
+/// error: the struct reader goes on to the next key from there. A text
+/// source records its first syntax error and fails every later call, so
+/// the caller reports that error whatever the impls made of it.
+pub trait Source<'de> {
+    /// A saved position (see [`rewind`](Source::rewind)).
+    type Mark: Copy;
+
+    /// Read the next value's scalar, or see that an array or object
+    /// starts there.
+    fn token(&mut self) -> Result<Token<'de>, DeError>;
+
+    /// If the next value is `null`, read it and answer `true`.
+    fn null(&mut self) -> Result<bool, DeError>;
+
+    /// Enter the array or object [`token`](Source::token) just saw.
+    fn open(&mut self) -> Result<(), DeError>;
+
+    /// In an entered array: whether another element follows (`first`
+    /// for the first call). `false` leaves the array.
+    fn next_element(&mut self, first: bool) -> Result<bool, DeError>;
+
+    /// In an entered object: the next key, its value to be read next
+    /// (`first` for the first call). `None` leaves the object.
+    fn next_key(&mut self, first: bool) -> Result<Option<Cow<'de, str>>, DeError>;
+
+    /// The current position.
+    fn mark(&self) -> Self::Mark;
+
+    /// Go back to a position saved by [`mark`](Source::mark) in the same
+    /// value, to read that value again.
+    fn rewind(&mut self, mark: Self::Mark);
+
+    /// Skip the value of a key the struct being read does not declare.
+    fn skip_unknown(&mut self, _key: Cow<'de, str>) -> Result<(), DeError> {
+        self.skip()
+    }
+
+    /// Skip the next value.
+    fn skip(&mut self) -> Result<(), DeError> {
+        let t = self.token()?;
+        self.discard(t)
+    }
+
+    /// Skip the rest of the value `t` starts.
+    fn discard(&mut self, t: Token<'de>) -> Result<(), DeError> {
+        match t {
+            Token::Array => {
+                self.open()?;
+                let mut first = true;
+                while self.next_element(first)? {
+                    first = false;
+                    self.skip()?;
+                }
+            }
+            Token::Object => {
+                self.open()?;
+                let mut first = true;
+                while self.next_key(first)?.is_some() {
+                    first = false;
+                    self.skip()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Read the next value as a tree.
+    fn value(&mut self) -> Result<Value, DeError> {
+        let t = self.token()?;
+        self.got(t)
+    }
+
+    /// The tree of the value `t` starts, reading the rest of it. Type
+    /// errors quote it (`expected bool, got Str("x")`).
+    fn got(&mut self, t: Token<'de>) -> Result<Value, DeError> {
+        Ok(match t {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Int(n) => Value::Int(n),
+            Token::UInt(n) => Value::UInt(n),
+            Token::Float(f) => Value::Float(f),
+            Token::Str(s) => Value::Str(s.into_owned()),
+            Token::Array => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_element(items.is_empty())? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+            Token::Object => {
+                self.open()?;
+                let mut fields = Vec::new();
+                while let Some(k) = self.next_key(fields.is_empty())? {
+                    fields.push((k.into_owned(), self.value()?));
+                }
+                Value::Object(fields)
+            }
+        })
+    }
+}
+
+/// Conversion from JSON, read from a [`Source`].
 pub trait Deserialize: Sized {
-    /// Rebuild `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Read one value from `src`.
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError>;
 
     /// The value of a struct field whose key is absent: an error unless
     /// the type has an answer (`Option` reads as `None`). A derived
@@ -159,6 +357,254 @@ pub trait Deserialize: Sized {
     fn from_missing(field: &str) -> Result<Self, DeError> {
         Err(DeError::msg(format!("missing field `{field}`")))
     }
+
+    /// Read a value tree, through the same [`deserialize`] body.
+    ///
+    /// [`deserialize`]: Deserialize::deserialize
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Self::deserialize(&mut TreeSource {
+            next: Some(v),
+            open: Vec::new(),
+        })
+    }
+}
+
+/// A [`Source`] over a [`Value`] tree.
+struct TreeSource<'v> {
+    /// The value to read next.
+    next: Option<&'v Value>,
+    /// The arrays and objects entered, innermost last.
+    open: Vec<Entered<'v>>,
+}
+
+enum Entered<'v> {
+    Array(std::slice::Iter<'v, Value>),
+    Object(std::slice::Iter<'v, (String, Value)>),
+}
+
+fn misuse() -> DeError {
+    DeError::msg("value tree read out of order")
+}
+
+impl<'v> Source<'v> for TreeSource<'v> {
+    type Mark = (usize, Option<&'v Value>);
+
+    fn token(&mut self) -> Result<Token<'v>, DeError> {
+        let v = self.next.ok_or_else(misuse)?;
+        let t = match v {
+            Value::Array(_) => return Ok(Token::Array),
+            Value::Object(_) => return Ok(Token::Object),
+            Value::Null => Token::Null,
+            Value::Bool(b) => Token::Bool(*b),
+            Value::Int(n) => Token::Int(*n),
+            Value::UInt(n) => Token::UInt(*n),
+            Value::Float(f) => Token::Float(*f),
+            Value::Str(s) => Token::Str(Cow::Borrowed(s)),
+        };
+        self.next = None;
+        Ok(t)
+    }
+
+    fn null(&mut self) -> Result<bool, DeError> {
+        let null = matches!(self.next, Some(Value::Null));
+        if null {
+            self.next = None;
+        }
+        Ok(null)
+    }
+
+    fn open(&mut self) -> Result<(), DeError> {
+        let entered = match self.next.take() {
+            Some(Value::Array(items)) => Entered::Array(items.iter()),
+            Some(Value::Object(fields)) => Entered::Object(fields.iter()),
+            _ => return Err(misuse()),
+        };
+        self.open.push(entered);
+        Ok(())
+    }
+
+    fn next_element(&mut self, _first: bool) -> Result<bool, DeError> {
+        let Some(Entered::Array(items)) = self.open.last_mut() else {
+            return Err(misuse());
+        };
+        self.next = items.next();
+        if self.next.is_none() {
+            self.open.pop();
+        }
+        Ok(self.next.is_some())
+    }
+
+    fn next_key(&mut self, _first: bool) -> Result<Option<Cow<'v, str>>, DeError> {
+        let Some(Entered::Object(fields)) = self.open.last_mut() else {
+            return Err(misuse());
+        };
+        match fields.next() {
+            Some((k, v)) => {
+                self.next = Some(v);
+                Ok(Some(Cow::Borrowed(k)))
+            }
+            None => {
+                self.open.pop();
+                Ok(None)
+            }
+        }
+    }
+
+    fn mark(&self) -> Self::Mark {
+        (self.open.len(), self.next)
+    }
+
+    fn rewind(&mut self, (depth, next): Self::Mark) {
+        self.open.truncate(depth);
+        self.next = next;
+    }
+}
+
+/// Read a named struct's object from `src`, handing the index (in
+/// `names`) of each declared key's first occurrence to `field`, which
+/// reads its value. Duplicates and undeclared keys are skipped. A value
+/// that is not an object is skipped whole: every field reads as absent.
+///
+/// `field` keeps its field's outcome, error or not, for the caller to
+/// report in declaration order. The `Err` here is the source's own
+/// failure, a syntax error.
+pub fn read_fields<'de, S: Source<'de>>(
+    src: &mut S,
+    names: &[&str],
+    mut field: impl FnMut(&mut S, usize),
+) -> Result<(), DeError> {
+    assert!(names.len() <= 64, "read_fields tracks at most 64 fields");
+    let t = src.token()?;
+    if !matches!(t, Token::Object) {
+        return src.discard(t);
+    }
+    src.open()?;
+    let mut seen = 0u64;
+    let mut first = true;
+    while let Some(key) = src.next_key(first)? {
+        first = false;
+        match names.iter().position(|n| *n == key) {
+            Some(i) if seen & (1 << i) == 0 => {
+                seen |= 1 << i;
+                field(src, i);
+            }
+            Some(_) => src.skip()?,
+            None => src.skip_unknown(key)?,
+        }
+    }
+    Ok(())
+}
+
+/// The type error "expected `what`, got <the value `t` starts>", read
+/// to its end.
+fn unexpected<'de, S: Source<'de>>(src: &mut S, what: &str, t: Token<'de>) -> DeError {
+    match src.got(t) {
+        Ok(v) => DeError::msg(format!("expected {what}, got {v:?}")),
+        Err(e) => e,
+    }
+}
+
+/// Enter the array `src` holds next, or fail with [`unexpected`].
+fn open_array<'de, S: Source<'de>>(src: &mut S, what: &str) -> Result<(), DeError> {
+    match src.token()? {
+        Token::Array => src.open(),
+        t => Err(unexpected(src, what, t)),
+    }
+}
+
+/// Read the elements of an entered array, handing each index to
+/// `element` until one fails; the rest are skipped. Answers the element
+/// count and the first failure.
+fn read_elements<'de, S: Source<'de>>(
+    src: &mut S,
+    mut element: impl FnMut(&mut S, usize) -> Result<(), DeError>,
+) -> Result<(usize, Option<DeError>), DeError> {
+    let mut len = 0;
+    let mut failed = None;
+    while src.next_element(len == 0)? {
+        if failed.is_none() {
+            failed = element(src, len).err();
+        } else {
+            src.skip()?;
+        }
+        len += 1;
+    }
+    Ok((len, failed))
+}
+
+/// Read a fixed-length array: `element` reads the first `arity`
+/// elements. A value that is not an array fails with `not_array(value)`
+/// and any other length with `wrong_arity(len)`, before any element's
+/// own error.
+pub fn read_tuple<'de, S: Source<'de>>(
+    src: &mut S,
+    arity: usize,
+    not_array: impl FnOnce(Value) -> String,
+    wrong_arity: impl FnOnce(usize) -> String,
+    mut element: impl FnMut(&mut S, usize) -> Result<(), DeError>,
+) -> Result<(), DeError> {
+    let t = src.token()?;
+    if !matches!(t, Token::Array) {
+        let v = src.got(t)?;
+        return Err(DeError::msg(not_array(v)));
+    }
+    src.open()?;
+    let (len, failed) = read_elements(src, |src, i| {
+        if i < arity {
+            element(src, i)
+        } else {
+            src.skip()
+        }
+    })?;
+    if len != arity {
+        return Err(DeError::msg(wrong_arity(len)));
+    }
+    failed.map_or(Ok(()), Err)
+}
+
+/// Read an enum: a unit variant as its bare name, looked up by `unit`; a
+/// payload variant as a one-key object whose key `payload` looks up and
+/// whose value it reads (`None`: no such payload variant).
+pub fn read_enum<'de, S: Source<'de>, T>(
+    src: &mut S,
+    name: &str,
+    unit: impl FnOnce(&str) -> Option<T>,
+    payload: impl FnOnce(&mut S, &str) -> Option<Result<T, DeError>>,
+) -> Result<T, DeError> {
+    let mark = src.mark();
+    let t = src.token()?;
+    match t {
+        Token::Str(s) => {
+            unit(&s).ok_or_else(|| DeError::msg(format!("unknown unit variant {s} for {name}")))
+        }
+        Token::Object => {
+            src.open()?;
+            if let Some(tag) = src.next_key(true)? {
+                let read = match payload(src, &tag) {
+                    Some(read) => read,
+                    None => {
+                        src.skip()?;
+                        Err(DeError::msg(format!("unknown variant {tag} for {name}")))
+                    }
+                };
+                if src.next_key(false)?.is_none() {
+                    return read;
+                }
+                src.skip()?;
+                while src.next_key(false)?.is_some() {
+                    src.skip()?;
+                }
+            }
+            // Not one key: quote the whole object.
+            src.rewind(mark);
+            let v = src.value()?;
+            Err(DeError::msg(format!("bad enum encoding for {name}: {v:?}")))
+        }
+        t => {
+            let v = src.got(t)?;
+            Err(DeError::msg(format!("bad enum encoding for {name}: {v:?}")))
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,16 +612,16 @@ pub trait Deserialize: Sized {
 // ---------------------------------------------------------------------------
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        out.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::msg(format!("expected bool, got {other:?}"))),
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        match src.token()? {
+            Token::Bool(b) => Ok(b),
+            t => Err(unexpected(src, "bool", t)),
         }
     }
 }
@@ -183,20 +629,16 @@ impl Deserialize for bool {
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize<W: Sink>(&self, out: &mut W) {
+                out.uint(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = match v {
-                    Value::UInt(n) => *n,
-                    Value::Int(n) if *n >= 0 => *n as u64,
-                    other => {
-                        return Err(DeError::msg(format!(
-                            "expected unsigned integer, got {other:?}"
-                        )))
-                    }
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+                let n = match src.token()? {
+                    Token::UInt(n) => n,
+                    Token::Int(n) if n >= 0 => n as u64,
+                    t => return Err(unexpected(src, "unsigned integer", t)),
                 };
                 <$t>::try_from(n)
                     .map_err(|_| DeError::msg(format!("{n} out of range for {}", stringify!($t))))
@@ -208,21 +650,17 @@ macro_rules! impl_uint {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize<W: Sink>(&self, out: &mut W) {
+                out.int(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = match v {
-                    Value::Int(n) => *n,
-                    Value::UInt(n) => i64::try_from(*n)
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+                let n = match src.token()? {
+                    Token::Int(n) => n,
+                    Token::UInt(n) => i64::try_from(n)
                         .map_err(|_| DeError::msg(format!("{n} out of i64 range")))?,
-                    other => {
-                        return Err(DeError::msg(format!(
-                            "expected integer, got {other:?}"
-                        )))
-                    }
+                    t => return Err(unexpected(src, "integer", t)),
                 };
                 <$t>::try_from(n)
                     .map_err(|_| DeError::msg(format!("{n} out of range for {}", stringify!($t))))
@@ -237,20 +675,20 @@ impl_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize<W: Sink>(&self, out: &mut W) {
+                out.float(*self as f64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(n) => Ok(*n as $t),
-                    Value::UInt(n) => Ok(*n as $t),
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+                match src.token()? {
+                    Token::Float(f) => Ok(f as $t),
+                    Token::Int(n) => Ok(n as $t),
+                    Token::UInt(n) => Ok(n as $t),
                     // JSON cannot carry non-finite floats; they are
                     // written as null and come back as NaN.
-                    Value::Null => Ok(<$t>::NAN),
-                    other => Err(DeError::msg(format!("expected number, got {other:?}"))),
+                    Token::Null => Ok(<$t>::NAN),
+                    t => Err(unexpected(src, "number", t)),
                 }
             }
         }
@@ -260,35 +698,35 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        out.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::msg(format!("expected string, got {other:?}"))),
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        match src.token()? {
+            Token::Str(s) => Ok(s.into_owned()),
+            t => Err(unexpected(src, "string", t)),
         }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = String::from_value(v)?;
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        let s = String::deserialize(src)?;
         let mut it = s.chars();
         match (it.next(), it.next()) {
             (Some(c), None) => Ok(c),
@@ -298,8 +736,8 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        (**self).serialize(out);
     }
 }
 
@@ -308,20 +746,20 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 // ---------------------------------------------------------------------------
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<W: Sink>(&self, out: &mut W) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(out),
+            None => out.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        if src.null()? {
+            return Ok(None);
         }
+        T::deserialize(src).map(Some)
     }
 
     fn from_missing(_field: &str) -> Result<Self, DeError> {
@@ -330,24 +768,38 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        serialize_seq(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        serialize_seq(self, out);
     }
 }
 
+/// Read the elements of an entered array, each a `T`.
+fn read_items<'de, S: Source<'de>, T: Deserialize>(src: &mut S) -> Result<Vec<T>, DeError> {
+    let mut items = Vec::new();
+    let (_, failed) = read_elements(src, |src, _| {
+        // Text does not say how long an array is, so the first element
+        // reserves 64 bytes' worth: a wire route of up to 16 node ids
+        // then allocates once, where growing from `Vec`'s usual 4 would
+        // allocate three times.
+        if items.capacity() == 0 {
+            items.reserve(64 / std::mem::size_of::<T>().max(1));
+        }
+        items.push(T::deserialize(src)?);
+        Ok(())
+    })?;
+    failed.map_or(Ok(items), Err)
+}
+
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::msg(format!("expected array, got {v:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        open_array(src, "array")?;
+        read_items(src)
     }
 }
 
@@ -355,37 +807,47 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 // serde's `rc` feature). Hot-path packet payloads use `Arc<[T]>` so a
 // fan-out clone is a refcount bump, not an allocation.
 impl<T: Serialize> Serialize for std::sync::Arc<[T]> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        serialize_seq(self.iter(), out);
     }
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<T>::from_value(v).map(Into::into)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        Vec::<T>::deserialize(src).map(Into::into)
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize<W: Sink>(&self, out: &mut W) {
+                out.begin_array();
+                $(
+                    out.element();
+                    self.$idx.serialize(out);
+                )+
+                out.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let a = v
-                    .as_array()
-                    .ok_or_else(|| DeError::msg(format!("expected tuple array, got {v:?}")))?;
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
                 let expect = [$($idx),+].len();
-                if a.len() != expect {
-                    return Err(DeError::msg(format!(
-                        "expected {expect}-tuple, got {} elements",
-                        a.len()
-                    )));
-                }
-                Ok(($($name::from_value(&a[$idx])?,)+))
+                let mut slots = ($(None::<$name>,)+);
+                read_tuple(
+                    src,
+                    expect,
+                    |v| format!("expected tuple array, got {v:?}"),
+                    |len| format!("expected {expect}-tuple, got {len} elements"),
+                    |src, i| {
+                        match i {
+                            $($idx => slots.$idx = Some($name::deserialize(src)?),)+
+                            _ => unreachable!("read_tuple reads {expect} elements"),
+                        }
+                        Ok(())
+                    },
+                )?;
+                Ok(($(slots.$idx.expect("every element read"),)+))
             }
         }
     )*};
@@ -401,66 +863,60 @@ impl_tuple! {
 // Maps serialize as arrays of [key, value] pairs so non-string keys (e.g.
 // `Link`) work without a string-key convention.
 impl<K: Serialize, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        serialize_seq(self, out);
     }
 }
 
-impl<K, V, S> Deserialize for HashMap<K, V, S>
+impl<K, V, H> Deserialize for HashMap<K, V, H>
 where
     K: Deserialize + Eq + Hash,
     V: Deserialize,
-    S: BuildHasher + Default,
+    H: BuildHasher + Default,
 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_array()
-            .ok_or_else(|| DeError::msg(format!("expected map pair array, got {v:?}")))?;
-        let mut map = HashMap::with_capacity_and_hasher(pairs.len(), S::default());
-        for p in pairs {
-            let (k, v) = <(K, V)>::from_value(p)?;
-            map.insert(k, v);
-        }
-        Ok(map)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        open_array(src, "map pair array")?;
+        read_items::<S, (K, V)>(src).map(|pairs| pairs.into_iter().collect())
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        serialize_seq(self, out);
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_array()
-            .ok_or_else(|| DeError::msg(format!("expected map pair array, got {v:?}")))?;
-        let mut map = BTreeMap::new();
-        for p in pairs {
-            let (k, v) = <(K, V)>::from_value(p)?;
-            map.insert(k, v);
-        }
-        Ok(map)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        open_array(src, "map pair array")?;
+        read_items::<S, (K, V)>(src).map(|pairs| pairs.into_iter().collect())
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(n) => out.int(*n),
+            Value::UInt(n) => out.uint(*n),
+            Value::Float(f) => out.float(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => serialize_seq(items, out),
+            Value::Object(fields) => {
+                out.begin_object();
+                for (k, v) in fields {
+                    out.key(k);
+                    v.serialize(out);
+                }
+                out.end_object();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.value()
     }
 }

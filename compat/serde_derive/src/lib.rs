@@ -7,13 +7,19 @@
 //! this workspace declares: non-generic structs (named, tuple, unit) and
 //! non-generic enums whose variants are unit, tuple, or struct-like.
 //!
-//! Generated mapping onto the `serde::Value` model:
+//! `Serialize` writes straight to a `serde::Sink`, and `Deserialize`
+//! reads straight from a `serde::Source` (JSON text or a `Value` tree),
+//! in this JSON shape:
 //! - named struct  → object of fields
 //! - tuple struct, one field → the inner value (newtype transparency)
 //! - tuple struct, n fields → array
 //! - unit struct → null
 //! - enum: unit variant → `"Variant"`; tuple/struct variant →
 //!   single-entry object `{ "Variant": payload }`
+//!
+//! The reading rules (key order, duplicates, unknown keys, which error
+//! wins) are in the `serde` crate docs; the generated bodies get them
+//! from `serde::read_fields`, `serde::read_tuple` and `serde::read_enum`.
 //!
 //! Named fields may carry `#[serde(default)]` or
 //! `#[serde(default = "path")]` (see the `serde` crate docs on absent
@@ -270,202 +276,242 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
+/// `::serde::Sink::{method}(__out{args});`
+fn sink(method: &str, args: &str) -> String {
+    format!("::serde::Sink::{method}(__out{args}); ")
+}
+
+/// Statements writing `value` (an expression of reference type).
+fn write(value: &str) -> String {
+    format!("::serde::Serialize::serialize({value}, __out); ")
+}
+
+/// Statements writing an object of `(key, value expression)` entries.
+fn write_object<'a>(entries: impl Iterator<Item = (&'a str, String)>) -> String {
+    let mut s = sink("begin_object", "");
+    for (key, value) in entries {
+        s.push_str(&sink("key", &format!(", \"{key}\"")));
+        s.push_str(&write(&value));
+    }
+    s + &sink("end_object", "")
+}
+
+/// Statements writing an array of value expressions.
+fn write_array(values: impl Iterator<Item = String>) -> String {
+    let mut s = sink("begin_array", "");
+    for value in values {
+        s.push_str(&sink("element", ""));
+        s.push_str(&write(&value));
+    }
+    s + &sink("end_array", "")
+}
+
 /// Emit the `Serialize` impl for `item`.
 fn gen_serialize(item: &Item) -> String {
-    let mut s = String::new();
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ "
-            ));
-            match fields {
-                Fields::Named(fields) => {
-                    s.push_str("::serde::Value::Object(::std::vec![");
-                    for Field { name: f, .. } in fields {
-                        s.push_str(&format!(
-                            "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-                        ));
-                    }
-                    s.push_str("])");
-                }
-                Fields::Tuple(1) => s.push_str("::serde::Serialize::to_value(&self.0)"),
-                Fields::Tuple(n) => {
-                    s.push_str("::serde::Value::Array(::std::vec![");
-                    for idx in 0..*n {
-                        s.push_str(&format!("::serde::Serialize::to_value(&self.{idx}),"));
-                    }
-                    s.push_str("])");
-                }
-                Fields::Unit => s.push_str("::serde::Value::Null"),
-            }
-            s.push_str(" } }");
+            let body = match fields {
+                Fields::Named(fields) => write_object(
+                    fields
+                        .iter()
+                        .map(|f| (f.name.as_str(), format!("&self.{}", f.name))),
+                ),
+                Fields::Tuple(1) => write("&self.0"),
+                Fields::Tuple(n) => write_array((0..*n).map(|i| format!("&self.{i}"))),
+                Fields::Unit => sink("null", ""),
+            };
+            (name, body)
         }
         Item::Enum { name, variants } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ match self {{ "
-            ));
+            // A payload variant is the one-key object `{"Variant": payload}`.
+            let mut body = "match self { ".to_string();
             for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => s.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
-                    )),
-                    Fields::Tuple(1) => s.push_str(&format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Object(::std::vec![(\
-                         ::std::string::String::from(\"{v}\"), ::serde::Serialize::to_value(__f0))]),"
-                    )),
+                let (pattern, payload) = match fields {
+                    Fields::Unit => {
+                        body.push_str(&format!(
+                            "{name}::{v} => {{ {} }}",
+                            sink("str", &format!(", \"{v}\""))
+                        ));
+                        continue;
+                    }
+                    Fields::Tuple(1) => (format!("{name}::{v}(__f0)"), write("__f0")),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        s.push_str(&format!("{name}::{v}({}) => ", binds.join(",")));
-                        s.push_str(&format!(
-                            "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Array(::std::vec!["
-                        ));
-                        for b in &binds {
-                            s.push_str(&format!("::serde::Serialize::to_value({b}),"));
-                        }
-                        s.push_str("]))]),");
+                        (
+                            format!("{name}::{v}({})", binds.join(",")),
+                            write_array(binds.into_iter()),
+                        )
                     }
                     Fields::Named(fields) => {
                         let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        s.push_str(&format!("{name}::{v} {{ {} }} => ", names.join(",")));
-                        s.push_str(&format!(
-                            "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Object(::std::vec!["
-                        ));
-                        for f in names {
-                            s.push_str(&format!(
-                                "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({f})),"
-                            ));
-                        }
-                        s.push_str("]))]),");
+                        (
+                            format!("{name}::{v} {{ {} }}", names.join(",")),
+                            write_object(names.iter().map(|&f| (f, f.to_string()))),
+                        )
                     }
-                }
+                };
+                body.push_str(&format!(
+                    "{pattern} => {{ {}{}{payload}{} }}",
+                    sink("begin_object", ""),
+                    sink("key", &format!(", \"{v}\"")),
+                    sink("end_object", "")
+                ));
             }
-            s.push_str(" } } }");
+            body.push_str(" }");
+            (name, body)
         }
-    }
-    s
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{ \
+         fn serialize<__W: ::serde::Sink>(&self, __out: &mut __W) {{ {body} }} }}"
+    )
 }
 
-/// Emit a named-field constructor body reading from value `src`.
-fn gen_named_build(ty_path: &str, fields: &[Field], src: &str) -> String {
-    let mut s = format!("{ty_path} {{ ");
-    for Field { name: f, default } in fields {
+/// An expression reading a named-field value into `ty_path { .. }`, as a
+/// `Result`; `?` inside returns from the enclosing function or closure.
+///
+/// Each field keeps its own outcome, and the struct literal takes them
+/// in declaration order, so the first declared field's error (a bad
+/// value, or a missing key without a default) is the one reported.
+fn read_named(ty_path: &str, fields: &[Field]) -> String {
+    if fields.len() > 64 {
+        panic!("serde_derive: at most 64 named fields are supported");
+    }
+    let mut s = String::new();
+    for k in 0..fields.len() {
+        s.push_str(&format!("let mut __f{k} = ::std::option::Option::None; "));
+    }
+    let names: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    s.push_str(&format!(
+        "::serde::read_fields(__src, &[{}], |__src, __i| match __i {{ ",
+        names.join(",")
+    ));
+    for k in 0..fields.len() {
+        s.push_str(&format!(
+            "{k} => __f{k} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__src)),"
+        ));
+    }
+    s.push_str(&format!(
+        "_ => {{}} }})?; ::std::result::Result::Ok({ty_path} {{ "
+    ));
+    for (k, Field { name: f, default }) in fields.iter().enumerate() {
         let if_absent = match default {
             Some(expr) => expr.clone(),
             None => format!("::serde::Deserialize::from_missing(\"{f}\")?"),
         };
         s.push_str(&format!(
-            "{f}: match {src}.field(\"{f}\") {{ \
-             Some(__v) => ::serde::Deserialize::from_value(__v)?, \
-             None => {if_absent} }},"
+            "{f}: match __f{k} {{ ::std::option::Option::Some(__r) => __r?, \
+             ::std::option::Option::None => {if_absent} }},"
         ));
     }
-    s.push_str(" }");
+    s.push_str(" })");
     s
+}
+
+/// An expression reading an `n`-element array into `ty_path(..)`, as a
+/// `Result`; the array check and the arity check come before any
+/// element's own error.
+fn read_tuple(ty_path: &str, n: usize, not_array: &str, wrong_arity: &str) -> String {
+    let mut s = String::new();
+    for k in 0..n {
+        s.push_str(&format!("let mut __f{k} = ::std::option::Option::None; "));
+    }
+    s.push_str(&format!(
+        "::serde::read_tuple(__src, {n}, \
+         |_| ::std::string::String::from(\"{not_array}\"), \
+         |_| ::std::string::String::from(\"{wrong_arity}\"), \
+         |__src, __i| {{ match __i {{ "
+    ));
+    for k in 0..n {
+        s.push_str(&format!(
+            "{k} => __f{k} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__src)?),"
+        ));
+    }
+    s.push_str(&format!(
+        "_ => {{}} }} ::std::result::Result::Ok(()) }})?; ::std::result::Result::Ok({ty_path}("
+    ));
+    for k in 0..n {
+        s.push_str(&format!(
+            "__f{k}.expect(\"read_tuple read every element\"),"
+        ));
+    }
+    s.push_str("))");
+    s
+}
+
+/// Wrap a `Result` expression that uses `?` into one that can sit in a
+/// closure's match arm.
+fn try_block(ty: &str, expr: &str) -> String {
+    format!("(|| -> ::std::result::Result<{ty}, ::serde::DeError> {{ {expr} }})()")
 }
 
 /// Emit the `Deserialize` impl for `item`.
 fn gen_deserialize(item: &Item) -> String {
-    let mut s = String::new();
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            s.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                 fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ "
-            ));
-            match fields {
-                Fields::Named(fields) => {
-                    s.push_str(&format!(
-                        "::std::result::Result::Ok({})",
-                        gen_named_build(name, fields, "__v")
-                    ));
+            let body = match fields {
+                Fields::Named(fields) => read_named(name, fields),
+                Fields::Tuple(1) => format!("::serde::Deserialize::deserialize(__src).map({name})"),
+                Fields::Tuple(n) => read_tuple(
+                    name,
+                    *n,
+                    &format!("expected array for {name}"),
+                    &format!("wrong arity for {name}"),
+                ),
+                Fields::Unit => {
+                    format!("::serde::Source::skip(__src)?; ::std::result::Result::Ok({name})")
                 }
-                Fields::Tuple(1) => s.push_str(&format!(
-                    "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))"
-                )),
-                Fields::Tuple(n) => {
-                    s.push_str(&format!(
-                        "let __a = match __v.as_array() {{ Some(a) => a, None => return \
-                         ::std::result::Result::Err(::serde::DeError::msg(\"expected array for {name}\")) }}; \
-                         if __a.len() != {n} {{ return ::std::result::Result::Err(\
-                         ::serde::DeError::msg(\"wrong arity for {name}\")); }} \
-                         ::std::result::Result::Ok({name}("
-                    ));
-                    for idx in 0..*n {
-                        s.push_str(&format!("::serde::Deserialize::from_value(&__a[{idx}])?,"));
-                    }
-                    s.push_str("))");
-                }
-                Fields::Unit => s.push_str(&format!("::std::result::Result::Ok({name})")),
-            }
-            s.push_str(" } }");
+            };
+            (name, body)
         }
         Item::Enum { name, variants } => {
-            s.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                 fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ \
-                 match __v {{ "
-            ));
-            // Unit variants arrive as bare strings.
-            s.push_str("::serde::Value::Str(__s) => match __s.as_str() { ");
+            // Unit variants arrive as bare strings, payload variants as
+            // single-entry objects.
+            let mut unit = "|__s| match __s { ".to_string();
+            let mut payload = "|__src, __tag| match __tag { ".to_string();
             for (v, fields) in variants {
-                if matches!(fields, Fields::Unit) {
-                    s.push_str(&format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}),"
-                    ));
-                }
-            }
-            s.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::msg(\
-                 ::std::format!(\"unknown unit variant {{__other}} for {name}\"))) }},"
-            ));
-            // Payload variants arrive as single-entry objects.
-            s.push_str(
-                "::serde::Value::Object(__fields) if __fields.len() == 1 => { \
-                 let (__tag, __inner) = &__fields[0]; match __tag.as_str() { ",
-            );
-            for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => {}
-                    Fields::Tuple(1) => s.push_str(&format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}(\
-                         ::serde::Deserialize::from_value(__inner)?)),"
-                    )),
-                    Fields::Tuple(n) => {
-                        s.push_str(&format!(
-                            "\"{v}\" => {{ let __a = match __inner.as_array() {{ Some(a) => a, \
-                             None => return ::std::result::Result::Err(::serde::DeError::msg(\
-                             \"expected array payload for {name}::{v}\")) }}; \
-                             if __a.len() != {n} {{ return ::std::result::Result::Err(\
-                             ::serde::DeError::msg(\"wrong arity for {name}::{v}\")); }} \
-                             ::std::result::Result::Ok({name}::{v}("
+                let read = match fields {
+                    Fields::Unit => {
+                        unit.push_str(&format!(
+                            "\"{v}\" => ::std::option::Option::Some({name}::{v}),"
                         ));
-                        for idx in 0..*n {
-                            s.push_str(&format!("::serde::Deserialize::from_value(&__a[{idx}])?,"));
-                        }
-                        s.push_str(")) },");
+                        continue;
                     }
+                    Fields::Tuple(1) => {
+                        format!("::serde::Deserialize::deserialize(__src).map({name}::{v})")
+                    }
+                    Fields::Tuple(n) => try_block(
+                        name,
+                        &read_tuple(
+                            &format!("{name}::{v}"),
+                            *n,
+                            &format!("expected array payload for {name}::{v}"),
+                            &format!("wrong arity for {name}::{v}"),
+                        ),
+                    ),
                     Fields::Named(fields) => {
-                        s.push_str(&format!(
-                            "\"{v}\" => ::std::result::Result::Ok({}),",
-                            gen_named_build(&format!("{name}::{v}"), fields, "__inner")
-                        ));
+                        try_block(name, &read_named(&format!("{name}::{v}"), fields))
                     }
-                }
+                };
+                payload.push_str(&format!("\"{v}\" => ::std::option::Option::Some({read}),"));
             }
-            s.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::msg(\
-                 ::std::format!(\"unknown variant {{__other}} for {name}\"))) }} }},"
-            ));
-            s.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::msg(\
-                 ::std::format!(\"bad enum encoding for {name}: {{__other:?}}\"))) }} }} }}"
-            ));
+            unit.push_str("_ => ::std::option::Option::None }");
+            payload.push_str("_ => ::std::option::Option::None }");
+            (
+                name,
+                format!("::serde::read_enum(__src, \"{name}\", {unit}, {payload})"),
+            )
         }
-    }
-    s
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{ \
+         fn deserialize<'de, __S: ::serde::Source<'de>>(__src: &mut __S) \
+         -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }} }}"
+    )
 }
 
-/// Derive `serde::Serialize` (value-model flavour; see crate docs).
+/// Derive `serde::Serialize`: write the value straight to a
+/// `serde::Sink` (see crate docs).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -474,7 +520,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive: generated Serialize impl parses")
 }
 
-/// Derive `serde::Deserialize` (value-model flavour; see crate docs).
+/// Derive `serde::Deserialize`: read the value from any
+/// `serde::Source`, JSON text or a value tree (see crate docs).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);

@@ -1,6 +1,12 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! [`to_string`], [`to_string_pretty`], and [`from_str`] over the vendored
-//! `serde` value model.
+//! [`to_string`], [`to_string_pretty`], [`from_str`] and
+//! [`from_str_with_unknown`].
+//!
+//! Writing and reading go straight between a type and JSON text: the
+//! writer here is the `serde` stand-in's [`serde::Sink`], and the parser
+//! is its [`serde::Source`], so no [`Value`] tree is built on the way.
+//! `from_str::<Value>` and `to_string(&value)` still read and write
+//! trees, for callers that want one.
 //!
 //! Numbers are written losslessly: integers keep full 64-bit precision and
 //! floats use Rust's shortest-round-trip formatting, so
@@ -8,13 +14,17 @@
 //! Non-finite floats serialize as `null` (JSON has no representation) and
 //! deserialize back as NaN. Maps with non-string keys are arrays of
 //! `[key, value]` pairs (see the `serde` stand-in's docs).
+//!
+//! Parsing accepts at most 128 levels of nesting, and checks the syntax
+//! of every byte, also inside values the target type skips. A syntax
+//! error is reported over any type error, as if the whole text had been
+//! parsed before being read.
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-pub use serde::Value as JsonValue;
+use serde::{DeError, Deserialize, Serialize, Sink, Source, Token};
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// The value tree, under the name real `serde_json` exports it as.
 pub use serde::Value;
@@ -31,126 +41,211 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
+impl From<DeError> for Error {
+    fn from(e: DeError) -> Self {
         Error(e.to_string())
     }
 }
 
 /// Serialize `value` to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(write(value, None))
 }
 
 /// Serialize `value` to 2-space-indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(write(value, Some(2)))
 }
 
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    let (value, _) = read(s, false)?;
+    Ok(value?)
+}
+
+/// The raw entries of a top-level object that the target type does not
+/// declare: each key, and its value's JSON text.
+pub type Unknown<'s> = Vec<(Cow<'s, str>, &'s str)>;
+
+/// Parse JSON text like [`from_str`], and also hand back the top-level
+/// object's keys that `T` does not declare, each with its value's text,
+/// in order.
+///
+/// The two failures stay apart: the outer error is a syntax error (the
+/// text is not one JSON value), the inner one is `T`'s own type error.
+/// The unknown keys are there either way.
+pub fn from_str_with_unknown<T: Deserialize>(
+    s: &str,
+) -> Result<(Result<T, DeError>, Unknown<'_>), Error> {
+    read(s, true)
+}
+
+fn read<T: Deserialize>(
+    s: &str,
+    keep_unknown: bool,
+) -> Result<(Result<T, DeError>, Unknown<'_>), Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
         depth: 0,
+        error: None,
+        keep_unknown,
+        unknown: Vec::new(),
     };
-    p.skip_ws();
-    let v = p.parse_value()?;
+    let value = T::deserialize(&mut p);
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
+        p.fail(format!("trailing characters at byte {}", p.pos));
     }
-    Ok(T::from_value(&v)?)
+    match p.error {
+        Some(e) => Err(e),
+        None => Ok((value, p.unknown)),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn write<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
+    let mut w = Writer {
+        out: String::new(),
+        indent,
+        depth: 0,
+        empty: false,
+    };
+    value.serialize(&mut w);
+    w.out
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
-    }
+/// JSON text output, compact or indented.
+struct Writer {
+    out: String,
+    /// Spaces per level, when pretty-printing.
+    indent: Option<usize>,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Whether the innermost open array or object has no entry yet.
+    empty: bool,
 }
 
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{}` on f64 is the shortest string that parses back to
-                // the same bits, so floats round-trip exactly.
-                out.push_str(&f.to_string());
+impl Writer {
+    fn newline_indent(&mut self) {
+        if let Some(w) = self.indent {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', w * self.depth));
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    /// Start an entry: a separator after the first, then the indent.
+    fn entry(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline_indent();
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline_indent();
+        }
+        self.empty = false;
+        self.out.push(bracket);
+    }
+
+    fn escaped(&mut self, s: &str) {
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                b if b < 0x20 => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[run..i]);
+            run = i + 1;
+            if esc.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
             } else {
-                out.push_str("null");
+                self.out.push_str(esc);
             }
         }
-        Value::Str(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+}
+
+impl Sink for Writer {
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn int(&mut self, n: i64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    fn uint(&mut self, n: u64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    fn float(&mut self, f: f64) {
+        if f.is_finite() {
+            // `{}` on f64 is the shortest string that parses back to the
+            // same bits, so floats round-trip exactly.
+            let _ = write!(self.out, "{f}");
+        } else {
+            self.out.push_str("null");
         }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
+    }
+
+    fn str(&mut self, s: &str) {
+        self.escaped(s);
+    }
+
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    fn element(&mut self) {
+        self.entry();
+    }
+
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.entry();
+        self.escaped(key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
         }
+    }
+
+    fn end_object(&mut self) {
+        self.close('}');
     }
 }
 
@@ -159,19 +254,37 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
 // ---------------------------------------------------------------------------
 
 /// Deepest array/object nesting [`from_str`] accepts (upstream
-/// serde_json's limit). The parser recurses once per level, so without a
+/// serde_json's limit). Reading recurses once per level, so without a
 /// cap one line of `[` bytes overflows the stack of whatever thread
 /// decodes it.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// JSON text as a [`Source`].
+struct Parser<'de> {
+    text: &'de str,
+    bytes: &'de [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// The first syntax error. Once set, the position sits at the end of
+    /// the text, so every later call fails too.
+    error: Option<Error>,
+    /// Whether to keep the top-level object's undeclared keys.
+    keep_unknown: bool,
+    unknown: Unknown<'de>,
 }
 
-impl Parser<'_> {
+impl<'de> Parser<'de> {
+    /// Record a syntax error (only the first counts) and stop parsing.
+    fn fail(&mut self, msg: impl fmt::Display) -> DeError {
+        let msg = msg.to_string();
+        if self.error.is_none() {
+            self.error = Some(Error(msg.clone()));
+        }
+        self.pos = self.bytes.len();
+        DeError::msg(msg)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -186,15 +299,12 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
+    fn expect(&mut self, b: u8) -> Result<(), DeError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            )))
+            Err(self.fail(format!("expected '{}' at byte {}", b as char, self.pos)))
         }
     }
 
@@ -207,94 +317,16 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(Error(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    /// Run `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error(format!(
-                "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let v = parse(self);
+    /// Leave the innermost array or object at its closing bracket.
+    fn close(&mut self) {
+        self.pos += 1;
         self.depth -= 1;
-        v
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
+    fn parse_string(&mut self) -> Result<Cow<'de, str>, DeError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Borrowed from the text until the first escape.
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
@@ -303,20 +335,27 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error("invalid UTF-8 in string".into()))?,
-            );
+            // `start` and `pos` both sit next to an ASCII byte, so they
+            // are char boundaries.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
+                    let Some(esc) = self.peek() else {
+                        return Err(self.fail("unterminated escape"));
+                    };
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -327,55 +366,71 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.eat_literal("\\u") {
-                                    let lo = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(Error(format!(
-                                            "\\u{hi:04x} is not followed by a low surrogate"
-                                        )));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    0xFFFD
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(Error(format!("bad escape '\\{}'", other as char))),
+                        b'u' => out.push(self.parse_unicode_escape()?),
+                        other => return Err(self.fail(format!("bad escape '\\{}'", other as char))),
                     }
                 }
-                _ => return Err(Error("unterminated string".into())),
+                _ => return Err(self.fail("unterminated string")),
             }
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
+    /// The character of a `\u` escape (its `\u` already read), joining a
+    /// surrogate pair. A high surrogate with no `\u` after it, or a lone
+    /// low one, reads as U+FFFD.
+    fn parse_unicode_escape(&mut self) -> Result<char, DeError> {
+        let hi = self.parse_hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            if self.eat_literal("\\u") {
+                let lo = self.parse_hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(
+                        self.fail(format!("\\u{hi:04x} is not followed by a low surrogate"))
+                    );
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            } else {
+                0xFFFD
+            }
+        } else {
+            hi
+        };
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
+    }
+
+    /// Four ASCII hex digits. (`u32::from_str_radix` alone would also
+    /// take a leading `+`.)
+    fn parse_hex4(&mut self) -> Result<u32, DeError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error("truncated \\u escape".into()));
+        let Some(digits) = self.bytes.get(self.pos..end) else {
+            return Err(self.fail("truncated \\u escape"));
+        };
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.fail("bad \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error("bad \\u escape".into()))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error("bad \\u escape".into()))?;
+        let v = u32::from_str_radix(&self.text[self.pos..end], 16).expect("four hex digits");
         self.pos = end;
         Ok(v)
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<Token<'de>, DeError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        // The digits' value, accumulated while lexing: `None` once it
+        // overflows a `u64`.
+        let mut digits = Some(0u64);
         let mut is_float = false;
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    digits = digits
+                        .and_then(|n| n.checked_mul(10))
+                        .and_then(|n| n.checked_add(u64::from(b - b'0')));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
@@ -383,20 +438,118 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("bad number".into()))?;
+        if let (false, false, Some(n)) = (is_float, negative, digits) {
+            return Ok(Token::UInt(n));
+        }
+        let text = &self.text[start..self.pos];
         if !is_float {
-            if text.starts_with('-') {
+            if negative {
                 if let Ok(n) = text.parse::<i64>() {
-                    return Ok(Value::Int(n));
+                    return Ok(Token::Int(n));
                 }
             } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
+                return Ok(Token::UInt(n));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error(format!("bad number {text:?}")))
+        match text.parse::<f64>() {
+            Ok(f) => Ok(Token::Float(f)),
+            Err(_) => Err(self.fail(format!("bad number {text:?}"))),
+        }
+    }
+}
+
+impl<'de> Source<'de> for Parser<'de> {
+    type Mark = (usize, usize);
+
+    fn token(&mut self) -> Result<Token<'de>, DeError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') if self.eat_literal("null") => Ok(Token::Null),
+            Some(b't') if self.eat_literal("true") => Ok(Token::Bool(true)),
+            Some(b'f') if self.eat_literal("false") => Ok(Token::Bool(false)),
+            Some(b'"') => self.parse_string().map(Token::Str),
+            Some(b'[') => Ok(Token::Array),
+            Some(b'{') => Ok(Token::Object),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            other => Err(self.fail(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.pos
+            ))),
+        }
+    }
+
+    fn null(&mut self) -> Result<bool, DeError> {
+        self.skip_ws();
+        Ok(self.eat_literal("null"))
+    }
+
+    fn open(&mut self) -> Result<(), DeError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.fail(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn next_element(&mut self, first: bool) -> Result<bool, DeError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.fail(format!("expected ',' or ']' at byte {}", self.pos))),
+        }
+    }
+
+    fn next_key(&mut self, first: bool) -> Result<Option<Cow<'de, str>>, DeError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => return Err(self.fail(format!("expected ',' or '}}' at byte {}", self.pos))),
+        }
+        let key = self.parse_string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    fn mark(&self) -> Self::Mark {
+        (self.pos, self.depth)
+    }
+
+    fn rewind(&mut self, (pos, depth): Self::Mark) {
+        self.pos = pos;
+        self.depth = depth;
+    }
+
+    fn skip_unknown(&mut self, key: Cow<'de, str>) -> Result<(), DeError> {
+        if !(self.keep_unknown && self.depth == 1) {
+            return self.skip();
+        }
+        self.skip_ws();
+        let start = self.pos;
+        self.skip()?;
+        self.unknown.push((key, &self.text[start..self.pos]));
+        Ok(())
     }
 }
 
@@ -458,6 +611,8 @@ mod tests {
             let text = format!(r#""\ud800\u{lo}""#);
             assert!(from_str::<String>(&text).is_err(), "{text}");
         }
+        // Four hex digits, not a signed number.
+        assert!(from_str::<String>(r#""\u+fff""#).is_err());
     }
 
     #[test]

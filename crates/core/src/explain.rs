@@ -185,12 +185,6 @@ impl Explanation {
         route.lineage_depth = lineage_depth;
         self.tunnel_traversals = self.routes.iter().map(|r| r.tunnel_hops).sum();
     }
-
-    /// The explanation as a JSON value tree (for embedding in flight
-    /// recordings and reports).
-    pub fn to_value(&self) -> serde::Value {
-        Serialize::to_value(self)
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +335,7 @@ mod tests {
         let line = serde_json::to_string(&ex).unwrap();
         let back: Explanation = serde_json::from_str(&line).unwrap();
         assert_eq!(back, ex);
-        let v = ex.to_value();
+        let v: serde::Value = serde_json::from_str(&line).unwrap();
         assert_eq!(
             v.field("kind").and_then(serde::Value::as_str),
             Some("explanation")

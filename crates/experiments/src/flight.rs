@@ -134,7 +134,8 @@ pub fn record_flight(
     recording.entries = trace.entries().to_vec();
     recording.spans = tel.drain();
     recording.snapshot = Some(tel.snapshot());
-    recording.explanation = Some(explanation.to_value());
+    let line = serde_json::to_string(&explanation).expect("explanation serializes");
+    recording.explanation = Some(serde_json::from_str(&line).expect("explanation reparses"));
     (recording, explanation)
 }
 

@@ -40,13 +40,10 @@ impl Route {
         if nodes.len() < 2 {
             return Err(RouteError::TooShort);
         }
-        let mut seen = HashSet::with_capacity(nodes.len());
-        for &n in &nodes {
-            if !seen.insert(n) {
-                return Err(RouteError::Loop(n));
-            }
+        match first_repeat(&nodes) {
+            Some(n) => Err(RouteError::Loop(n)),
+            None => Ok(Route(nodes)),
         }
-        Ok(Route(nodes))
     }
 
     /// The source (first node).
@@ -136,6 +133,30 @@ impl Route {
     }
 }
 
+/// Longest route [`first_repeat`] checks by scanning; past it the scan's
+/// quadratic cost would matter (a 1 MiB wire line can carry ~10⁵ nodes).
+const SCAN_MAX: usize = 64;
+
+/// The node whose second visit comes earliest in `nodes`, if any node
+/// repeats. Routes are short, so a scan of each node's prefix beats
+/// hashing; a long one sorts `(node, position)` pairs instead, where the
+/// second position of each repeated node sits right after its first.
+fn first_repeat(nodes: &[NodeId]) -> Option<NodeId> {
+    if nodes.len() <= SCAN_MAX {
+        return (1..nodes.len())
+            .find(|&j| nodes[..j].contains(&nodes[j]))
+            .map(|j| nodes[j]);
+    }
+    let mut visits: Vec<(NodeId, usize)> = nodes.iter().copied().zip(0..).collect();
+    visits.sort_unstable();
+    visits
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1])
+        .min_by_key(|&(_, at)| at)
+        .map(|(n, _)| n)
+}
+
 impl fmt::Debug for Route {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -203,7 +224,28 @@ mod tests {
             Route::new(vec![NodeId(1), NodeId(2), NodeId(1)]),
             Err(RouteError::Loop(NodeId(1)))
         );
+        // The node whose second visit comes first is the one reported.
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(
+            Route::new(ids(&[1, 2, 3, 2, 1])),
+            Err(RouteError::Loop(NodeId(2)))
+        );
         assert!(Route::new(vec![NodeId(1), NodeId(2)]).is_ok());
+    }
+
+    #[test]
+    fn long_routes_report_the_same_repeat_as_the_scan() {
+        // Past SCAN_MAX the check sorts; it must name the node a scan
+        // would. Node 110 is visited first (at 10) but revisited last (at
+        // 190); node 160 is revisited first (at 160).
+        let mut ids: Vec<u32> = (100..300).collect();
+        ids[190] = ids[10];
+        ids[160] = ids[60];
+        let nodes: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
+        let scan = (1..nodes.len()).find(|&j| nodes[..j].contains(&nodes[j]));
+        assert_eq!(scan, Some(160));
+        assert_eq!(Route::new(nodes), Err(RouteError::Loop(NodeId(160))));
+        assert!(Route::new((0..200).map(NodeId).collect()).is_ok());
     }
 
     #[test]

@@ -377,46 +377,40 @@ pub enum WireLine {
 }
 
 /// Decode one framed line into a request or command.
+///
+/// The line is parsed once, straight into a [`WireRequest`]. A top-level
+/// `cmd` key, which no request declares, makes the line a command
+/// instead, whatever else it carries: its arguments are read from the
+/// keys the request skipped.
 pub fn decode_line(bytes: &[u8]) -> Result<WireLine, WireError> {
     let text = std::str::from_utf8(bytes).map_err(|_| WireError::Utf8)?;
-    let value: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| WireError::Json(e.to_string()))?;
-    if let Some(cmd) = value.field("cmd") {
-        let cmd = cmd
-            .as_str()
-            .ok_or_else(|| WireError::Json("\"cmd\" must be a string".to_string()))?;
-        let window_s = match value.field("window") {
-            None | Some(serde::Value::Null) => None,
-            Some(w) => Some(
-                <u64 as Deserialize>::from_value(w)
-                    .map_err(|_| WireError::Json("\"window\" must be seconds".to_string()))?,
-            ),
-        };
-        let format = match value.field("format") {
-            None | Some(serde::Value::Null) => None,
-            Some(f) => Some(
-                f.as_str()
-                    .ok_or_else(|| WireError::Json("\"format\" must be a string".to_string()))?
-                    .to_string(),
-            ),
-        };
-        let limit = match value.field("limit") {
-            None | Some(serde::Value::Null) => None,
-            Some(n) => Some(
-                <u64 as Deserialize>::from_value(n)
-                    .map_err(|_| WireError::Json("\"limit\" must be a count".to_string()))?,
-            ),
-        };
-        return Ok(WireLine::Command(WireCommand {
-            cmd: cmd.to_string(),
-            window_s,
-            format,
-            limit,
-        }));
-    }
-    <WireRequest as serde::Deserialize>::from_value(&value)
-        .map(|req| WireLine::Request(Box::new(req)))
-        .map_err(|e| WireError::Json(e.to_string()))
+    let (request, unknown) = serde_json::from_str_with_unknown::<WireRequest>(text)
+        .map_err(|e| WireError::Json(e.to_string()))?;
+    let Some(cmd) = command_arg(&unknown, "cmd", "\"cmd\" must be a string")? else {
+        return request
+            .map(|req| WireLine::Request(Box::new(req)))
+            .map_err(|e| WireError::Json(e.to_string()));
+    };
+    Ok(WireLine::Command(WireCommand {
+        cmd,
+        window_s: command_arg(&unknown, "window", "\"window\" must be seconds")?.flatten(),
+        format: command_arg(&unknown, "format", "\"format\" must be a string")?.flatten(),
+        limit: command_arg(&unknown, "limit", "\"limit\" must be a count")?.flatten(),
+    }))
+}
+
+/// The first `name` among a line's undeclared keys, read as a `T`;
+/// `None` when absent, and the error `err` when not a `T`.
+fn command_arg<T: Deserialize>(
+    unknown: &serde_json::Unknown<'_>,
+    name: &str,
+    err: &str,
+) -> Result<Option<T>, WireError> {
+    unknown
+        .iter()
+        .find(|(key, _)| key == name)
+        .map(|(_, raw)| serde_json::from_str(raw).map_err(|_| WireError::Json(err.to_string())))
+        .transpose()
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ pub mod mobility;
 pub mod random;
 
 use crate::ids::{NodeId, NodeIndexOverflow};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 
 /// A point in the plane, in abstract distance units (grid spacing = 1).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -189,24 +189,26 @@ impl Topology {
 /// The wire format stores placement only; connectivity is derived, so it
 /// is rebuilt on deserialization (and the CSR arrays never hit the wire).
 impl Serialize for Topology {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("positions".to_string(), self.positions.to_value()),
-            ("range".to_string(), self.range.to_value()),
-        ])
+    fn serialize<W: Sink>(&self, out: &mut W) {
+        out.begin_object();
+        out.key("positions");
+        self.positions.serialize(out);
+        out.key("range");
+        self.range.serialize(out);
+        out.end_object();
     }
 }
 
 impl Deserialize for Topology {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let positions = v
-            .field("positions")
-            .ok_or_else(|| DeError::msg("missing Topology.positions"))?;
-        let range = v
-            .field("range")
-            .ok_or_else(|| DeError::msg("missing Topology.range"))?;
-        Topology::try_new(Vec::<Pos>::from_value(positions)?, f64::from_value(range)?)
-            .map_err(DeError::msg)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        let (mut positions, mut range) = (None, None);
+        serde::read_fields(src, &["positions", "range"], |src, i| match i {
+            0 => positions = Some(Vec::<Pos>::deserialize(src)),
+            _ => range = Some(f64::deserialize(src)),
+        })?;
+        let positions = positions.ok_or_else(|| DeError::msg("missing Topology.positions"))?;
+        let range = range.ok_or_else(|| DeError::msg("missing Topology.range"))?;
+        Topology::try_new(positions?, range?).map_err(DeError::msg)
     }
 }
 
