@@ -1,7 +1,6 @@
-//! Hot-path microbenches for the SoA overhaul (ROADMAP item 2): the
-//! event queue under churn (both backends), one full RREQ flood on the
-//! paper's 6×6 grid, and the `NormalProfile::train` tabulation that
-//! hammers the dense link counter.
+//! Hot-path microbenches: the struct-of-arrays event queue under churn,
+//! one full RREQ flood on the paper's 6×6 grid, and the
+//! `NormalProfile::train` tabulation that hammers the dense link counter.
 //!
 //! The `hotpath/` keys here mirror the `micro` map `reproduce --bench`
 //! writes into `BENCH_repro.json`, which `scripts/perf_gate.sh` gates
@@ -35,8 +34,7 @@ fn bench_hotpath(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
 
-    // Event-queue churn: SoA arena vs the reference BinaryHeap, same
-    // op stream.
+    // Event-queue churn: a deep backlog of schedules and pops.
     const OPS: u64 = 100_000;
     group.bench_with_input(BenchmarkId::new("queue_churn", "soa"), &OPS, |b, &ops| {
         b.iter(|| {
@@ -44,16 +42,6 @@ fn bench_hotpath(c: &mut Criterion) {
             black_box(churn(&mut q, ops))
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("queue_churn", "reference"),
-        &OPS,
-        |b, &ops| {
-            b.iter(|| {
-                let mut q: EventQueue<u64> = EventQueue::new_reference();
-                black_box(churn(&mut q, ops))
-            })
-        },
-    );
 
     // One full MR flood on the 6×6 grid — the engine + routing hot loop
     // end to end.

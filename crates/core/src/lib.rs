@@ -89,7 +89,7 @@ pub mod prelude {
         Procedure, ProcedureConfig,
     };
     pub use crate::profile::{forgetting_update, FeatureStat, NormalProfile, STD_FLOOR};
-    pub use crate::stats::{common_endpoints, LinkStats, RefLinkStats, RouteSetFeatures};
+    pub use crate::stats::{common_endpoints, LinkStats, RouteSetFeatures};
 }
 
 pub use prelude::*;

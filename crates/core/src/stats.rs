@@ -18,7 +18,6 @@ use crate::linkmap::LinkMap;
 use manet_routing::Route;
 use manet_sim::{Link, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The endpoints every route of a discovery shares: `(src, dst)` when all
 /// routes agree, `None` per side otherwise (or for an empty set). This is
@@ -38,9 +37,10 @@ pub fn common_endpoints(routes: &[Route]) -> (Option<NodeId>, Option<NodeId>) {
 /// Link-frequency table of one route set.
 ///
 /// Tabulation runs on the compact [`LinkMap`] (packed `u32` endpoint
-/// ids, open addressing) rather than `HashMap<Link, u32>`; the
-/// pre-overhaul implementation survives as [`RefLinkStats`] and the
-/// differential harness asserts the two produce identical tables.
+/// ids, open addressing) rather than `HashMap<Link, u32>`. The
+/// pre-overhaul `HashMap` tally survives only as a test oracle, here and
+/// in `tests/differential_hotpath.rs`, which check that both give the
+/// same table and the same `top_two`, `p_max`, `Δ` and suspect link.
 #[derive(Clone, Debug, Default)]
 pub struct LinkStats {
     counts: LinkMap<u32>,
@@ -259,103 +259,6 @@ impl LinkStats {
     }
 }
 
-/// The pre-overhaul link-frequency table: the exact `HashMap<Link, u32>`
-/// tabulation [`LinkStats`] used before the [`LinkMap`] rewrite,
-/// preserved as the reference path for the differential harness
-/// (`tests/differential_hotpath.rs`). Only the feature surface the
-/// harness compares is exposed.
-#[derive(Clone, Debug, Default)]
-pub struct RefLinkStats {
-    counts: HashMap<Link, u32>,
-    total: u64,
-    routes: usize,
-}
-
-impl RefLinkStats {
-    /// Tally all links of `routes` (pre-overhaul implementation).
-    pub fn from_routes(routes: &[Route]) -> Self {
-        let mut counts: HashMap<Link, u32> = HashMap::new();
-        let mut total = 0u64;
-        for route in routes {
-            for link in route.links() {
-                *counts.entry(link).or_insert(0) += 1;
-                total += 1;
-            }
-        }
-        RefLinkStats {
-            counts,
-            total,
-            routes: routes.len(),
-        }
-    }
-
-    /// Number of distinct links (`|L|`).
-    pub fn distinct_links(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total non-distinct link count (`N`).
-    pub fn total_links(&self) -> u64 {
-        self.total
-    }
-
-    /// Occurrence count of one link (`n_i`).
-    pub fn count(&self, link: Link) -> u32 {
-        self.counts.get(&link).copied().unwrap_or(0)
-    }
-
-    /// All `(link, n_i)` pairs, unordered.
-    pub fn counts(&self) -> impl Iterator<Item = (Link, u32)> + '_ {
-        self.counts.iter().map(|(&l, &c)| (l, c))
-    }
-
-    /// The two largest counts `(n_max, n_2nd)`.
-    pub fn top_two(&self) -> (u32, u32) {
-        let mut best = 0u32;
-        let mut second = 0u32;
-        for &c in self.counts.values() {
-            if c > best {
-                second = best;
-                best = c;
-            } else if c > second {
-                second = c;
-            }
-        }
-        (best, second)
-    }
-
-    /// `p_max` (eq. 3).
-    pub fn p_max(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        f64::from(self.top_two().0) / self.total as f64
-    }
-
-    /// `Δ` (eq. 7).
-    pub fn delta(&self) -> f64 {
-        let (nmax, n2nd) = self.top_two();
-        if nmax == 0 {
-            return 0.0;
-        }
-        f64::from(nmax - n2nd) / f64::from(nmax)
-    }
-
-    /// The most frequent link, same deterministic tie-break as
-    /// [`LinkStats::suspect_link`].
-    pub fn suspect_link(&self) -> Option<Link> {
-        self.counts
-            .iter()
-            .max_by(|(la, ca), (lb, cb)| ca.cmp(cb).then_with(|| lb.cmp(la)))
-            .map(|(&l, _)| l)
-    }
-
-    /// Number of routes tallied.
-    pub fn route_count(&self) -> usize {
-        self.routes
-    }
-}
-
 /// The feature vector SAM extracts from one route discovery — what the SAM
 /// module "transfers … to the local detection module".
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -380,6 +283,65 @@ pub struct RouteSetFeatures {
 mod tests {
     use super::*;
     use manet_sim::NodeId;
+    use std::collections::HashMap;
+
+    /// Oracle for [`LinkStats`]: the pre-overhaul `HashMap<Link, u32>`
+    /// tally, with each feature derived from it the way the pre-overhaul
+    /// table did.
+    struct HashedTally {
+        counts: HashMap<Link, u32>,
+        total: u64,
+    }
+
+    impl HashedTally {
+        fn from_routes(routes: &[Route]) -> Self {
+            let mut counts: HashMap<Link, u32> = HashMap::new();
+            let mut total = 0u64;
+            for route in routes {
+                for link in route.links() {
+                    *counts.entry(link).or_insert(0) += 1;
+                    total += 1;
+                }
+            }
+            HashedTally { counts, total }
+        }
+
+        fn top_two(&self) -> (u32, u32) {
+            let mut best = 0u32;
+            let mut second = 0u32;
+            for &c in self.counts.values() {
+                if c > best {
+                    second = best;
+                    best = c;
+                } else if c > second {
+                    second = c;
+                }
+            }
+            (best, second)
+        }
+
+        fn p_max(&self) -> f64 {
+            if self.total == 0 {
+                return 0.0;
+            }
+            f64::from(self.top_two().0) / self.total as f64
+        }
+
+        fn delta(&self) -> f64 {
+            let (nmax, n2nd) = self.top_two();
+            if nmax == 0 {
+                return 0.0;
+            }
+            f64::from(nmax - n2nd) / f64::from(nmax)
+        }
+
+        fn suspect_link(&self) -> Option<Link> {
+            self.counts
+                .iter()
+                .max_by(|(la, ca), (lb, cb)| ca.cmp(cb).then_with(|| lb.cmp(la)))
+                .map(|(&l, _)| l)
+        }
+    }
 
     fn r(ids: &[u32]) -> Route {
         Route::new(ids.iter().map(|&i| NodeId(i)).collect()).unwrap()
@@ -541,8 +503,8 @@ mod tests {
     #[test]
     fn dense_and_reference_tables_agree() {
         // Pseudo-random route sets: the LinkMap-backed table and the
-        // preserved HashMap implementation must agree on every feature
-        // and on the full (link, count) table.
+        // HashMap oracle must agree on every feature and on the full
+        // (link, count) table.
         let mut state = 0xA5A5A5A5DEADBEEFu64;
         let mut next = move |bound: u32| {
             state = state
@@ -568,16 +530,16 @@ mod tests {
                 }
             }
             let dense = LinkStats::from_routes(&routes);
-            let reference = RefLinkStats::from_routes(&routes);
-            assert_eq!(dense.route_count(), reference.route_count());
-            assert_eq!(dense.distinct_links(), reference.distinct_links());
-            assert_eq!(dense.total_links(), reference.total_links());
+            let reference = HashedTally::from_routes(&routes);
+            assert_eq!(dense.route_count(), routes.len());
+            assert_eq!(dense.distinct_links(), reference.counts.len());
+            assert_eq!(dense.total_links(), reference.total);
             assert_eq!(dense.top_two(), reference.top_two());
             assert_eq!(dense.p_max(), reference.p_max());
             assert_eq!(dense.delta(), reference.delta());
             assert_eq!(dense.suspect_link(), reference.suspect_link());
             let mut a: Vec<(Link, u32)> = dense.counts().collect();
-            let mut b: Vec<(Link, u32)> = reference.counts().collect();
+            let mut b: Vec<(Link, u32)> = reference.counts.into_iter().collect();
             a.sort();
             b.sort();
             assert_eq!(a, b);

@@ -17,9 +17,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Deterministic (time, key) workload shared with the Criterion bench
-/// (`crates/bench/benches/hotpath.rs`, which runs it on both queue
-/// backends): a sawtooth of bursts and drains that keeps a deep backlog,
-/// like a flood wavefront does. Returns a checksum of the popped events.
+/// (`crates/bench/benches/hotpath.rs`): a sawtooth of bursts and drains
+/// that keeps a deep backlog, like a flood wavefront does. Returns a
+/// checksum of the popped events.
 pub fn churn(queue: &mut EventQueue<u64>, ops: u64) -> u64 {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut popped = 0u64;

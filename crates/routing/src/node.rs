@@ -44,11 +44,6 @@ pub struct RouterConfig {
     /// How many (maximally disjoint) routes a multipath destination
     /// returns to the source via RREP.
     pub rrep_routes: usize,
-    /// Use the reference (pre-overhaul `HashMap`/`HashSet`) stores in
-    /// [`ForwardPolicy`] and [`DestinationAccept`] instead of the scratch
-    /// stores. Slower; exists for the differential harness
-    /// (`tests/differential_hotpath.rs`).
-    pub reference_stores: bool,
 }
 
 impl RouterConfig {
@@ -59,14 +54,7 @@ impl RouterConfig {
             collection_window: SimDuration::from_millis(200),
             max_forwards: 64,
             rrep_routes: 3,
-            reference_stores: false,
         }
-    }
-
-    /// Builder-style switch to the reference policy stores.
-    pub fn with_reference_stores(mut self) -> Self {
-        self.reference_stores = true;
-        self
     }
 }
 
@@ -157,17 +145,11 @@ pub struct RouterNode {
 impl RouterNode {
     /// A router for node `id` with the given configuration.
     pub fn new(id: NodeId, cfg: RouterConfig) -> Self {
-        let mut policy = ForwardPolicy::with_max_forwards(cfg.protocol, cfg.max_forwards);
-        let mut dest_accept = DestinationAccept::default();
-        if cfg.reference_stores {
-            policy.use_reference_store();
-            dest_accept.use_reference_store();
-        }
         RouterNode {
             id,
+            policy: ForwardPolicy::with_max_forwards(cfg.protocol, cfg.max_forwards),
+            dest_accept: DestinationAccept::default(),
             cfg,
-            policy,
-            dest_accept,
             next_seq: 0,
             pending_discoveries: VecDeque::new(),
             source_routes: Vec::new(),

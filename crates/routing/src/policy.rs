@@ -19,12 +19,15 @@
 //!   `DestinationAccept` below. (AOMDV proper is distance-vector; we keep
 //!   the accumulated path in the RREQ purely as measurement bookkeeping, a
 //!   substitution documented in DESIGN.md.)
+//!
+//! Both the forwarding policy and the destination rule keep their
+//! per-discovery state in one scratch store (`FastSeen`). The test module
+//! keeps the pre-overhaul `HashMap`/`HashSet` rules as an oracle and
+//! checks every decision against them on random arrival streams.
 
 use crate::packet::{Rreq, RreqId};
 use manet_sim::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 
 /// Which protocol a router speaks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -62,28 +65,18 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// Per-discovery bookkeeping at one intermediate node (reference store).
-#[derive(Clone, Debug, Default)]
-struct SeenState {
+/// Per-discovery bookkeeping at one node. The incoming links over which
+/// a copy was forwarded (SMR) or accepted (AOMDV destination) live as a
+/// `(start, len)` range in the store's shared prev arena.
+#[derive(Clone, Copy, Debug)]
+struct FastSeenState {
     /// Hop count of the first copy received.
     first_hops: usize,
     /// Last hop (incoming link) of the first copy.
     first_prev: Option<NodeId>,
-    /// Incoming links over which a copy has already been forwarded (SMR).
-    forwarded_prevs: HashSet<NodeId>,
-    /// Total copies forwarded (MR safety cap).
-    forwarded: u32,
-}
-
-/// Per-discovery bookkeeping in the scratch store: `forwarded_prevs`
-/// lives as a `(start, len)` range in the shared prev arena instead of a
-/// per-entry `HashSet`.
-#[derive(Clone, Copy, Debug)]
-struct FastSeenState {
-    first_hops: usize,
-    first_prev: Option<NodeId>,
     prev_start: u32,
     prev_len: u32,
+    /// Total copies forwarded (MR safety cap).
     forwarded: u32,
 }
 
@@ -132,16 +125,6 @@ impl FastSeen {
     }
 }
 
-/// The per-`RreqId` state store behind [`ForwardPolicy`]: the scratch
-/// store is the default; the pre-overhaul `HashMap`/`HashSet`
-/// implementation is preserved verbatim as the reference path for the
-/// differential harness (`tests/differential_hotpath.rs`).
-#[derive(Clone, Debug)]
-enum SeenStore {
-    Fast(FastSeen),
-    Reference(HashMap<RreqId, SeenState>),
-}
-
 /// Decides, per arriving RREQ copy, whether this node rebroadcasts it.
 ///
 /// One instance lives in every router; state is per [`RreqId`].
@@ -154,7 +137,7 @@ pub struct ForwardPolicy {
     /// exists only to keep adversarially dense inputs finite; the
     /// `ablation_window` bench quantifies its (non-)effect.
     max_forwards: u32,
-    seen: SeenStore,
+    seen: FastSeen,
 }
 
 /// The decision for one arriving copy.
@@ -177,20 +160,8 @@ impl ForwardPolicy {
         ForwardPolicy {
             kind,
             max_forwards: cap.max(1),
-            seen: SeenStore::Fast(FastSeen::default()),
+            seen: FastSeen::default(),
         }
-    }
-
-    /// Switch to the reference `HashMap`/`HashSet` store (pre-overhaul
-    /// implementation, kept for the differential harness). Call before
-    /// any copy is decided; existing state is discarded.
-    pub fn use_reference_store(&mut self) {
-        self.seen = SeenStore::Reference(HashMap::new());
-    }
-
-    /// Whether the reference store is active.
-    pub fn uses_reference_store(&self) -> bool {
-        matches!(self.seen, SeenStore::Reference(_))
     }
 
     /// The protocol this policy implements.
@@ -207,52 +178,163 @@ impl ForwardPolicy {
         }
         let hops = rreq.hops();
         let prev = rreq.last_hop();
-        match &mut self.seen {
-            SeenStore::Fast(fast) => match fast.find(rreq.id) {
-                None => {
-                    // First copy: every protocol forwards it.
-                    let start = fast.prevs.len() as u32;
-                    fast.prevs.push(prev);
-                    fast.entries.push((
-                        rreq.id,
-                        FastSeenState {
-                            first_hops: hops,
-                            first_prev: Some(prev),
-                            prev_start: start,
-                            prev_len: 1,
-                            forwarded: 1,
-                        },
-                    ));
+        let seen = &mut self.seen;
+        match seen.find(rreq.id) {
+            None => {
+                // First copy: every protocol forwards it.
+                let start = seen.prevs.len() as u32;
+                seen.prevs.push(prev);
+                seen.entries.push((
+                    rreq.id,
+                    FastSeenState {
+                        first_hops: hops,
+                        first_prev: Some(prev),
+                        prev_start: start,
+                        prev_len: 1,
+                        forwarded: 1,
+                    },
+                ));
+                ForwardDecision::Forward
+            }
+            Some(idx) => {
+                let st = seen.entries[idx].1;
+                if st.forwarded >= self.max_forwards {
+                    return ForwardDecision::Drop;
+                }
+                let ok = match self.kind {
+                    // Duplicates never re-flooded.
+                    ProtocolKind::Dsr | ProtocolKind::Aomdv => false,
+                    // Paper's MR: hop bound only.
+                    ProtocolKind::Mr => hops <= st.first_hops,
+                    // SMR: hop bound + different incoming link, at most
+                    // one forward per incoming link.
+                    ProtocolKind::Smr => {
+                        hops <= st.first_hops
+                            && st.first_prev != Some(prev)
+                            && !seen.prevs_of(st).contains(&prev)
+                    }
+                };
+                if ok {
+                    seen.entries[idx].1.forwarded += 1;
+                    seen.push_prev(idx, prev);
                     ForwardDecision::Forward
+                } else {
+                    ForwardDecision::Drop
                 }
-                Some(idx) => {
-                    let st = fast.entries[idx].1;
-                    if st.forwarded >= self.max_forwards {
-                        return ForwardDecision::Drop;
+            }
+        }
+    }
+
+    /// Forget all per-discovery state (e.g. between experiments reusing
+    /// behaviours). O(1) for the scratch store: the region is reused.
+    pub fn reset(&mut self) {
+        self.seen.clear();
+    }
+}
+
+/// Destination-side acceptance of arriving RREQ copies.
+///
+/// MR/SMR destinations record every copy arriving inside the collection
+/// window; a DSR destination replies to every copy it hears (each came via
+/// a different neighbour because duplicates are not re-flooded); an
+/// AOMDV-flavoured destination accepts at most one copy per distinct last
+/// hop, mirroring its "alternate path per distinct neighbour" rule.
+///
+/// The accepted last hops of each discovery are kept in the same scratch
+/// layout as [`ForwardPolicy`]'s: entry list scanned most-recent-first,
+/// last-hop sets as ranges in a shared arena.
+#[derive(Clone, Debug, Default)]
+pub struct DestinationAccept {
+    per_prev: FastSeen,
+}
+
+impl DestinationAccept {
+    /// Whether the destination should record this copy as a route.
+    pub fn accept(&mut self, kind: ProtocolKind, rreq: &Rreq) -> bool {
+        match kind {
+            ProtocolKind::Dsr | ProtocolKind::Mr | ProtocolKind::Smr => true,
+            ProtocolKind::Aomdv => {
+                let prev = rreq.last_hop();
+                let seen = &mut self.per_prev;
+                match seen.find(rreq.id) {
+                    None => {
+                        let start = seen.prevs.len() as u32;
+                        seen.prevs.push(prev);
+                        seen.entries.push((
+                            rreq.id,
+                            FastSeenState {
+                                first_hops: 0,
+                                first_prev: None,
+                                prev_start: start,
+                                prev_len: 1,
+                                forwarded: 0,
+                            },
+                        ));
+                        true
                     }
-                    let ok = match self.kind {
-                        // Duplicates never re-flooded.
-                        ProtocolKind::Dsr | ProtocolKind::Aomdv => false,
-                        // Paper's MR: hop bound only.
-                        ProtocolKind::Mr => hops <= st.first_hops,
-                        // SMR: hop bound + different incoming link, at
-                        // most one forward per incoming link.
-                        ProtocolKind::Smr => {
-                            hops <= st.first_hops
-                                && st.first_prev != Some(prev)
-                                && !fast.prevs_of(st).contains(&prev)
+                    Some(idx) => {
+                        let st = seen.entries[idx].1;
+                        if seen.prevs_of(st).contains(&prev) {
+                            false
+                        } else {
+                            seen.push_prev(idx, prev);
+                            true
                         }
-                    };
-                    if ok {
-                        fast.entries[idx].1.forwarded += 1;
-                        fast.push_prev(idx, prev);
-                        ForwardDecision::Forward
-                    } else {
-                        ForwardDecision::Drop
                     }
                 }
-            },
-            SeenStore::Reference(seen) => match seen.entry(rreq.id) {
+            }
+        }
+    }
+
+    /// Forget all state.
+    pub fn reset(&mut self) {
+        self.per_prev.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::hash_map::Entry;
+    use std::collections::{HashMap, HashSet};
+
+    /// Per-discovery bookkeeping of the pre-overhaul store.
+    #[derive(Clone, Debug, Default)]
+    struct SeenState {
+        /// Hop count of the first copy received.
+        first_hops: usize,
+        /// Last hop (incoming link) of the first copy.
+        first_prev: Option<NodeId>,
+        /// Incoming links over which a copy has already been forwarded (SMR).
+        forwarded_prevs: HashSet<NodeId>,
+        /// Total copies forwarded (MR safety cap).
+        forwarded: u32,
+    }
+
+    /// Oracle for [`ForwardPolicy`]: the pre-overhaul `HashMap`/`HashSet`
+    /// rules, verbatim.
+    struct HashedForwardPolicy {
+        kind: ProtocolKind,
+        max_forwards: u32,
+        seen: HashMap<RreqId, SeenState>,
+    }
+
+    impl HashedForwardPolicy {
+        fn with_max_forwards(kind: ProtocolKind, cap: u32) -> Self {
+            HashedForwardPolicy {
+                kind,
+                max_forwards: cap.max(1),
+                seen: HashMap::new(),
+            }
+        }
+
+        fn decide(&mut self, self_id: NodeId, rreq: &Rreq) -> ForwardDecision {
+            if rreq.path.contains(&self_id) {
+                return ForwardDecision::Drop;
+            }
+            let hops = rreq.hops();
+            let prev = rreq.last_hop();
+            match self.seen.entry(rreq.id) {
                 Entry::Vacant(e) => {
                     // First copy: every protocol forwards it.
                     let mut st = SeenState {
@@ -291,110 +373,29 @@ impl ForwardPolicy {
                         ForwardDecision::Drop
                     }
                 }
-            },
-        }
-    }
-
-    /// Forget all per-discovery state (e.g. between experiments reusing
-    /// behaviours). O(1) for the scratch store: the region is reused.
-    pub fn reset(&mut self) {
-        match &mut self.seen {
-            SeenStore::Fast(fast) => fast.clear(),
-            SeenStore::Reference(seen) => seen.clear(),
-        }
-    }
-}
-
-/// Destination-side acceptance of arriving RREQ copies.
-///
-/// MR/SMR destinations record every copy arriving inside the collection
-/// window; a DSR destination replies to every copy it hears (each came via
-/// a different neighbour because duplicates are not re-flooded); an
-/// AOMDV-flavoured destination accepts at most one copy per distinct last
-/// hop, mirroring its "alternate path per distinct neighbour" rule.
-#[derive(Clone, Debug)]
-pub struct DestinationAccept {
-    per_prev: AcceptStore,
-}
-
-/// Store behind [`DestinationAccept`]: same fast/reference split as
-/// [`ForwardPolicy`]'s `SeenStore`. The fast path reuses the scratch
-/// layout — entry list scanned most-recent-first, last-hop sets as
-/// ranges in a shared arena.
-#[derive(Clone, Debug)]
-enum AcceptStore {
-    Fast(FastSeen),
-    Reference(HashMap<RreqId, HashSet<NodeId>>),
-}
-
-impl Default for DestinationAccept {
-    fn default() -> Self {
-        DestinationAccept {
-            per_prev: AcceptStore::Fast(FastSeen::default()),
-        }
-    }
-}
-
-impl DestinationAccept {
-    /// Switch to the reference `HashMap` store (pre-overhaul
-    /// implementation, kept for the differential harness).
-    pub fn use_reference_store(&mut self) {
-        self.per_prev = AcceptStore::Reference(HashMap::new());
-    }
-
-    /// Whether the destination should record this copy as a route.
-    pub fn accept(&mut self, kind: ProtocolKind, rreq: &Rreq) -> bool {
-        match kind {
-            ProtocolKind::Dsr | ProtocolKind::Mr | ProtocolKind::Smr => true,
-            ProtocolKind::Aomdv => {
-                let prev = rreq.last_hop();
-                match &mut self.per_prev {
-                    AcceptStore::Fast(fast) => match fast.find(rreq.id) {
-                        None => {
-                            let start = fast.prevs.len() as u32;
-                            fast.prevs.push(prev);
-                            fast.entries.push((
-                                rreq.id,
-                                FastSeenState {
-                                    first_hops: 0,
-                                    first_prev: None,
-                                    prev_start: start,
-                                    prev_len: 1,
-                                    forwarded: 0,
-                                },
-                            ));
-                            true
-                        }
-                        Some(idx) => {
-                            let st = fast.entries[idx].1;
-                            if fast.prevs_of(st).contains(&prev) {
-                                false
-                            } else {
-                                fast.push_prev(idx, prev);
-                                true
-                            }
-                        }
-                    },
-                    AcceptStore::Reference(per_prev) => {
-                        per_prev.entry(rreq.id).or_default().insert(prev)
-                    }
-                }
             }
         }
     }
 
-    /// Forget all state.
-    pub fn reset(&mut self) {
-        match &mut self.per_prev {
-            AcceptStore::Fast(fast) => fast.clear(),
-            AcceptStore::Reference(per_prev) => per_prev.clear(),
+    /// Oracle for [`DestinationAccept`]: the pre-overhaul per-discovery
+    /// `HashSet` of accepted last hops, verbatim.
+    #[derive(Default)]
+    struct HashedDestinationAccept {
+        per_prev: HashMap<RreqId, HashSet<NodeId>>,
+    }
+
+    impl HashedDestinationAccept {
+        fn accept(&mut self, kind: ProtocolKind, rreq: &Rreq) -> bool {
+            match kind {
+                ProtocolKind::Dsr | ProtocolKind::Mr | ProtocolKind::Smr => true,
+                ProtocolKind::Aomdv => self
+                    .per_prev
+                    .entry(rreq.id)
+                    .or_default()
+                    .insert(rreq.last_hop()),
+            }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn rreq(seq: u32, path: &[u32]) -> Rreq {
         Rreq {
@@ -515,7 +516,8 @@ mod tests {
     fn fast_and_reference_stores_agree_on_random_arrivals() {
         // LCG-driven arrival streams (interleaved discoveries, repeated
         // incoming links, varying hop counts) must produce identical
-        // decision sequences from both stores, for every protocol.
+        // decision sequences from the scratch store and the hashed
+        // oracle, for every protocol.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move |bound: u32| {
             state = state
@@ -530,12 +532,9 @@ mod tests {
             ProtocolKind::Aomdv,
         ] {
             let mut fast = ForwardPolicy::with_max_forwards(kind, 4);
-            let mut reference = ForwardPolicy::with_max_forwards(kind, 4);
-            reference.use_reference_store();
-            assert!(reference.uses_reference_store() && !fast.uses_reference_store());
+            let mut reference = HashedForwardPolicy::with_max_forwards(kind, 4);
             let mut fast_dest = DestinationAccept::default();
-            let mut ref_dest = DestinationAccept::default();
-            ref_dest.use_reference_store();
+            let mut ref_dest = HashedDestinationAccept::default();
             for _ in 0..2000 {
                 // Up to 4 interleaved discoveries, paths over a tiny id
                 // space so duplicates and loops actually occur.
@@ -555,7 +554,7 @@ mod tests {
                 );
             }
             fast.reset();
-            reference.reset();
+            reference.seen.clear();
             let r = rreq(0, &[0, 1]);
             assert_eq!(fast.decide(ME, &r), reference.decide(ME, &r));
         }

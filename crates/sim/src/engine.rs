@@ -201,29 +201,6 @@ impl<M: Clone + Debug> Network<M> {
         }
     }
 
-    /// Swap in the reference `BinaryHeap` event-queue backend — the
-    /// pre-overhaul implementation preserved for the differential
-    /// harness (`tests/differential_hotpath.rs`). Since sequence numbers
-    /// are allocated identically by both backends, a run on the
-    /// reference queue must be byte-identical to the default SoA run.
-    ///
-    /// # Panics
-    /// If anything has already been scheduled: switching backends
-    /// mid-run would desynchronize sequence numbering.
-    pub fn use_reference_queue(&mut self) {
-        assert!(
-            self.queue.is_empty() && self.queue.scheduled_total() == 0,
-            "switch queue backends before scheduling any event"
-        );
-        self.queue = EventQueue::new_reference();
-    }
-
-    /// Whether the reference (pre-overhaul `BinaryHeap`) queue backend is
-    /// active.
-    pub fn uses_reference_queue(&self) -> bool {
-        self.queue.is_reference()
-    }
-
     /// Override the telemetry context (`None` disables recording). The
     /// default is whatever [`sam_telemetry::global`] held when this
     /// network was built.

@@ -8,26 +8,25 @@
 //!
 //! ## Layout
 //!
-//! The default backend is a struct-of-arrays queue: a manual binary heap
-//! over 24-byte `(at, seq, slot)` keys, with the variable-sized payloads
-//! (`cause` + [`EventKind`]) parked in a slot arena addressed by `u32`
-//! index and recycled through a free list. Sift operations therefore move
-//! small fixed-size keys instead of whole events — the payload for a
-//! routing simulation carries a `Vec<NodeId>` path, so the old
-//! `BinaryHeap<Event<M>>` shuffled ~64-byte structs on every push/pop.
+//! The queue is struct-of-arrays: a manual binary heap over 24-byte
+//! `(at, seq, slot)` keys, with the variable-sized payloads (`cause` +
+//! [`EventKind`]) parked in a slot arena addressed by `u32` index and
+//! recycled through a free list. Sift operations therefore move small
+//! fixed-size keys instead of whole events — the payload for a routing
+//! simulation carries a `Vec<NodeId>` path, so a `BinaryHeap<Event<M>>`
+//! would shuffle ~64-byte structs on every push/pop.
 //!
 //! Because `seq` is unique, `(at, seq)` is a *total* order: any correct
-//! priority queue yields the identical pop sequence. The pre-overhaul
-//! `BinaryHeap` backend is retained behind [`EventQueue::new_reference`]
-//! so the differential harness (`tests/differential_hotpath.rs`) can run
-//! whole scenarios through both backends and compare traces byte for
-//! byte.
+//! priority queue yields the identical pop sequence, so "pop the minimum
+//! pending `(at, seq)`" fully specifies the queue. The tests below and
+//! `tests/props_sim.rs` check every pop against an ordered-set model of
+//! the pending keys, and `tests/differential_hotpath.rs` checks whole
+//! scenario traces against output frozen from the pre-overhaul
+//! `BinaryHeap` queue.
 
 use crate::ids::NodeId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// How a message reached a node. Routing behaviours generally treat the
 /// channels identically, but attack analysis and traces distinguish them.
@@ -121,30 +120,6 @@ pub struct Event<M> {
     pub kind: EventKind<M>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    /// Reversed so that the `BinaryHeap` (a max-heap) pops the *earliest*
-    /// event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// One heap key: the total order `(at, seq)` plus the arena slot holding
 /// the payload. Sifts move these 24-byte keys, never the payload.
 #[derive(Clone, Copy)]
@@ -167,23 +142,46 @@ struct Slot<M> {
     kind: EventKind<M>,
 }
 
-/// The struct-of-arrays backend: min-heap of [`HeapKey`]s + payload arena.
-struct SoaQueue<M> {
+/// Priority queue of pending events: a min-heap of `(at, seq, slot)`
+/// keys plus the payload arena (see the module docs).
+pub struct EventQueue<M> {
     heap: Vec<HeapKey>,
     slots: Vec<Option<Slot<M>>>,
     free: Vec<u32>,
+    next_seq: u64,
+    scheduled_total: u64,
 }
 
-impl<M> SoaQueue<M> {
-    fn new() -> Self {
-        SoaQueue {
+impl<M> Default for EventQueue<M> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<M> EventQueue<M> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            next_seq: 0,
+            scheduled_total: 0,
         }
     }
 
-    fn push(&mut self, at: SimTime, seq: u64, cause: Option<u64>, kind: EventKind<M>) {
+    /// Schedule `kind` at absolute time `at` as a causal root.
+    pub fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
+        self.schedule_caused(at, kind, None);
+    }
+
+    /// Schedule `kind` at absolute time `at`, recording the lineage id of
+    /// the event that caused it (the engine passes the id of the event
+    /// currently being dispatched).
+    pub fn schedule_caused(&mut self, at: SimTime, kind: EventKind<M>, cause: Option<u64>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled_total += 1;
         let payload = Some(Slot { cause, kind });
         let slot = match self.free.pop() {
             Some(s) => {
@@ -200,7 +198,18 @@ impl<M> SoaQueue<M> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    fn pop(&mut self) -> Option<Event<M>> {
+    /// Allocate one lineage id without scheduling anything. Used for
+    /// occurrences that are recorded but never dispatched — e.g. a
+    /// fault-dropped delivery gets a trace entry with a fresh id in place
+    /// of the event it would have been.
+    pub fn alloc_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Remove and return the earliest event, if any.
+    pub fn pop(&mut self) -> Option<Event<M>> {
         if self.heap.is_empty() {
             return None;
         }
@@ -220,9 +229,43 @@ impl<M> SoaQueue<M> {
         })
     }
 
+    /// The time of the earliest pending event.
     #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|k| k.at)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Total number of events ever scheduled (diagnostic; bounds run cost).
+    pub fn scheduled_total(&self) -> u64 {
+        self.scheduled_total
+    }
+
+    /// Number of arena slots currently holding a pending payload. Always
+    /// equals [`EventQueue::len`]. Exposed for the no-leak property tests.
+    pub fn live_slots(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Total arena slots ever allocated (live + free-listed). A drained
+    /// queue must satisfy `free_slots() == slot_capacity()` — otherwise a
+    /// slot leaked.
+    pub fn slot_capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Slots currently on the free list, ready for reuse.
+    pub fn free_slots(&self) -> usize {
+        self.free.len()
     }
 
     /// Hole-technique sift (one copy per level, like `BinaryHeap`):
@@ -266,153 +309,10 @@ impl<M> SoaQueue<M> {
     }
 }
 
-/// Which backend an [`EventQueue`] runs on.
-enum QueueImpl<M> {
-    /// Struct-of-arrays (default).
-    Soa(SoaQueue<M>),
-    /// The pre-overhaul `BinaryHeap<Event<M>>`, kept as the oracle for
-    /// the differential harness.
-    Reference(BinaryHeap<Event<M>>),
-}
-
-/// Priority queue of pending events.
-pub struct EventQueue<M> {
-    imp: QueueImpl<M>,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> EventQueue<M> {
-    /// An empty queue on the struct-of-arrays backend.
-    pub fn new() -> Self {
-        EventQueue {
-            imp: QueueImpl::Soa(SoaQueue::new()),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// An empty queue on the reference `BinaryHeap` backend — the exact
-    /// pre-overhaul implementation, preserved so equivalence of the two
-    /// backends stays end-to-end testable.
-    pub fn new_reference() -> Self {
-        EventQueue {
-            imp: QueueImpl::Reference(BinaryHeap::new()),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Whether this queue runs on the reference backend.
-    pub fn is_reference(&self) -> bool {
-        matches!(self.imp, QueueImpl::Reference(_))
-    }
-
-    /// Schedule `kind` at absolute time `at` as a causal root.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
-        self.schedule_caused(at, kind, None);
-    }
-
-    /// Schedule `kind` at absolute time `at`, recording the lineage id of
-    /// the event that caused it (the engine passes the id of the event
-    /// currently being dispatched).
-    pub fn schedule_caused(&mut self, at: SimTime, kind: EventKind<M>, cause: Option<u64>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        match &mut self.imp {
-            QueueImpl::Soa(q) => q.push(at, seq, cause, kind),
-            QueueImpl::Reference(heap) => heap.push(Event {
-                at,
-                seq,
-                cause,
-                kind,
-            }),
-        }
-    }
-
-    /// Allocate one lineage id without scheduling anything. Used for
-    /// occurrences that are recorded but never dispatched — e.g. a
-    /// fault-dropped delivery gets a trace entry with a fresh id in place
-    /// of the event it would have been.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        match &mut self.imp {
-            QueueImpl::Soa(q) => q.pop(),
-            QueueImpl::Reference(heap) => heap.pop(),
-        }
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            QueueImpl::Soa(q) => q.peek_time(),
-            QueueImpl::Reference(heap) => heap.peek().map(|e| e.at),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Soa(q) => q.heap.len(),
-            QueueImpl::Reference(heap) => heap.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (diagnostic; bounds run cost).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Number of arena slots currently holding a pending payload. Always
-    /// equals [`EventQueue::len`]; zero on the reference backend (which
-    /// has no arena). Exposed for the no-leak property tests.
-    pub fn live_slots(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Soa(q) => q.slots.iter().filter(|s| s.is_some()).count(),
-            QueueImpl::Reference(_) => 0,
-        }
-    }
-
-    /// Total arena slots ever allocated (live + free-listed). A drained
-    /// queue must satisfy `free_slots() == slot_capacity()` — otherwise a
-    /// slot leaked. Zero on the reference backend.
-    pub fn slot_capacity(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Soa(q) => q.slots.len(),
-            QueueImpl::Reference(_) => 0,
-        }
-    }
-
-    /// Slots currently on the free list, ready for reuse.
-    pub fn free_slots(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Soa(q) => q.free.len(),
-            QueueImpl::Reference(_) => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn timer(node: u32, key: u64) -> EventKind<()> {
         EventKind::Timer {
@@ -421,58 +321,50 @@ mod tests {
         }
     }
 
-    fn backends() -> [EventQueue<()>; 2] {
-        [EventQueue::new(), EventQueue::new_reference()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in backends() {
-            q.schedule(SimTime(30), timer(0, 0));
-            q.schedule(SimTime(10), timer(1, 0));
-            q.schedule(SimTime(20), timer(2, 0));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            assert_eq!(order, vec![10, 20, 30]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(30), timer(0, 0));
+        q.schedule(SimTime(10), timer(1, 0));
+        q.schedule(SimTime(20), timer(2, 0));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_in_insertion_order() {
-        for mut q in backends() {
-            for k in 0..5u64 {
-                q.schedule(SimTime(7), timer(0, k));
-            }
-            let keys: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { key, .. } => key,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(keys, vec![0, 1, 2, 3, 4]);
+        let mut q = EventQueue::new();
+        for k in 0..5u64 {
+            q.schedule(SimTime(7), timer(0, k));
         }
+        let keys: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Timer { key, .. } => key,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(keys, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn cause_rides_with_the_event() {
-        for mut q in backends() {
-            q.schedule(SimTime(1), timer(0, 0));
-            q.schedule_caused(SimTime(2), timer(0, 1), Some(0));
-            assert_eq!(q.pop().unwrap().cause, None);
-            assert_eq!(q.pop().unwrap().cause, Some(0));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), timer(0, 0));
+        q.schedule_caused(SimTime(2), timer(0, 1), Some(0));
+        assert_eq!(q.pop().unwrap().cause, None);
+        assert_eq!(q.pop().unwrap().cause, Some(0));
     }
 
     #[test]
     fn counts_scheduled_events() {
-        for mut q in backends() {
-            assert!(q.is_empty());
-            q.schedule(SimTime(1), timer(0, 0));
-            q.schedule(SimTime(2), timer(0, 1));
-            q.pop();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.scheduled_total(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime(2)));
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(SimTime(1), timer(0, 0));
+        q.schedule(SimTime(2), timer(0, 1));
+        q.pop();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime(2)));
     }
 
     #[test]
@@ -492,38 +384,46 @@ mod tests {
 
     #[test]
     fn backends_agree_on_interleaved_schedules_and_pops() {
-        let mut fast: EventQueue<()> = EventQueue::new();
-        let mut reference: EventQueue<()> = EventQueue::new_reference();
-        assert!(!fast.is_reference());
-        assert!(reference.is_reference());
+        // Model: pending `(at, seq)` keys mapped to their causes. `(at,
+        // seq)` is a total order, so every pop must return the model's
+        // first entry.
+        type Model = BTreeMap<(SimTime, u64), Option<u64>>;
+        type Popped = Option<(SimTime, u64, Option<u64>)>;
+        fn pop_both(q: &mut EventQueue<()>, model: &mut Model) -> (Popped, Popped) {
+            let got = q.pop().map(|e| (e.at, e.seq, e.cause));
+            let want = model.pop_first().map(|((at, seq), cause)| (at, seq, cause));
+            (got, want)
+        }
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mut model = Model::new();
         // Deterministic pseudo-random interleaving.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_seq = 0u64;
         for step in 0..500u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if x.is_multiple_of(3) {
-                assert_eq!(
-                    fast.pop().map(|e| (e.at, e.seq, e.cause)),
-                    reference.pop().map(|e| (e.at, e.seq, e.cause)),
-                    "step {step}"
-                );
+                let (got, want) = pop_both(&mut q, &mut model);
+                assert_eq!(got, want, "step {step}");
             } else {
                 let at = SimTime(x % 50);
                 let cause = x.is_multiple_of(5).then_some(step);
-                fast.schedule_caused(at, timer(0, step), cause);
-                reference.schedule_caused(at, timer(0, step), cause);
+                q.schedule_caused(at, timer(0, step), cause);
+                model.insert((at, next_seq), cause);
+                next_seq += 1;
             }
-            assert_eq!(fast.len(), reference.len());
-            assert_eq!(fast.peek_time(), reference.peek_time());
+            assert_eq!(q.len(), model.len(), "step {step}");
+            assert_eq!(
+                q.peek_time(),
+                model.keys().next().map(|&(at, _)| at),
+                "step {step}"
+            );
         }
         loop {
-            let (a, b) = (fast.pop(), reference.pop());
-            assert_eq!(
-                a.as_ref().map(|e| (e.at, e.seq, e.cause)),
-                b.as_ref().map(|e| (e.at, e.seq, e.cause))
-            );
-            if a.is_none() {
+            let (got, want) = pop_both(&mut q, &mut model);
+            assert_eq!(got, want);
+            if got.is_none() {
                 break;
             }
         }
