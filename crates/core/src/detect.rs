@@ -362,14 +362,14 @@ impl Detector for ZScoreNeighborDetector {
         }
 
         // Signal 2: within-set z of each interior node's neighbor-table
-        // size. BTree containers keep the tally order-independent.
+        // size. BTree containers keep the tally order-independent, so
+        // filling them from the link table (each distinct link once)
+        // gives the tables every link occurrence of every route would.
         let mut tables: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for route in input.routes {
-            for link in route.links() {
-                let (a, b) = link.endpoints();
-                tables.entry(a.0).or_default().insert(b.0);
-                tables.entry(b.0).or_default().insert(a.0);
-            }
+        for (link, _) in stats.counts() {
+            let (a, b) = link.endpoints();
+            tables.entry(a.0).or_default().insert(b.0);
+            tables.entry(b.0).or_default().insert(a.0);
         }
         let degrees: Vec<f64> = tables
             .iter()

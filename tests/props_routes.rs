@@ -2,12 +2,80 @@
 //! selection used by SMR-style RREP generation and SAM's step-1 feedback.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
+use wormhole_sam::experiments::serving::replay_corpus;
 use wormhole_sam::prelude::*;
 
 fn arb_route(pool: u32, max_len: usize) -> impl Strategy<Value = Route> {
     proptest::sample::subsequence((0..pool).collect::<Vec<u32>>(), 2..=max_len.max(2))
         .prop_shuffle()
         .prop_map(|ids| Route::new(ids.into_iter().map(NodeId).collect()).expect("loop-free"))
+}
+
+/// Strategy: up to 40 routes from node 0 to node 1 through at most four
+/// of eight relays, so routes share links and tie on hop count.
+fn arb_shared_endpoint_set() -> impl Strategy<Value = Vec<Route>> {
+    let relays = proptest::sample::subsequence((2..10).collect::<Vec<u32>>(), 0..=4).prop_shuffle();
+    proptest::collection::vec(relays, 0..=40).prop_map(|drawn| {
+        drawn
+            .into_iter()
+            .map(|relays| {
+                let nodes = std::iter::once(0)
+                    .chain(relays)
+                    .chain(std::iter::once(1))
+                    .map(NodeId)
+                    .collect();
+                Route::new(nodes).expect("relays exclude both ends")
+            })
+            .collect()
+    })
+}
+
+/// The definition `select_disjoint` must match, in its quadratic form:
+/// every round rescans every remaining route and takes the first minimum
+/// of `(shared links, hops)`.
+fn select_disjoint_oracle(routes: &[Route], k: usize) -> Vec<Route> {
+    if routes.is_empty() || k == 0 {
+        return Vec::new();
+    }
+    let mut remaining: Vec<&Route> = routes.iter().collect();
+    remaining.sort_by_key(|r| r.hops());
+    let mut picked: Vec<Route> = vec![remaining.remove(0).clone()];
+    let mut picked_links: HashSet<Link> = picked[0].links().collect();
+
+    while picked.len() < k && !remaining.is_empty() {
+        let (best_idx, _) = remaining
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let overlap = r.links().filter(|l| picked_links.contains(l)).count();
+                (i, (overlap, r.hops()))
+            })
+            .min_by_key(|&(_, score)| score)
+            .expect("remaining non-empty");
+        let chosen = remaining.remove(best_idx).clone();
+        picked_links.extend(chosen.links());
+        picked.push(chosen);
+    }
+    picked
+}
+
+/// The replay corpus's route sets, in discovery order and reversed, give
+/// the same picks, in the same order, as the definition for `k < 8`.
+#[test]
+fn select_disjoint_matches_the_definition_on_the_replay_corpus() {
+    for (_, _, routes) in replay_corpus(30, None) {
+        let reversed: Vec<Route> = routes.iter().rev().cloned().collect();
+        for set in [&routes, &reversed] {
+            for k in 0..8 {
+                assert_eq!(
+                    select_disjoint(set, k),
+                    select_disjoint_oracle(set, k),
+                    "k = {k}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -98,5 +166,14 @@ proptest! {
     fn select_disjoint_exhausts_when_k_large(routes in proptest::collection::vec(arb_route(20, 8), 1..8)) {
         let picked = select_disjoint(&routes, routes.len() + 5);
         prop_assert_eq!(picked.len(), routes.len());
+    }
+
+    #[test]
+    fn select_disjoint_matches_the_definition(routes in arb_shared_endpoint_set(), k in 0usize..1000) {
+        let k = k % (routes.len() + 3); // 0..=len + 2
+        prop_assert_eq!(select_disjoint(&routes, k), select_disjoint_oracle(&routes, k));
+        // Every route, so every round's pick, in order.
+        let all = routes.len() + 2;
+        prop_assert_eq!(select_disjoint(&routes, all), select_disjoint_oracle(&routes, all));
     }
 }
