@@ -129,7 +129,8 @@ impl AttackNode {
         }
     }
 
-    /// A quarantined node (see [`Role::Isolated`]'s docs — inert).
+    /// A quarantined node: it still receives frames (the rx counters
+    /// tick) but never reacts.
     pub fn isolated(router: RouterNode) -> Self {
         AttackNode {
             router,

@@ -12,15 +12,15 @@
 //!    the attackers' neighbours to isolate them).
 //!
 //! The probe transport is abstracted as [`ProbeTransport`] so the
-//! procedure is testable without a simulator and pluggable over the real
-//! discovery [`Session`](manet_routing::Session) (see `manet-attacks` and
-//! the `sam-experiments` crate for the wiring).
+//! procedure is testable without a simulator (closures implement it) and
+//! runs unchanged over a live discovery [`Session`], which implements it
+//! too.
 
 use crate::detect::{conclude, verdict_from_sam, DetectorOutcome};
 use crate::detector::{SamAnalysis, SamDetector};
 use crate::profile::NormalProfile;
-use manet_routing::{ProbeOutcome, Route};
-use manet_sim::{Link, NodeId};
+use manet_routing::{ProbeOutcome, Route, RouterAccess, RoutingMsg, Session};
+use manet_sim::{Behavior, Link, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Ability to send probe packets along a route and observe the ACKs.
@@ -36,6 +36,21 @@ where
 {
     fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
         self(route, count)
+    }
+}
+
+/// Probes over the live session that just ran the discovery: they leave
+/// the route's source 10 ms apart, and an ACK counts if it is back within
+/// 500 ms of the last send.
+impl<B: Behavior<Msg = RoutingMsg> + RouterAccess> ProbeTransport for Session<B> {
+    fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
+        Session::probe(
+            self,
+            route,
+            count,
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(500),
+        )
     }
 }
 

@@ -454,7 +454,11 @@ pub fn channel_loss(runs: u64) -> Table {
                     LatencyModel::default(),
                     seed,
                 );
-                session.set_loss_prob(loss);
+                sam_faults::apply(
+                    &sam_faults::FaultPlan::constant_loss(loss),
+                    session.network_mut(),
+                )
+                .expect("valid loss probability");
                 let out = session.discover(src, dst, manet_routing::DEFAULT_MAX_WAIT);
                 let stats = LinkStats::from_routes(&out.routes);
                 if attacked {

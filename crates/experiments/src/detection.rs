@@ -2,7 +2,7 @@
 //!
 //! The paper argues from the raw feature plots; this experiment closes the
 //! loop around the **full three-step procedure**: train a
-//! [`NormalProfile`](sam::NormalProfile) on normal-condition discoveries,
+//! [`NormalProfile`] on normal-condition discoveries,
 //! then for each held-out discovery run step 1 (statistical analysis),
 //! step 2 (probe the suspicious paths *through the live simulation*, where
 //! a blackholing wormhole drops them), and step 3 (confirm + localize).
@@ -39,22 +39,6 @@ pub struct DetectionQuality {
     pub localization_accuracy: f64,
 }
 
-/// Probe transport backed by the live attacked session.
-struct SessionTransport<'a> {
-    session: &'a mut Session<AttackNode>,
-}
-
-impl ProbeTransport for SessionTransport<'_> {
-    fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
-        self.session.probe(
-            route,
-            count,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(500),
-        )
-    }
-}
-
 /// Run the full procedure over one discovery of `spec`, returning the
 /// outcome and the plan (for ground truth).
 fn procedure_run(
@@ -83,10 +67,7 @@ fn procedure_run(
     );
     let discovery = session.discover(src, dst, DEFAULT_MAX_WAIT);
     let procedure = Procedure::new(detector.clone(), ProcedureConfig::default());
-    let mut transport = SessionTransport {
-        session: &mut session,
-    };
-    let outcome = procedure.execute(&discovery.routes, profile, &mut transport);
+    let outcome = procedure.execute(&discovery.routes, profile, &mut session);
     (outcome, plan)
 }
 

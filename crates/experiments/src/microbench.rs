@@ -1,10 +1,8 @@
 //! In-process hot-path microbenches for `reproduce --bench`.
 //!
-//! The three workloads mirror `crates/bench/benches/hotpath.rs` (the
-//! interactive Criterion view of the same paths): event-queue churn,
-//! one full RREQ flood on the paper's 6×6 grid, and
-//! [`NormalProfile::train`] tabulation. Each is reported as a
-//! *throughput* (per-second) figure into the `micro` map of
+//! Three workloads: event-queue churn, one full RREQ flood on the
+//! paper's 6×6 grid, and [`NormalProfile::train`] tabulation. Each is
+//! reported as a *throughput* (per-second) figure into the `micro` map of
 //! `BENCH_repro.json`, so `scripts/perf_gate.sh` can gate every key in
 //! the same higher-is-better direction as the end-to-end numbers.
 
@@ -16,11 +14,10 @@ use sam::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Deterministic (time, key) workload shared with the Criterion bench
-/// (`crates/bench/benches/hotpath.rs`): a sawtooth of bursts and drains
+/// Deterministic (time, key) workload: a sawtooth of bursts and drains
 /// that keeps a deep backlog, like a flood wavefront does. Returns a
 /// checksum of the popped events.
-pub fn churn(queue: &mut EventQueue<u64>, ops: u64) -> u64 {
+fn churn(queue: &mut EventQueue<u64>, ops: u64) -> u64 {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut popped = 0u64;
     for step in 0..ops {

@@ -1,7 +1,7 @@
 //! Robustness sweeps (extension experiment): SAM's step-1 detection and
 //! false-positive rates as structured adversity — channel loss, node
 //! churn, smarter attackers — is dialed up via
-//! [`FaultPlan`](sam_faults::FaultPlan)s.
+//! [`FaultPlan`]s.
 //!
 //! The paper evaluates on clean, static topologies; this experiment asks
 //! how far those numbers degrade before the statistical signature

@@ -6,7 +6,7 @@
 //! always-on tunnel). The detector registry makes both axes plural:
 //! [`DETECTOR_NAMES`] × attacker variants (always-on, selective
 //! tunneling, duty-cycled tunnel). Because every
-//! [`DetectorVerdict`](sam::DetectorVerdict) score is normalized so
+//! [`DetectorVerdict`] score is normalized so
 //! `1.0` is the decision boundary, one threshold sweep produces
 //! comparable curves for all detectors, and the configured operating
 //! point is the same `score > 1` cut everywhere.

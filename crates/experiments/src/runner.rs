@@ -116,7 +116,8 @@ static RUN_CACHE: LazyLock<Mutex<HashMap<String, CachedRun>>> =
 /// Execute one run with an optional [`FaultPlan`](sam_faults::FaultPlan)
 /// composed onto the scenario (the robustness sweeps feed loss bursts,
 /// churn and jitter through here). `None` is byte-identical to
-/// [`run_once_configured`]. Results are memoized (see [`RUN_CACHE`]).
+/// [`run_once_configured`]. Results are memoized in the process-wide
+/// run cache.
 pub fn run_once_faulted(
     spec: &ScenarioSpec,
     run: u64,

@@ -250,6 +250,16 @@ mod tests {
         assert!(heard[1..].iter().all(Option::is_none), "{heard:?}");
         assert!(net.fault_stats().dropped > 0);
         assert_eq!(net.fault_stats().injected, 1, "start edge only (no end)");
+        // Partial loss thins the flood; zero loss leaves every reception.
+        let receptions = |loss: f64| {
+            let mut net = line_net(5, 3);
+            apply(&FaultPlan::constant_loss(loss), &mut net).unwrap();
+            flood_run(&mut net, 5);
+            net.metrics().total_rx()
+        };
+        assert_eq!(receptions(0.0), 8, "lossless line flood: 8 receptions");
+        let lossy = receptions(0.9);
+        assert!(lossy < 8, "90% loss must drop something, got {lossy}");
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl Region {
 
 /// A time-windowed loss field: while active, each over-the-air delivery
 /// whose **receiver** sits inside `region` (everywhere when `None`) is
-/// independently dropped with probability `prob`. Generalizes the
-/// engine's scalar `loss_prob` to bursts and regions.
+/// independently dropped with probability `prob`. The simulator's only
+/// channel-loss model: [`FaultPlan::constant_loss`] is the uniform case.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LossBurst {
     /// Activation time (absolute, µs).
@@ -362,6 +362,19 @@ mod tests {
             bad_prob.validate(),
             Err(PlanError::BadProbability { .. })
         ));
+        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let msg = FaultPlan::constant_loss(bad)
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(
+                msg.contains("loss_bursts[0].prob") && msg.contains(&bad.to_string()),
+                "{msg}"
+            );
+        }
+        for ok in [0.0, 1.0] {
+            assert!(FaultPlan::constant_loss(ok).validate().is_ok());
+        }
         let nan = FaultPlan::none().with_jitter(JitterSpec {
             dup_prob: f64::NAN,
             ..JitterSpec::none()

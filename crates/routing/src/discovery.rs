@@ -101,12 +101,6 @@ impl<B: Behavior<Msg = RoutingMsg> + RouterAccess> Session<B> {
         self.net.take_trace()
     }
 
-    /// Set the channel loss probability for all subsequent traffic (see
-    /// [`Network::set_loss_prob`]).
-    pub fn set_loss_prob(&mut self, p: f64) {
-        self.net.set_loss_prob(p);
-    }
-
     /// Install a fault hook on the underlying network (see
     /// [`Network::set_fault_hook`]); fault-plan crates use this to
     /// compose loss bursts, churn and jitter onto any session.

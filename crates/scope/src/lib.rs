@@ -1,7 +1,7 @@
 //! # sam-scope — live operational observability for the serving tier
 //!
 //! The serving tier already *measures* everything (the shared
-//! [`sam_telemetry`] registry, the gateway's window ring); this crate is
+//! `sam-telemetry` registry, the gateway's window ring); this crate is
 //! the operator-facing end: a polling client over the gateway's
 //! `{"cmd":"stats"}` wire command and the `sam-top` plain-text dashboard
 //! that renders it.

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 /// in the final overflow bucket.
 const BATCH_BUCKETS: usize = 64;
 
-/// Registry-backed counters for one [`DetectionService`]
-/// (see [`crate::service::DetectionService`]).
+/// Registry-backed counters for one
+/// [`DetectionService`](crate::service::DetectionService).
 ///
 /// Instrument names: `serve.submitted`, `serve.rejected`,
 /// `serve.completed`, `serve.batches`, `serve.latency_us` (power-of-two

@@ -19,9 +19,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEntry, TraceKind};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sam_telemetry::Telemetry;
-use std::fmt::{self, Debug};
+use std::fmt::Debug;
 
 /// Protocol logic for one node. `Msg` is the wire message type shared by
 /// all nodes in a run (typically an enum of RREQ/RREP/DATA/ACK).
@@ -72,8 +72,7 @@ impl DeliveryVerdict {
 ///
 /// The contract that makes replay determinism composable: an
 /// implementation must not draw from `rng` unless a fault with
-/// probability `> 0` actually covers the consulted delivery (mirroring
-/// the engine's own `loss_prob > 0.0 &&` short-circuit). A hook whose
+/// probability `> 0` actually covers the consulted delivery. A hook whose
 /// every fault has probability zero is then invisible to the RNG stream,
 /// so the run is byte-identical to one with no hook installed — the
 /// property tests in `sam-faults` pin exactly this.
@@ -123,23 +122,6 @@ pub struct FaultStats {
     pub nodes_down_hwm: u64,
 }
 
-/// The loss probability handed to [`Network::try_set_loss_prob`] was NaN,
-/// infinite, or outside `[0, 1]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InvalidLossProb(pub f64);
-
-impl fmt::Display for InvalidLossProb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "loss probability must be a finite value in [0.0, 1.0], got {}",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for InvalidLossProb {}
-
 /// Summary of one `run` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -160,8 +142,6 @@ pub struct Network<M> {
     rng: StdRng,
     metrics: Metrics,
     latency: LatencyModel,
-    /// Per-delivery loss probability (channel errors); 0 by default.
-    loss_prob: f64,
     max_events: u64,
     trace: Option<Trace>,
     /// Lineage id of the event currently being dispatched; everything a
@@ -191,7 +171,6 @@ impl<M: Clone + Debug> Network<M> {
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(n),
             latency,
-            loss_prob: 0.0,
             max_events: 20_000_000,
             trace: None,
             current_cause: None,
@@ -211,38 +190,6 @@ impl<M: Clone + Debug> Network<M> {
     /// The telemetry context this network records into, if any.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref()
-    }
-
-    /// Set the per-delivery loss probability: each over-the-air delivery
-    /// (broadcast leg or unicast) is independently dropped with this
-    /// probability, modelling channel errors/collisions. Transmissions
-    /// still count towards overhead; lost deliveries produce no
-    /// reception. Tunnels are unaffected (the attackers' private channel
-    /// is assumed reliable).
-    ///
-    /// # Panics
-    /// On an invalid probability (NaN, infinite, or outside `[0, 1]`);
-    /// use [`Network::try_set_loss_prob`] for a recoverable check.
-    pub fn set_loss_prob(&mut self, p: f64) {
-        if let Err(e) = self.try_set_loss_prob(p) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible variant of [`Network::set_loss_prob`]: rejects NaN,
-    /// infinities, and values outside `[0, 1]` without panicking.
-    pub fn try_set_loss_prob(&mut self, p: f64) -> Result<(), InvalidLossProb> {
-        if p.is_finite() && (0.0..=1.0).contains(&p) {
-            self.loss_prob = p;
-            Ok(())
-        } else {
-            Err(InvalidLossProb(p))
-        }
-    }
-
-    /// The configured per-delivery loss probability.
-    pub fn loss_prob(&self) -> f64 {
-        self.loss_prob
     }
 
     /// Install a fault-injection hook (replacing any previous one). The
@@ -297,11 +244,6 @@ impl<M: Clone + Debug> Network<M> {
             &mut self.fault_stats,
             self.current_cause,
         )
-    }
-
-    /// Sample one loss decision.
-    fn lost(&mut self) -> bool {
-        self.loss_prob > 0.0 && self.rng.random_bool(self.loss_prob)
     }
 
     /// Start recording a structural event trace (bounded at `capacity`
@@ -632,7 +574,7 @@ impl<'a, M: Clone + Debug> Ctx<'a, M> {
 
     /// Lineage id of the event currently being handled. Everything this
     /// behaviour schedules is recorded as a causal child of this id, and
-    /// the matching [`TraceEntry`](crate::trace::TraceEntry) (when tracing
+    /// the matching [`TraceEntry`] (when tracing
     /// is on) carries the same id — letting protocol layers associate
     /// their own artefacts (a recorded route, a cache entry) with the
     /// packet provenance in the flight recorder.
@@ -690,7 +632,6 @@ impl<'a, M: Clone + Debug> Ctx<'a, M> {
             queue,
             rng,
             latency,
-            loss_prob,
             faults,
             trace,
             fault_stats,
@@ -701,17 +642,13 @@ impl<'a, M: Clone + Debug> Ctx<'a, M> {
         let topology = &*topology;
         let now = *now;
         let cause = *current_cause;
-        let loss_prob = *loss_prob;
         let neighbors = topology.neighbors(node);
         let dists = topology.neighbor_dists(node);
         for (&v, &dist) in neighbors.iter().zip(dists) {
             // RNG draw order is the determinism contract: latency sample,
-            // then the loss coin, then the fault hook — per neighbour,
-            // exactly as before the overhaul.
+            // then the fault hook's coins (channel loss among them) — per
+            // neighbour, exactly as before the overhaul.
             let lat = latency.sample(dist, rng).mul_f64(scale);
-            if loss_prob > 0.0 && rng.random_bool(loss_prob) {
-                continue;
-            }
             let Some((extra, dup)) = consult_faults_split(
                 faults,
                 topology,
@@ -768,9 +705,6 @@ impl<'a, M: Clone + Debug> Ctx<'a, M> {
         self.net.metrics.node_mut(self.node).tx += 1;
         let dist = self.net.topology.dist(self.node, to);
         let lat = self.net.latency.sample(dist, &mut self.net.rng);
-        if self.net.lost() {
-            return;
-        }
         let Some((extra, dup)) = self.net.consult_faults(self.node, to, Channel::Unicast) else {
             return;
         };
@@ -965,56 +899,6 @@ mod tests {
         let mut nodes = vec![Bad, Bad, Bad, Bad, Bad];
         net.schedule_timer(NodeId(0), SimDuration::ZERO, 0);
         net.run(&mut nodes, SimTime::MAX);
-    }
-
-    #[test]
-    fn loss_probability_thins_receptions() {
-        fn receptions(loss: f64) -> u64 {
-            let mut net = line_net(5, 3);
-            net.set_loss_prob(loss);
-            let mut nodes: Vec<Flood> = (0..5).map(|_| Flood { heard_at: None }).collect();
-            net.schedule_timer(NodeId(0), SimDuration::ZERO, 0);
-            net.run(&mut nodes, SimTime::MAX);
-            net.metrics().total_rx()
-        }
-        assert_eq!(receptions(0.0), 8, "lossless line flood: 8 receptions");
-        let lossy = receptions(0.9);
-        assert!(lossy < 8, "90% loss must drop something, got {lossy}");
-        // Total loss: nothing is ever delivered.
-        assert_eq!(receptions(1.0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss prob")]
-    fn invalid_loss_probability_rejected() {
-        let mut net = line_net(3, 0);
-        net.set_loss_prob(1.5);
-    }
-
-    #[test]
-    fn loss_probability_accepts_both_bounds_and_rejects_the_rest() {
-        let mut net = line_net(3, 0);
-        net.set_loss_prob(0.0);
-        assert_eq!(net.loss_prob(), 0.0);
-        net.set_loss_prob(1.0);
-        assert_eq!(net.loss_prob(), 1.0);
-        assert!(net.try_set_loss_prob(0.5).is_ok());
-        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = net.try_set_loss_prob(bad).unwrap_err();
-            assert_eq!(net.loss_prob(), 0.5, "rejected value must not stick");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("loss probability") && msg.contains("[0.0, 1.0]"),
-                "unhelpful message: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability must be a finite value in [0.0, 1.0], got NaN")]
-    fn nan_loss_probability_names_the_value() {
-        let mut net = line_net(3, 0);
-        net.set_loss_prob(f64::NAN);
     }
 
     /// Scripted hook for the engine-level fault tests.

@@ -45,7 +45,7 @@ pub mod trace;
 /// One-stop imports for simulator users.
 pub mod prelude {
     pub use crate::engine::{
-        Behavior, Ctx, DeliveryVerdict, FaultHook, FaultStats, InvalidLossProb, Network, RunStats,
+        Behavior, Ctx, DeliveryVerdict, FaultHook, FaultStats, Network, RunStats,
     };
     pub use crate::event::{Channel, FaultKind};
     pub use crate::ids::{Link, NodeId, NodeIndexOverflow};

@@ -137,7 +137,7 @@ impl SpanGuard {
     }
 
     /// A guard that measures time but records nothing — what the global
-    /// [`span`](crate::span) helper returns when telemetry is off.
+    /// [`span`](fn@crate::span) helper returns when telemetry is off.
     pub fn disabled() -> SpanGuard {
         SpanGuard {
             started: Instant::now(),

@@ -12,23 +12,6 @@
 
 use wormhole_sam::prelude::*;
 
-/// Probe transport driving SAM's step-2 test packets through the live
-/// simulated network.
-struct LiveProbes<'a> {
-    session: &'a mut Session<AttackNode>,
-}
-
-impl ProbeTransport for LiveProbes<'_> {
-    fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
-        self.session.probe(
-            route,
-            count,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(500),
-        )
-    }
-}
-
 fn main() {
     let plan = two_cluster(1);
     let src = plan.src_pool[5]; // someone in the library
@@ -89,10 +72,9 @@ fn main() {
 
     // ---- Phases 1–3: the three-step procedure ----------------------------
     let procedure = Procedure::default();
-    let mut probes = LiveProbes {
-        session: &mut session,
-    };
-    match procedure.execute(&discovery.routes, &profile, &mut probes) {
+    // The live session is the probe transport: SAM's step-2 test packets
+    // cross the simulated network.
+    match procedure.execute(&discovery.routes, &profile, &mut session) {
         DetectionOutcome::Normal { selected_routes } => {
             println!(
                 "no anomaly; feeding {} routes back to the source",

@@ -15,19 +15,6 @@
 
 use wormhole_sam::prelude::*;
 
-struct Live<'a>(&'a mut Session<AttackNode>);
-
-impl ProbeTransport for Live<'_> {
-    fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
-        self.0.probe(
-            route,
-            count,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(500),
-        )
-    }
-}
-
 fn main() {
     let plan = two_cluster(1);
     let pair = plan.attacker_pairs[0];
@@ -74,7 +61,7 @@ fn main() {
             1000 + i as u64,
         );
         let discovery = session.discover(src, dst, DEFAULT_MAX_WAIT);
-        match procedure.execute(&discovery.routes, &profile, &mut Live(&mut session)) {
+        match procedure.execute(&discovery.routes, &profile, &mut session) {
             DetectionOutcome::Confirmed { report, .. } => {
                 println!(
                     "agent at {dst}: confirmed link {}-{} (λ = {:.3}, probes {:.0}%)",

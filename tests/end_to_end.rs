@@ -4,20 +4,6 @@
 
 use wormhole_sam::prelude::*;
 
-/// Probe transport over a live session.
-struct Live<'a>(&'a mut Session<AttackNode>);
-
-impl ProbeTransport for Live<'_> {
-    fn probe(&mut self, route: &Route, count: u32) -> ProbeOutcome {
-        self.0.probe(
-            route,
-            count,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(500),
-        )
-    }
-}
-
 fn train_profile(plan: &NetworkPlan, src: NodeId, dst: NodeId, n: u64) -> NormalProfile {
     let sets: Vec<Vec<Route>> = (0..n)
         .map(|seed| {
@@ -54,7 +40,7 @@ fn full_pipeline_confirms_blackholing_wormhole_on_cluster() {
     assert!(!discovery.routes.is_empty());
 
     let procedure = Procedure::default();
-    let outcome = procedure.execute(&discovery.routes, &profile, &mut Live(&mut session));
+    let outcome = procedure.execute(&discovery.routes, &profile, &mut session);
     let DetectionOutcome::Confirmed { report, .. } = outcome else {
         panic!("expected confirmation, got {outcome:?}");
     };
@@ -84,7 +70,7 @@ fn full_pipeline_stays_quiet_without_attack() {
     );
     let discovery = session.discover(src, dst, DEFAULT_MAX_WAIT);
     let procedure = Procedure::default();
-    let outcome = procedure.execute(&discovery.routes, &profile, &mut Live(&mut session));
+    let outcome = procedure.execute(&discovery.routes, &profile, &mut session);
     match outcome {
         DetectionOutcome::Normal { selected_routes } => {
             assert!(!selected_routes.is_empty());
@@ -139,7 +125,7 @@ fn pure_relay_wormhole_probes_succeed_but_statistics_confirm() {
     assert_eq!(probe.acked, 5, "pure relay must deliver data");
 
     let procedure = Procedure::default();
-    let outcome = procedure.execute(&discovery.routes, &profile, &mut Live(&mut session));
+    let outcome = procedure.execute(&discovery.routes, &profile, &mut session);
     assert!(
         outcome.is_confirmed(),
         "statistical evidence alone should confirm: {outcome:?}"
