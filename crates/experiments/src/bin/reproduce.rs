@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [--runs N] [--jobs N] [--out DIR] [--telemetry FILE]
-//!           [--flight FILE] [--bench FILE] [--robustness-bench FILE]
+//!           [--flight FILE] [--robustness-bench FILE]
 //!           [--roc-bench FILE] [EXPERIMENT_ID ...]
 //! ```
 //!
@@ -19,14 +19,11 @@
 //! explanation) goes to `FILE`, the verdict explanation to
 //! `<DIR>/flight.json`, and — when `--telemetry` is also on — the
 //! explanation line is appended to the telemetry JSONL stream.
-//!
-//! `--bench FILE` writes a [`BenchReport`] (wall time + final registry
-//! snapshot) for CI trend tracking.
 
 use sam_experiments::flight::{record_flight, FlightOptions};
 use sam_experiments::scenario::{ScenarioSpec, TopologyKind};
 use sam_experiments::{run_experiment, ALL_IDS};
-use sam_telemetry::{report::write_jsonl, BenchReport, Telemetry, TelemetryReport};
+use sam_telemetry::{report::write_jsonl, Telemetry, TelemetryReport};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,7 +34,6 @@ struct Args {
     out: PathBuf,
     telemetry: Option<PathBuf>,
     flight: Option<PathBuf>,
-    bench: Option<PathBuf>,
     robustness_bench: Option<PathBuf>,
     roc_bench: Option<PathBuf>,
     ids: Vec<String>,
@@ -58,7 +54,6 @@ fn parse_args() -> Parsed {
     let mut out = PathBuf::from("results");
     let mut telemetry = None;
     let mut flight = None;
-    let mut bench = None;
     let mut robustness_bench = None;
     let mut roc_bench = None;
     let mut ids = Vec::new();
@@ -101,12 +96,6 @@ fn parse_args() -> Parsed {
                 };
                 flight = Some(PathBuf::from(v));
             }
-            "--bench" => {
-                let Some(v) = it.next() else {
-                    return Parsed::Error("--bench needs a value".into());
-                };
-                bench = Some(PathBuf::from(v));
-            }
             "--robustness-bench" => {
                 let Some(v) = it.next() else {
                     return Parsed::Error("--robustness-bench needs a value".into());
@@ -125,11 +114,10 @@ fn parse_args() -> Parsed {
             "--help" | "-h" => {
                 return Parsed::Info(format!(
                     "usage: reproduce [--runs N] [--jobs N] [--out DIR] [--telemetry FILE] \
-                     [--flight FILE] [--bench FILE] [--list] [ID ...]\n  \
+                     [--flight FILE] [--list] [ID ...]\n  \
                      --jobs N: simulation worker threads (default: available cores)\n  \
                      --telemetry FILE: write spans + metrics snapshot to FILE as JSONL\n  \
                      --flight FILE: record an explained 2-cluster wormhole run to FILE\n  \
-                     --bench FILE: write a wall-time + counters bench report to FILE\n  \
                      --robustness-bench FILE: write the robustness sweep report to FILE \
                      (implies the robustness id)\n  \
                      --roc-bench FILE: write the detector ROC sweep report to FILE \
@@ -158,7 +146,6 @@ fn parse_args() -> Parsed {
         out,
         telemetry,
         flight,
-        bench,
         robustness_bench,
         roc_bench,
         ids,
@@ -184,14 +171,11 @@ fn main() -> ExitCode {
         eprintln!("cannot create {}: {e}", args.out.display());
         return ExitCode::FAILURE;
     }
-    // --bench needs the registry counters too, so either flag installs
-    // the global context.
-    let telemetry = (args.telemetry.is_some() || args.bench.is_some()).then(|| {
+    let telemetry = args.telemetry.as_ref().map(|path| {
         let tel = Telemetry::new();
         sam_telemetry::install(tel.clone());
-        tel
+        (tel, path)
     });
-    let started = std::time::Instant::now();
 
     let mut failed = false;
     for id in &args.ids {
@@ -310,48 +294,32 @@ fn main() -> ExitCode {
         flight_explanation = Some(explanation);
     }
 
-    if let Some(tel) = &telemetry {
+    if let Some((tel, path)) = &telemetry {
         sam_telemetry::uninstall();
-        if let Some(path) = &args.telemetry {
-            let records = tel.drain();
-            let write = std::fs::File::create(path).and_then(|f| {
-                let mut w = std::io::BufWriter::new(f);
-                write_jsonl(&mut w, &records, Some(&tel.snapshot()))?;
-                if let Some(ex) = &flight_explanation {
-                    let line = serde_json::to_string(ex).map_err(|e| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    })?;
-                    writeln!(w, "{line}")?;
-                }
-                Ok(())
-            });
-            match write {
-                Ok(()) => {
-                    println!("{}", TelemetryReport::from_records(&records));
-                    println!(
-                        "[telemetry: {} records -> {}]",
-                        records.len(),
-                        path.display()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("write {}: {e}", path.display());
-                    failed = true;
-                }
+        let records = tel.drain();
+        let write = std::fs::File::create(path).and_then(|f| {
+            let mut w = std::io::BufWriter::new(f);
+            write_jsonl(&mut w, &records, Some(&tel.snapshot()))?;
+            if let Some(ex) = &flight_explanation {
+                let line = serde_json::to_string(ex).map_err(|e| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+                })?;
+                writeln!(w, "{line}")?;
             }
-        }
-        if let Some(path) = &args.bench {
-            // Capture the end-to-end wall time *before* the microbench
-            // pass so the two measurements stay independent.
-            let wall_s = started.elapsed().as_secs_f64();
-            let report = BenchReport::new("reproduce", wall_s, tel.snapshot())
-                .with_micro(sam_experiments::microbench::measure());
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => println!("[bench: {:.1}s -> {}]", report.wall_s, path.display()),
-                Err(e) => {
-                    eprintln!("write {}: {e}", path.display());
-                    failed = true;
-                }
+            Ok(())
+        });
+        match write {
+            Ok(()) => {
+                println!("{}", TelemetryReport::from_records(&records));
+                println!(
+                    "[telemetry: {} records -> {}]",
+                    records.len(),
+                    path.display()
+                );
+            }
+            Err(e) => {
+                eprintln!("write {}: {e}", path.display());
+                failed = true;
             }
         }
     }

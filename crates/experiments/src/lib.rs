@@ -42,7 +42,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod flight;
-pub mod microbench;
 pub mod report;
 pub mod robustness;
 pub mod roc;

@@ -201,7 +201,6 @@ fn main() -> ExitCode {
             // ~10-run training scale the 3σ default under-fires.
             detector: sam::SamConfig::calibrated(),
             explain: args.explain,
-            ..ServiceConfig::default()
         },
         max_conns: args.max_conns,
         backlog: args.backlog,

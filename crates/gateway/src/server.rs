@@ -85,13 +85,9 @@ pub struct GatewayConfig {
     /// Idle cutoff: a connection with no complete frame for this long is
     /// closed.
     pub read_timeout: Duration,
-    /// Per-write cap on response lines.
-    pub write_timeout: Duration,
     /// After drain begins, in-flight connections get at most this long
     /// to finish before being closed mid-stream.
     pub drain_grace: Duration,
-    /// Cap on one request line, bytes.
-    pub max_line_bytes: usize,
     /// When set, requests whose deployment key is not in this list get an
     /// `"error"` response instead of triggering profile training — the
     /// front door never trains on keys it has never heard of.
@@ -136,9 +132,7 @@ impl Default for GatewayConfig {
             max_conns: 64,
             backlog: 128,
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(5),
             drain_grace: Duration::from_secs(5),
-            max_line_bytes: wire::MAX_LINE_BYTES,
             known_keys: None,
             stats_interval: Duration::from_secs(1),
             slo_p99_us: None,
@@ -154,6 +148,9 @@ impl Default for GatewayConfig {
 /// Socket-read tick: how often a blocked handler re-checks the drain
 /// flag and idle deadline. Bounds drain latency for idle connections.
 const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Per-write cap on response lines.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Everything the acceptor, connection workers, and public handle share.
 struct Shared {
@@ -638,11 +635,8 @@ fn conn_worker(shared: Arc<Shared>, rx: Receiver<TcpStream>) {
 fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
-    let mut reader = FrameReader::new(
-        BufReader::new(stream.try_clone()?),
-        shared.cfg.max_line_bytes,
-    );
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?), wire::MAX_LINE_BYTES);
     let mut writer = BufWriter::new(stream);
     let mut last_frame = Instant::now();
 

@@ -3,12 +3,14 @@
 //! network layer up), consistent-hash affinity keeps each deployment's
 //! profile training on exactly one shard, and protocol-level failures
 //! (bad lines, unknown keys) answer typed errors without poisoning the
-//! connection.
+//! connection, while an oversized line gets one error and a close.
 
 mod common;
 
 use common::{detector_wire_request, test_gateway, wire_request, Client};
-use sam_serve::wire::{STATUS_ERROR, STATUS_OK, STATUS_SHED, STATUS_UNKNOWN_DETECTOR};
+use sam_serve::wire::{
+    FrameError, MAX_LINE_BYTES, STATUS_ERROR, STATUS_OK, STATUS_SHED, STATUS_UNKNOWN_DETECTOR,
+};
 use std::collections::BTreeMap;
 
 /// Serve `n` synthetic requests over one pipelined connection; returns
@@ -186,6 +188,32 @@ fn a_deeply_nested_line_is_a_typed_error_not_a_dead_worker() {
     let resp = client.recv().expect("pong");
     assert_eq!(resp.status, STATUS_OK);
     drop(gateway.drain());
+}
+
+#[test]
+fn an_oversized_line_gets_one_error_and_the_connection_closes() {
+    let gateway = test_gateway(1);
+    let mut client = Client::connect(gateway.local_addr()).expect("connect");
+
+    // One byte past the cap: the gateway cannot find the next frame
+    // boundary without buffering the rest, so it answers once and hangs
+    // up. The newline may meet a closed socket; the answer is what counts.
+    let _ = client.send_raw(&"x".repeat(MAX_LINE_BYTES + 1));
+    let resp = client.recv().expect("error response");
+    assert_eq!(resp.status, STATUS_ERROR);
+    assert_eq!(resp.id, 0);
+    let expected = format!("frame exceeds {MAX_LINE_BYTES} bytes");
+    assert_eq!(resp.error.as_deref(), Some(expected.as_str()));
+
+    // Nothing follows. The close reads as EOF, or as a reset when the
+    // gateway left the newline unread in its socket.
+    match client.recv_result() {
+        Ok(None) | Err(FrameError::Io(_)) => {}
+        other => panic!("expected the connection to close, got {other:?}"),
+    }
+    let snapshot = gateway.drain();
+    assert_eq!(snapshot.counter("gateway.codec_errors"), 1);
+    assert_eq!(snapshot.counter("gateway.requests"), 0);
 }
 
 #[test]

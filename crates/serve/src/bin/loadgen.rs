@@ -30,11 +30,11 @@
 //! render the same struct, so they cannot disagree. Service shed and
 //! transport failures are separate fields: `shed` counts deliberate
 //! overload responses, `transport_errors` counts connection-level losses
-//! (always 0 in-process). CI uses the JSON to track serving throughput
-//! over time (`BENCH_serve.json`); its wall-time + snapshot core is the
-//! same [`BenchReport`] shape `reproduce --bench` writes. `--telemetry
-//! PATH` additionally installs the process-global collector and writes
-//! spans plus the snapshot as JSONL.
+//! (always 0 in-process). CI's smokes assert on the JSON, reading profile
+//! trainings from the registry snapshot in its [`BenchReport`] core;
+//! speed is gated by perfbench, not by this summary. `--telemetry PATH`
+//! additionally installs the process-global collector and writes spans
+//! plus the snapshot as JSONL.
 
 use sam_experiments::serving::{find, replay_corpus, train_profile, CorpusEntry};
 use sam_serve::prelude::*;

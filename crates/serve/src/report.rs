@@ -1,9 +1,8 @@
 //! The loadgen run summary — one serde model shared by stdout, `--json`
 //! (`BENCH_serve.json` in CI), and anything downstream that parses it.
 //!
-//! The wall-time + registry-snapshot core is a [`BenchReport`], the same
-//! struct `reproduce --bench` emits, so serving and reproduction
-//! benchmarks parse identically.
+//! The wall-time + registry-snapshot core is a [`BenchReport`], so the
+//! run's counters read the same way as any other registry snapshot.
 
 use crate::metrics::MetricsReport;
 use sam_telemetry::BenchReport;
@@ -83,8 +82,7 @@ pub struct LoadgenSummary {
     pub confirmed: u64,
     /// Responses carrying a verdict explanation (`--explain` runs).
     pub explained: u64,
-    /// Wall time + final registry snapshot, in the same shape as
-    /// `reproduce --bench` output.
+    /// Wall time + final registry snapshot.
     pub bench: BenchReport,
     /// Service-side throughput/latency metrics.
     pub metrics: MetricsReport,

@@ -56,8 +56,6 @@ pub struct ServiceConfig {
     /// requests naming no detector get) and the ensemble's SAM member
     /// share it.
     pub detector: SamConfig,
-    /// Three-step procedure configuration.
-    pub procedure: ProcedureConfig,
     /// Attach a verdict [`Explanation`](sam::Explanation) to every
     /// response (suspect link, per-route leave-one-out contributions),
     /// built from the verdict the procedure already computed. Off by
@@ -77,7 +75,6 @@ impl Default for ServiceConfig {
             max_batch: 32,
             cache_capacity: 16,
             detector: SamConfig::default(),
-            procedure: ProcedureConfig::default(),
             explain: false,
         }
     }
@@ -193,7 +190,6 @@ impl DetectionService {
             let worker = Worker {
                 rx,
                 max_batch: cfg.max_batch,
-                procedure: cfg.procedure,
                 detectors: detectors.clone(),
                 explain: cfg.explain,
                 cache: cache.clone(),
@@ -325,7 +321,6 @@ impl Drop for DetectionService {
 struct Worker {
     rx: Receiver<Job>,
     max_batch: usize,
-    procedure: ProcedureConfig,
     /// Named detectors requests select from (`"sam"` when they name
     /// none); shared across workers (trait objects behind `Arc`s).
     detectors: DetectorRegistry,
@@ -416,7 +411,12 @@ impl Worker {
             .get(name)
             .expect("submit validated the detector name");
         let input = DetectorInput::new(&request.routes, &profile);
-        let outcome = run_procedure(detector.as_ref(), &input, &self.procedure, &mut transport);
+        let outcome = run_procedure(
+            detector.as_ref(),
+            &input,
+            &ProcedureConfig::default(),
+            &mut transport,
+        );
         let step1 = outcome.verdict();
         // The one SAM-specific wire rule (see `DetectionResponse::score`).
         let score = if name == "sam" && !step1.anomalous {

@@ -174,7 +174,6 @@ fn explain_flag_attaches_explanations_that_name_the_wormhole() {
             ..SamConfig::default()
         },
         explain: true,
-        ..ServiceConfig::default()
     };
     let service = DetectionService::start(cfg, synthetic_profiles());
     let requests = request_mix(24);

@@ -113,10 +113,10 @@ impl fmt::Display for TelemetryReport {
     }
 }
 
-/// A benchmark result for the CI trajectory (`BENCH_*.json`): one named
-/// run's wall time plus its final metrics snapshot, so key counters can
-/// be compared across commits with the same tooling that reads the
-/// registry. Shared by `reproduce --bench` and `loadgen --json`.
+/// One named run's wall time plus its final metrics snapshot, so key
+/// counters can be read with the same tooling that reads the registry.
+/// `loadgen --json` embeds it in its summary; CI asserts on the
+/// snapshot's counters (one profile training per deployment key).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Line discriminator, `"bench"`.
@@ -125,12 +125,6 @@ pub struct BenchReport {
     pub name: String,
     /// Wall-clock duration of the measured section, seconds.
     pub wall_s: f64,
-    /// Hot-path microbench throughputs as `(key, per-second)` pairs —
-    /// same pair-array JSON shape as the snapshot counters. Higher is
-    /// better for every key, so `scripts/perf_gate.sh` gates them in
-    /// the same direction as `1 / wall_s`. Empty when the producer does
-    /// not run microbenches (e.g. `loadgen`).
-    pub micro: Vec<(String, f64)>,
     /// Final registry snapshot (counters/gauges/histograms).
     pub snapshot: RegistrySnapshot,
 }
@@ -142,20 +136,8 @@ impl BenchReport {
             kind: "bench".to_string(),
             name: name.to_string(),
             wall_s,
-            micro: Vec::new(),
             snapshot,
         }
-    }
-
-    /// Attach microbench throughputs.
-    pub fn with_micro(mut self, micro: Vec<(String, f64)>) -> Self {
-        self.micro = micro;
-        self
-    }
-
-    /// Serialize to pretty JSON (the `BENCH_*.json` file format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("bench report serializes")
     }
 }
 
@@ -223,8 +205,8 @@ mod tests {
     fn bench_report_round_trips() {
         let tel = crate::Telemetry::new();
         tel.registry().counter("runs").add(3);
-        let report = BenchReport::new("reproduce", 1.25, tel.snapshot());
-        let text = report.to_json();
+        let report = BenchReport::new("loadgen", 1.25, tel.snapshot());
+        let text = serde_json::to_string_pretty(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.kind, "bench");
