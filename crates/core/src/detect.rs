@@ -683,8 +683,8 @@ impl Detector for EnsembleDetector {
 ///
 /// This is the single configuration path for detection thresholds: the
 /// `"sam"` entry carries the one [`SamConfig`], and everything that used
-/// to duplicate the small-sample calibration (experiments, loadgen, the
-/// gateway) now builds a registry instead.
+/// to duplicate the small-sample calibration (experiments, the gateway)
+/// now builds a registry instead.
 #[derive(Clone)]
 pub struct DetectorRegistry {
     entries: Vec<(&'static str, Arc<dyn Detector>)>,

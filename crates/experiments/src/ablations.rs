@@ -19,7 +19,7 @@
 //! * [`channel_loss`] — SAM under a lossy radio.
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_once_configured, RunRecord, TRAIN_OFFSET};
+use crate::runner::{mean_of, run_once_configured, train_normal_profile, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
@@ -180,21 +180,16 @@ pub fn protocol_rule(runs: u64) -> Table {
 /// of the paper's feature set. The mean route length, however, collapses;
 /// the `use_hop_feature` extension restores detection.
 pub fn hidden_detection(runs: u64) -> Table {
-    use crate::runner::run_once_with_routes;
-    use manet_routing::Route;
     use sam::prelude::*;
 
     let normal = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
-    let training: Vec<Vec<Route>> = (0..runs.max(6))
-        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
-        .collect();
+    let profile = train_normal_profile(&normal, runs.max(6));
     let paper = SamDetector::default();
     let extended = SamDetector::new(SamConfig {
         use_hop_feature: true,
         ..SamConfig::default()
     });
-    let profile = NormalProfile::train(&training, paper.config().pmf_bins);
 
     let mut table = Table::new(
         "ablation_hidden_detection",
@@ -241,7 +236,6 @@ pub fn hidden_detection(runs: u64) -> Table {
 /// (every node jittered ±radius per axis), while the profile was trained
 /// on the nominal placement.
 pub fn mobility(runs: u64) -> Table {
-    use crate::runner::run_once_with_routes;
     use crate::scenario::{derive_seed, draw_endpoints};
     use manet_attacks::prelude::*;
     use manet_routing::prelude::*;
@@ -250,10 +244,7 @@ pub fn mobility(runs: u64) -> Table {
     let base = TopologyKind::cluster1().build(0);
     let detector = SamDetector::default();
     let spec_n = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&spec_n, TRAIN_OFFSET + i).1)
-        .collect();
-    let profile = NormalProfile::train(&training, detector.config().pmf_bins);
+    let profile = train_normal_profile(&spec_n, runs.max(8));
 
     let mut table = Table::new(
         "ablation_mobility",
@@ -370,10 +361,7 @@ pub fn threshold_sweep(runs: u64) -> Table {
 
     let normal = ScenarioSpec::normal(TopologyKind::uniform10x6(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
-        .collect();
-    let profile = NormalProfile::train(&training, SamConfig::default().pmf_bins);
+    let profile = train_normal_profile(&normal, runs.max(8));
 
     // Evaluate once, score under every threshold.
     let z_of = |routes: &[Route]| -> f64 {

@@ -152,11 +152,19 @@ fn parse_args() -> Parsed {
     })
 }
 
+/// Write `s` to stdout. A failed write means the reader went away
+/// (`reproduce --list | head -1`); the files under `--out` are the run's
+/// real output, so the run carries on and the failure is not an error.
+fn emit(s: &str) {
+    let mut out = std::io::stdout().lock();
+    let _ = out.write_all(s.as_bytes()).and_then(|()| out.flush());
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Parsed::Run(a) => a,
         Parsed::Info(msg) => {
-            println!("{msg}");
+            emit(&format!("{msg}\n"));
             return ExitCode::SUCCESS;
         }
         Parsed::Error(msg) => {
@@ -191,11 +199,11 @@ fn main() -> ExitCode {
             let report = sam_experiments::robustness::compute(args.runs);
             if let Some(path) = &args.robustness_bench {
                 match std::fs::write(path, report.to_json()) {
-                    Ok(()) => println!(
-                        "[robustness: {} points -> {}]",
+                    Ok(()) => emit(&format!(
+                        "[robustness: {} points -> {}]\n",
                         report.points.len(),
                         path.display()
-                    ),
+                    )),
                     Err(e) => {
                         eprintln!("write {}: {e}", path.display());
                         failed = true;
@@ -209,11 +217,11 @@ fn main() -> ExitCode {
             let report = sam_experiments::roc::compute(args.runs);
             if let Some(path) = &args.roc_bench {
                 match std::fs::write(path, report.to_json()) {
-                    Ok(()) => println!(
-                        "[roc: {} curves -> {}]",
+                    Ok(()) => emit(&format!(
+                        "[roc: {} curves -> {}]\n",
                         report.curves.len(),
                         path.display()
-                    ),
+                    )),
                     Err(e) => {
                         eprintln!("write {}: {e}", path.display());
                         failed = true;
@@ -249,8 +257,11 @@ fn main() -> ExitCode {
                 }
             }
         }
-        print!("{text}");
-        println!("[{id} done in {:.1}s]\n", span.elapsed().as_secs_f64());
+        emit(&text);
+        emit(&format!(
+            "[{id} done in {:.1}s]\n\n",
+            span.elapsed().as_secs_f64()
+        ));
         drop(span);
         let txt_path = args.out.join(format!("{id}.txt"));
         match std::fs::File::create(&txt_path) {
@@ -278,12 +289,12 @@ fn main() -> ExitCode {
             eprintln!("write {}: {e}", path.display());
             failed = true;
         } else {
-            println!(
-                "[flight: {} entries, suspect {:?} -> {}]",
+            emit(&format!(
+                "[flight: {} entries, suspect {:?} -> {}]\n",
                 recording.entries.len(),
                 explanation.suspect_link,
                 path.display()
-            );
+            ));
         }
         let report_path = args.out.join("flight.json");
         let pretty = serde_json::to_string_pretty(&explanation).expect("explanation serializes");
@@ -310,12 +321,12 @@ fn main() -> ExitCode {
         });
         match write {
             Ok(()) => {
-                println!("{}", TelemetryReport::from_records(&records));
-                println!(
-                    "[telemetry: {} records -> {}]",
+                emit(&format!(
+                    "{}\n[telemetry: {} records -> {}]\n",
+                    TelemetryReport::from_records(&records),
                     records.len(),
                     path.display()
-                );
+                ));
             }
             Err(e) => {
                 eprintln!("write {}: {e}", path.display());

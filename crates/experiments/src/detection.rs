@@ -11,7 +11,7 @@
 //! *confirmed* false-positive rate.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_with_routes, TRAIN_OFFSET};
+use crate::runner::{build_plan, train_normal_profile};
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -90,16 +90,13 @@ pub fn evaluate(
     let attacked = normal.with_wormholes(1);
 
     // Train on normal discoveries with disjoint run indices.
-    let training: Vec<Vec<Route>> = (0..train_runs)
-        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
-        .collect();
+    let profile = train_normal_profile(&normal, train_runs);
     // At this training scale (≈10 sets, the paper's series length) the
     // profile σ is a noisy small-sample estimate, so the library's 3σ
     // default under-fires; the calibrated 2.5σ keeps a wide margin above
     // normal traffic (z ≲ 1 here) while catching attacked sets
     // (z ≈ 2.8+).
     let detector = SamDetector::new(SamConfig::calibrated());
-    let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
     let mut step1_fp = 0usize;
     let mut confirmed_fp = 0usize;

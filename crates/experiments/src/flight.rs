@@ -2,7 +2,7 @@
 //! causal trace on, explain the verdict, and package everything as a
 //! [`FlightRecording`] for the `sam-trace` CLI.
 
-use crate::runner::{build_plan, run_once_with_routes};
+use crate::runner::{build_plan, train_normal_profile};
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -11,10 +11,6 @@ use manet_sim::TraceChannel;
 use sam::prelude::*;
 use sam_flight::{reconstruct_route, FlightMeta, FlightRecording};
 use sam_telemetry::Telemetry;
-
-/// Offset separating training run indices from the recorded run (same
-/// convention as the `detection` experiment).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// Knobs for one recorded run.
 #[derive(Clone, Debug)]
@@ -57,13 +53,10 @@ pub fn record_flight(
         active_wormholes: 0,
         ..*spec
     };
-    let training: Vec<Vec<Route>> = (0..opts.train_runs)
-        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
-        .collect();
+    let profile = train_normal_profile(&normal, opts.train_runs);
     // The calibrated 2.5σ threshold, as in the detection experiment:
     // small-sample profiles under-fire at the library's 3σ default.
     let detector = SamDetector::new(SamConfig::calibrated());
-    let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
     // The recorded run, trace on.
     let run_seed = derive_seed(spec.base_seed, run);

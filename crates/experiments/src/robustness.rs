@@ -23,7 +23,7 @@
 //! (`BENCH_robustness.json`) for CI trend tracking.
 
 use crate::report::{Cell, Table};
-use crate::runner::{run_once_faulted, TRAIN_OFFSET};
+use crate::runner::{run_once_faulted, train_normal_profile};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -149,24 +149,11 @@ pub fn compute(runs: u64) -> RobustnessReport {
     let normal = ScenarioSpec::normal(topology, protocol);
     let attacked = normal.with_wormholes(1);
 
-    let cfg = RouterConfig::new(protocol);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| {
-            run_once_faulted(
-                &normal,
-                TRAIN_OFFSET + i,
-                &cfg,
-                WormholeConfig::default(),
-                None,
-            )
-            .1
-        })
-        .collect();
+    let profile = train_normal_profile(&normal, runs.max(8));
     // Same small-sample threshold rationale as the `detection`
     // experiment: the calibrated 2.5σ clears normal traffic with margin
     // at ten-run training scale.
     let detector = SamDetector::new(SamConfig::calibrated());
-    let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
     let mut points = Vec::new();
     for (variant, worm_cfg) in variants() {

@@ -24,7 +24,7 @@
 //! abstaining.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_configured, TRAIN_OFFSET};
+use crate::runner::{build_plan, run_once_configured, train_normal_profile};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -225,12 +225,8 @@ pub fn compute(runs: u64) -> RocReport {
     let normal = ScenarioSpec::normal(topology, protocol);
     let attacked = normal.with_wormholes(1);
 
-    let cfg = RouterConfig::new(protocol);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_configured(&normal, TRAIN_OFFSET + i, &cfg, WormholeConfig::default()).1)
-        .collect();
+    let profile = train_normal_profile(&normal, runs.max(8));
     let registry = DetectorRegistry::calibrated();
-    let profile = NormalProfile::train(&training, SamConfig::calibrated().pmf_bins);
 
     // Normal runs once: per run, one score per detector.
     let neg_by_run: Vec<Vec<Scored>> = (0..runs)

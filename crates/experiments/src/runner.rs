@@ -6,7 +6,7 @@ use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
 use parking_lot::Mutex;
-use sam::LinkStats;
+use sam::{LinkStats, NormalProfile, SamConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::LazyLock;
@@ -290,6 +290,16 @@ pub const PAPER_RUNS: u64 = 10;
 /// Offset separating profile-training run indices from evaluation (and
 /// serving) indices, so a profile never sees its own evaluation data.
 pub const TRAIN_OFFSET: u64 = 1000;
+
+/// Train the normal-condition profile of `normal` on the route sets of
+/// its runs `TRAIN_OFFSET..TRAIN_OFFSET + runs`, with default router and
+/// wormhole configurations and no faults.
+pub fn train_normal_profile(normal: &ScenarioSpec, runs: u64) -> NormalProfile {
+    let sets: Vec<Vec<Route>> = (0..runs)
+        .map(|i| run_once_with_routes(normal, TRAIN_OFFSET + i).1)
+        .collect();
+    NormalProfile::train(&sets, SamConfig::default().pmf_bins)
+}
 
 #[cfg(test)]
 mod tests {

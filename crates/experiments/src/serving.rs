@@ -10,7 +10,7 @@
 //! server.
 
 pub use crate::runner::TRAIN_OFFSET;
-use crate::runner::{run_once_with_routes, run_once_with_routes_faulted};
+use crate::runner::{run_once_with_routes_faulted, train_normal_profile};
 use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
 use manet_routing::{ProtocolKind, Route};
 use sam::NormalProfile;
@@ -74,10 +74,7 @@ pub fn find(topology: &str, protocol: &str) -> Option<Deployment> {
 /// detection experiment does: [`TRAIN_RUNS`] clean route sets at seeds
 /// offset far from serving traffic.
 pub fn train_profile(deployment: &Deployment) -> NormalProfile {
-    let sets: Vec<Vec<Route>> = (0..TRAIN_RUNS)
-        .map(|r| run_once_with_routes(&deployment.normal, TRAIN_OFFSET + r).1)
-        .collect();
-    NormalProfile::train(&sets, 20)
+    train_normal_profile(&deployment.normal, TRAIN_RUNS)
 }
 
 /// One pre-simulated replay corpus entry: the deployment it belongs to,

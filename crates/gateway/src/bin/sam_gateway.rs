@@ -12,9 +12,9 @@
 //! ```
 //!
 //! Profiles train on demand from the shared serving catalogue
-//! ([`sam_experiments::serving`]) — the same deployments and training
-//! convention `loadgen` uses, so a remote load generator's keys resolve
-//! to identical profiles here. Requests for keys outside the catalogue
+//! ([`sam_experiments::serving`]) — the same deployments `loadgen`
+//! replays traffic from, so every key it sends resolves to a profile
+//! here. Requests for keys outside the catalogue
 //! get an `"error"` response (the front door never trains on unknown
 //! keys).
 //!
@@ -197,8 +197,8 @@ fn main() -> ExitCode {
             queue_capacity: args.queue,
             max_batch: args.batch,
             cache_capacity: args.cache,
-            // Calibrated like loadgen and the detection experiment: at
-            // ~10-run training scale the 3σ default under-fires.
+            // Calibrated like the detection experiment: at ~10-run
+            // training scale the 3σ default under-fires.
             detector: sam::SamConfig::calibrated(),
             explain: args.explain,
         },
@@ -212,7 +212,6 @@ fn main() -> ExitCode {
         trace_seed: args.trace_seed,
         trace_capacity: args.trace_capacity,
         audit_log: args.audit_log.as_ref().map(std::path::PathBuf::from),
-        ..GatewayConfig::default()
     };
 
     let gateway = match Gateway::bind(&args.addr, cfg, profile_source()) {

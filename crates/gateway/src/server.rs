@@ -82,12 +82,6 @@ pub struct GatewayConfig {
     /// Accepted-but-unhandled connections buffered before the acceptor
     /// sheds new ones.
     pub backlog: usize,
-    /// Idle cutoff: a connection with no complete frame for this long is
-    /// closed.
-    pub read_timeout: Duration,
-    /// After drain begins, in-flight connections get at most this long
-    /// to finish before being closed mid-stream.
-    pub drain_grace: Duration,
     /// When set, requests whose deployment key is not in this list get an
     /// `"error"` response instead of triggering profile training — the
     /// front door never trains on keys it has never heard of.
@@ -131,8 +125,6 @@ impl Default for GatewayConfig {
             service: ServiceConfig::default(),
             max_conns: 64,
             backlog: 128,
-            read_timeout: Duration::from_secs(30),
-            drain_grace: Duration::from_secs(5),
             known_keys: None,
             stats_interval: Duration::from_secs(1),
             slo_p99_us: None,
@@ -151,6 +143,14 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Per-write cap on response lines.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Idle cutoff: a connection with no complete frame for this long is
+/// closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// After drain begins, in-flight connections get at most this long to
+/// finish before being closed mid-stream.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Everything the acceptor, connection workers, and public handle share.
 struct Shared {
@@ -274,7 +274,7 @@ impl Shared {
     /// Whether the post-drain grace budget is exhausted.
     fn grace_expired(&self) -> bool {
         let started = self.drain_started.lock().unwrap_or_else(|e| e.into_inner());
-        matches!(*started, Some(at) if at.elapsed() > self.cfg.drain_grace)
+        matches!(*started, Some(at) if at.elapsed() > DRAIN_GRACE)
     }
 
     fn conn_opened(&self) {
@@ -656,7 +656,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
                 // Idle tick: no new bytes. A draining gateway closes idle
                 // connections here — everything already received has been
                 // served (frames are processed before reads can block).
-                if shared.draining() || last_frame.elapsed() > shared.cfg.read_timeout {
+                if shared.draining() || last_frame.elapsed() > IDLE_TIMEOUT {
                     break;
                 }
             }

@@ -50,9 +50,13 @@ pub fn synthetic_profiles() -> ProfileSource {
     })
 }
 
-/// A gateway on an ephemeral port with fast-drain test timings and
-/// synthetic profiles.
+/// A gateway on an ephemeral port with synthetic profiles.
 pub fn test_gateway(shards: usize) -> Gateway {
+    test_gateway_with(shards, synthetic_profiles())
+}
+
+/// [`test_gateway`] with its profiles from `profiles`.
+pub fn test_gateway_with(shards: usize, profiles: ProfileSource) -> Gateway {
     let cfg = GatewayConfig {
         shards,
         service: ServiceConfig {
@@ -70,11 +74,9 @@ pub fn test_gateway(shards: usize) -> Gateway {
         },
         max_conns: 8,
         backlog: 16,
-        read_timeout: Duration::from_secs(5),
-        drain_grace: Duration::from_secs(5),
         ..GatewayConfig::default()
     };
-    Gateway::bind("127.0.0.1:0", cfg, synthetic_profiles()).expect("bind ephemeral port")
+    Gateway::bind("127.0.0.1:0", cfg, profiles).expect("bind ephemeral port")
 }
 
 /// The wire form of one synthetic request (keys cycle over three

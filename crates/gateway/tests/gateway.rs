@@ -1,17 +1,22 @@
 //! End-to-end gateway tests over real sockets: verdicts are invariant to
 //! the shard count (mirroring sam-serve's worker-invariance contract one
 //! network layer up), consistent-hash affinity keeps each deployment's
-//! profile training on exactly one shard, and protocol-level failures
-//! (bad lines, unknown keys) answer typed errors without poisoning the
-//! connection, while an oversized line gets one error and a close.
+//! profile training on exactly one shard, concurrent first requests for
+//! one key share one training, and protocol-level failures (bad lines,
+//! unknown keys) answer typed errors without poisoning the connection,
+//! while an oversized line gets one error and a close.
 
 mod common;
 
-use common::{detector_wire_request, test_gateway, wire_request, Client};
+use common::{detector_wire_request, test_gateway, test_gateway_with, wire_request, Client};
+use sam_serve::service::ProfileSource;
 use sam_serve::wire::{
     FrameError, MAX_LINE_BYTES, STATUS_ERROR, STATUS_OK, STATUS_SHED, STATUS_UNKNOWN_DETECTOR,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
 /// Serve `n` synthetic requests over one pipelined connection; returns
 /// verdict-confirmed by id.
@@ -77,6 +82,53 @@ fn consistent_hashing_trains_each_key_on_exactly_one_shard() {
         misses, 3,
         "each deployment key must train once, on its one owning shard"
     );
+}
+
+#[test]
+fn concurrent_first_requests_for_one_key_share_one_training() {
+    // The source counts its trainings and holds each one until the test
+    // drops the write guard.
+    let gate = Arc::new(RwLock::new(()));
+    let trainings = Arc::new(AtomicUsize::new(0));
+    let source: ProfileSource = {
+        let (gate, trainings) = (gate.clone(), trainings.clone());
+        let synthetic = common::synthetic_profiles();
+        Arc::new(move |key| {
+            trainings.fetch_add(1, Ordering::SeqCst);
+            let _open = gate.read().unwrap();
+            synthetic(key)
+        })
+    };
+    let hold = gate.write().unwrap();
+    // One shard with two workers: the two requests go to different
+    // workers of the shard that owns the key.
+    let gateway = test_gateway_with(1, source);
+    let mut first = Client::connect(gateway.local_addr()).expect("connect");
+    let mut second = Client::connect(gateway.local_addr()).expect("connect");
+
+    // Ids 0 and 3 share the deployment key synthetic-a.
+    first.send(&wire_request(0)).expect("send");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while trainings.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the first request never trained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    second.send(&wire_request(3)).expect("send");
+    // Give the second request time to reach its worker's cache lookup
+    // while the first training is held.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(hold);
+
+    let responses = [first.recv(), second.recv()].map(|r| r.expect("response"));
+    assert!(responses.iter().all(|r| r.status == STATUS_OK));
+    assert_eq!(trainings.load(Ordering::SeqCst), 1, "the source ran once");
+    let misses = responses
+        .iter()
+        .filter(|r| r.profile_cache_hit == Some(false))
+        .count();
+    assert_eq!(misses, 1, "exactly one response trained");
+    let snapshot = gateway.drain();
+    assert_eq!(snapshot.counter("serve.cache_misses"), 1);
 }
 
 #[test]

@@ -14,7 +14,6 @@ use sam_gateway::prelude::*;
 use sam_serve::trace::AuditRecord;
 use sam_serve::wire::STATUS_OK;
 use sam_telemetry::{EventRecord, Telemetry};
-use std::time::Duration;
 
 #[test]
 fn synthesized_stage_spans_match_the_audit_record() {
@@ -26,8 +25,6 @@ fn synthesized_stage_spans_match_the_audit_record() {
         shards: 2,
         max_conns: 4,
         backlog: 8,
-        read_timeout: Duration::from_secs(5),
-        drain_grace: Duration::from_secs(5),
         trace: true,
         trace_seed: 11,
         audit_log: Some(audit_path.clone()),

@@ -17,8 +17,6 @@ fn stats_gateway(shards: usize) -> Gateway {
         shards,
         max_conns: 8,
         backlog: 16,
-        read_timeout: Duration::from_secs(5),
-        drain_grace: Duration::from_secs(5),
         stats_interval: Duration::from_millis(50),
         slo_p99_us: Some(0),
         slow_request_us: Some(0),

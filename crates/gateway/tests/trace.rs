@@ -20,8 +20,6 @@ fn traced_gateway(shards: usize, audit: Option<&std::path::Path>) -> Gateway {
         shards,
         max_conns: 8,
         backlog: 16,
-        read_timeout: Duration::from_secs(5),
-        drain_grace: Duration::from_secs(5),
         trace: true,
         slow_request_us: Some(0),
         trace_seed: 7,
@@ -181,8 +179,6 @@ fn unknown_keys_are_audited_as_errors_with_their_trace() {
         trace: true,
         trace_seed: 7,
         audit_log: Some(audit_path.clone()),
-        read_timeout: Duration::from_secs(5),
-        drain_grace: Duration::from_secs(5),
         ..GatewayConfig::default()
     };
     let gateway =

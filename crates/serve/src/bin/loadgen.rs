@@ -1,26 +1,24 @@
-//! Load generator for the SAM detection service — in-process or against
-//! a remote `sam-gateway`.
+//! Load generator for `sam-gateway`.
 //!
 //! Replays simulated route-discovery traffic (drawn from the shared
 //! serving catalogue in [`sam_experiments::serving`], normal and attacked
-//! mixed) and prints a throughput/latency report.
+//! mixed) against a running gateway and prints a throughput/latency
+//! report.
 //!
 //! ```text
-//! loadgen [--requests N] [--workers N] [--batch N] [--queue N]
-//!         [--attacked-pct P] [--faults PLAN.json] [--explain]
-//!         [--json PATH] [--telemetry PATH]
-//!         [--remote HOST:PORT] [--conns N] [--rate R]
-//!         [--slo-p99-us N] [--drain]
+//! loadgen --remote HOST:PORT [--requests N] [--attacked-pct P]
+//!         [--faults PLAN.json] [--detector NAME] [--json PATH]
+//!         [--conns N] [--rate R] [--slo-p99-us N] [--drain]
 //! ```
 //!
-//! Without `--remote`, traffic goes through an in-process
-//! [`DetectionService`] (`--workers/--batch/--queue` shape it). With
-//! `--remote ADDR`, traffic crosses TCP to a running `sam-gateway`:
-//! `--conns` client connections each pipeline their share of the
-//! requests as JSONL and read verdict lines back, `--rate` schedules an
-//! open-loop arrival rate (requests/s across all connections; 0 = closed
-//! loop), `--slo-p99-us` turns the p99 into an exit-code assertion, and
-//! `--drain` sends the gateway a `{"cmd":"drain"}` line after the soak.
+//! Traffic crosses TCP to the gateway at `--remote ADDR`, which is
+//! required: `--conns` client connections each pipeline their share of
+//! the requests as JSONL and read verdict lines back, `--rate` schedules
+//! an open-loop arrival rate (requests/s across all connections; 0 =
+//! closed loop), `--slo-p99-us` turns the p99 into an exit-code
+//! assertion, and `--drain` sends the gateway a `{"cmd":"drain"}` line
+//! after the soak. Service-side knobs (workers, batching, queue size,
+//! explanations, telemetry) are `sam-gateway` flags.
 //!
 //! `--faults PLAN.json` composes a [`sam_faults::FaultPlan`] onto every
 //! simulated discovery of the replay corpus (profiles still train on
@@ -29,21 +27,16 @@
 //! The final summary is one [`LoadgenSummary`] — stdout and `--json PATH`
 //! render the same struct, so they cannot disagree. Service shed and
 //! transport failures are separate fields: `shed` counts deliberate
-//! overload responses, `transport_errors` counts connection-level losses
-//! (always 0 in-process). CI's smokes assert on the JSON, reading profile
-//! trainings from the registry snapshot in its [`BenchReport`] core;
-//! speed is gated by perfbench, not by this summary. `--telemetry PATH`
-//! additionally installs the process-global collector and writes spans
-//! plus the snapshot as JSONL.
+//! overload responses, `transport_errors` counts connection-level losses.
+//! CI's smokes assert on the JSON, reading profile trainings from the
+//! client registry snapshot in its [`BenchReport`] core; speed is gated
+//! by perfbench, not by this summary.
 
-use sam_experiments::serving::{find, replay_corpus, train_profile, CorpusEntry};
+use sam_experiments::serving::{replay_corpus, CorpusEntry};
 use sam_serve::prelude::*;
 use sam_serve::request::micros;
-use sam_serve::service::ProfileSource;
 use sam_serve::wire::{round_trip, FrameReader, WireRequest, WireResponse, STATUS_OK, STATUS_SHED};
-use sam_telemetry::{
-    report::write_jsonl, BenchReport, Registry, RegistrySnapshot, Telemetry, TraceIdGen,
-};
+use sam_telemetry::{BenchReport, Registry, RegistrySnapshot, TraceIdGen};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::TcpStream;
@@ -52,47 +45,32 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
+    remote: String,
     requests: u64,
-    workers: usize,
-    batch: usize,
-    queue: usize,
     attacked_pct: u32,
     faults: Option<String>,
     detector: Option<String>,
-    explain: bool,
     json: Option<String>,
-    telemetry: Option<String>,
-    remote: Option<String>,
     conns: usize,
     rate: f64,
     slo_p99_us: Option<u64>,
     drain: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            requests: 10_000,
-            workers: ServiceConfig::default().workers,
-            batch: 32,
-            queue: 256,
-            attacked_pct: 30,
-            faults: None,
-            detector: None,
-            explain: false,
-            json: None,
-            telemetry: None,
-            remote: None,
-            conns: 4,
-            rate: 0.0,
-            slo_p99_us: None,
-            drain: false,
-        }
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut args = Args {
+        remote: String::new(),
+        requests: 10_000,
+        attacked_pct: 30,
+        faults: None,
+        detector: None,
+        json: None,
+        conns: 4,
+        rate: 0.0,
+        slo_p99_us: None,
+        drain: false,
+    };
+    let mut remote = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
@@ -104,10 +82,8 @@ fn parse_args() -> Result<Args, String> {
             };
         }
         match flag.as_str() {
+            "--remote" => remote = Some(value("--remote")?),
             "--requests" => args.requests = parse!("--requests"),
-            "--workers" => args.workers = parse!("--workers"),
-            "--batch" => args.batch = parse!("--batch"),
-            "--queue" => args.queue = parse!("--queue"),
             "--attacked-pct" => {
                 args.attacked_pct = parse!("--attacked-pct");
                 if args.attacked_pct > 100 {
@@ -116,69 +92,46 @@ fn parse_args() -> Result<Args, String> {
             }
             "--faults" => args.faults = Some(value("--faults")?),
             "--detector" => args.detector = Some(value("--detector")?),
-            "--explain" => args.explain = true,
             "--json" => args.json = Some(value("--json")?),
-            "--telemetry" => args.telemetry = Some(value("--telemetry")?),
-            "--remote" => args.remote = Some(value("--remote")?),
             "--conns" => args.conns = parse!("--conns"),
             "--rate" => args.rate = parse!("--rate"),
             "--slo-p99-us" => args.slo_p99_us = Some(parse!("--slo-p99-us")),
             "--drain" => args.drain = true,
             "--help" | "-h" => {
                 println!(
-                    "loadgen: replay simulated route discoveries through sam-serve\n\n\
+                    "loadgen: replay simulated route discoveries against a running sam-gateway\n\n\
+                     usage: loadgen --remote ADDR [options]\n\n\
                      options:\n  \
-                     --requests N      total requests to submit (default 10000)\n  \
-                     --workers N       service worker threads (default: cores; local mode)\n  \
-                     --batch N         max requests drained per worker wake (default 32; local)\n  \
-                     --queue N         per-shard queue capacity (default 256; local mode)\n  \
+                     --remote ADDR     the sam-gateway to drive (required)\n  \
+                     --requests N      total requests to send (default 10000)\n  \
                      --attacked-pct P  percent of traffic from attacked scenarios (default 30)\n  \
                      --faults PLAN     compose the fault plan in PLAN (JSON) onto corpus runs\n  \
                      --detector NAME   stamp every request with this detector (sam, zscore,\n                    \
                                        geometric, ensemble; default: unset = sam)\n  \
-                     --explain         attach verdict explanations to every response (local)\n  \
                      --json PATH       write the summary as JSON\n  \
-                     --telemetry PATH  write batch spans + metrics snapshot as JSONL\n  \
-                     --remote ADDR     drive a running sam-gateway at ADDR instead of an\n                    \
-                                       in-process service\n  \
-                     --conns N         client connections in remote mode (default 4)\n  \
+                     --conns N         client connections (default 4)\n  \
                      --rate R          open-loop arrival rate, req/s across all connections\n                    \
                                        (default 0 = closed loop)\n  \
                      --slo-p99-us N    exit nonzero if the measured p99 exceeds N microseconds\n  \
-                     --drain           send the gateway a drain command after the soak (remote)"
+                     --drain           send the gateway a drain command after the soak"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.workers == 0 || args.batch == 0 || args.queue == 0 {
-        return Err("--workers, --batch, and --queue must be at least 1".into());
-    }
+    args.remote =
+        remote.ok_or("--remote ADDR is required: the address of a running sam-gateway")?;
     if args.conns == 0 {
         return Err("--conns must be at least 1".into());
     }
     if args.rate < 0.0 || !args.rate.is_finite() {
         return Err("--rate must be a finite non-negative number".into());
     }
-    if (args.rate > 0.0 || args.drain) && args.remote.is_none() {
-        return Err("--rate and --drain require --remote".into());
-    }
     Ok(args)
 }
 
-/// Train profiles the way the experiments crate (and the gateway) does:
-/// route sets from normal runs at seeds far from the serving traffic's.
-fn profile_source() -> ProfileSource {
-    Arc::new(|key: &ProfileKey| {
-        let deployment = find(&key.topology, &key.protocol)
-            .unwrap_or_else(|| panic!("no scenario for profile key {key}"));
-        train_profile(&deployment)
-    })
-}
-
-/// Client-side response tallies, merged across connections in remote
-/// mode.
+/// Client-side response tallies, merged across connections.
 #[derive(Default)]
 struct Tally {
     completed: u64,
@@ -244,15 +197,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Install before the service starts: DetectionService captures the
-    // global registry at start, and worker batch spans need a collector.
-    // (Remote mode records into a private client registry instead; the
-    // collector stays useful for the snapshot record.)
-    let telemetry = args.telemetry.as_ref().map(|_| {
-        let tel = Telemetry::new();
-        sam_telemetry::install(tel.clone());
-        tel
-    });
 
     // An optional fault plan composed onto every corpus run (profiles
     // still train clean — the deployment story).
@@ -271,29 +215,23 @@ fn main() -> ExitCode {
     };
 
     // Pre-simulate the replay corpus so the measured section exercises
-    // the service, not the simulator.
+    // the gateway, not the simulator.
     eprintln!("loadgen: simulating replay corpus ...");
     let corpus = replay_corpus(args.attacked_pct, fault_plan.as_ref());
 
-    let (tally, elapsed, report, snapshot) = match &args.remote {
-        Some(addr) => remote_run(&args, addr, &corpus),
-        None => local_run(&args, &corpus),
-    };
+    let (tally, elapsed, report, snapshot) = run(&args, &corpus);
 
-    // In remote mode, fold the gateway's own windowed view into the
-    // summary: fetched over one extra connection after the soak but
-    // *before* any drain, so the report reflects the live gateway the
-    // traffic just exercised.
+    // Fold the gateway's own windowed view into the summary: fetched over
+    // one extra connection after the soak but *before* any drain, so the
+    // report reflects the live gateway the traffic just exercised.
     let gateway_stats =
-        args.remote.as_deref().and_then(|addr| {
-            match sam_serve::stats::fetch_stats(addr, None, false, Duration::from_secs(10)) {
-                Ok((report, _)) => Some(report),
-                Err(e) => {
-                    eprintln!("loadgen: gateway stats unavailable: {e}");
-                    None
-                }
+        match sam_serve::stats::fetch_stats(&args.remote, None, false, Duration::from_secs(10)) {
+            Ok((report, _)) => Some(report),
+            Err(e) => {
+                eprintln!("loadgen: gateway stats unavailable: {e}");
+                None
             }
-        });
+        };
     let transport_errors = tally.transport.total();
     let summary = LoadgenSummary {
         kind: "loadgen_summary".to_string(),
@@ -308,7 +246,7 @@ fn main() -> ExitCode {
             .saturating_sub(tally.completed + tally.shed + transport_errors),
         confirmed: tally.confirmed,
         explained: tally.explained,
-        bench: BenchReport::new("loadgen", elapsed.as_secs_f64(), snapshot.clone()),
+        bench: BenchReport::new("loadgen", elapsed.as_secs_f64(), snapshot),
         metrics: report,
         gateway_stats,
     };
@@ -322,19 +260,6 @@ fn main() -> ExitCode {
             failed = true;
         } else {
             eprintln!("loadgen: wrote {path}");
-        }
-    }
-    if let (Some(tel), Some(path)) = (telemetry, &args.telemetry) {
-        sam_telemetry::uninstall();
-        let records = tel.drain();
-        let write = std::fs::File::create(path)
-            .and_then(|f| write_jsonl(std::io::BufWriter::new(f), &records, Some(&snapshot)));
-        match write {
-            Ok(()) => eprintln!("loadgen: {} telemetry records -> {path}", records.len()),
-            Err(e) => {
-                eprintln!("loadgen: writing {path}: {e}");
-                failed = true;
-            }
         }
     }
 
@@ -364,13 +289,11 @@ fn main() -> ExitCode {
         );
     }
     if args.drain {
-        if let Some(addr) = &args.remote {
-            match send_drain(addr) {
-                Ok(status) => eprintln!("loadgen: drain acknowledged ({status})"),
-                Err(e) => {
-                    eprintln!("loadgen: drain command failed: {e}");
-                    failed = true;
-                }
+        match send_drain(&args.remote) {
+            Ok(status) => eprintln!("loadgen: drain acknowledged ({status})"),
+            Err(e) => {
+                eprintln!("loadgen: drain command failed: {e}");
+                failed = true;
             }
         }
     }
@@ -381,120 +304,6 @@ fn main() -> ExitCode {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Local (in-process) mode
-// ---------------------------------------------------------------------------
-
-fn local_run(
-    args: &Args,
-    corpus: &[CorpusEntry],
-) -> (Tally, Duration, MetricsReport, RegistrySnapshot) {
-    let cfg = ServiceConfig {
-        workers: args.workers,
-        queue_capacity: args.queue,
-        max_batch: args.batch,
-        // Calibrated like the detection experiment: at ~10-run training
-        // scale the 3σ library default under-fires on held-out traffic.
-        detector: sam::SamConfig::calibrated(),
-        explain: args.explain,
-        ..ServiceConfig::default()
-    };
-    eprintln!(
-        "loadgen: starting service ({} workers, queue {}, batch {})",
-        cfg.workers, cfg.queue_capacity, cfg.max_batch
-    );
-    let service = DetectionService::start(cfg, profile_source());
-
-    // Warm the profile cache outside the measured window (training is a
-    // one-time cost per deployment, not a serving cost).
-    for (deployment, _, routes) in corpus {
-        let _ = service
-            .submit(DetectionRequest {
-                id: u64::MAX,
-                key: ProfileKey::new(&deployment.topology, &deployment.protocol),
-                routes: routes.clone(),
-                probe_ack_ratio: None,
-                detector: None,
-            })
-            .map(Pending::wait);
-    }
-
-    eprintln!("loadgen: replaying {} requests ...", args.requests);
-    let start = Instant::now();
-    let mut pending: Vec<Pending> = Vec::with_capacity(1024);
-    let mut tally = Tally::default();
-
-    let drain = |pending: &mut Vec<Pending>, tally: &mut Tally| {
-        for p in pending.drain(..) {
-            let resp = p.wait();
-            tally.completed += 1;
-            tally.responded_ids ^= resp.id;
-            if resp.verdict.confirmed {
-                tally.confirmed += 1;
-            }
-            if resp.explanation.is_some() {
-                tally.explained += 1;
-            }
-        }
-    };
-
-    for i in 0..args.requests {
-        let (deployment, attacked, routes) = &corpus[(i % corpus.len() as u64) as usize];
-        let req = DetectionRequest {
-            id: i,
-            key: ProfileKey::new(&deployment.topology, &deployment.protocol),
-            routes: routes.clone(),
-            // Attacked traffic fails its probe test; normal traffic acks.
-            probe_ack_ratio: if *attacked { Some(0.1) } else { None },
-            detector: args.detector.clone(),
-        };
-        let mut retried = false;
-        loop {
-            match service.submit(req.clone()) {
-                Ok(p) => {
-                    tally.submitted_ids ^= i;
-                    pending.push(p);
-                    // Cap the in-flight window so the generator exerts
-                    // real backpressure instead of buffering every handle.
-                    if pending.len() >= 1024 {
-                        drain(&mut pending, &mut tally);
-                    }
-                    break;
-                }
-                Err(SubmitError::Rejected { .. }) if !retried => {
-                    // Closed-loop client: absorb the overload signal by
-                    // draining in-flight responses, then retry once.
-                    retried = true;
-                    drain(&mut pending, &mut tally);
-                }
-                Err(SubmitError::Rejected { .. }) => {
-                    tally.shed += 1;
-                    break;
-                }
-                Err(SubmitError::Closed) => {
-                    eprintln!("loadgen: service closed mid-run");
-                    std::process::exit(1);
-                }
-                Err(e @ SubmitError::UnknownDetector { .. }) => {
-                    eprintln!("loadgen: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    drain(&mut pending, &mut tally);
-    let elapsed = start.elapsed();
-
-    let report = service.metrics().report(service.queue_depth());
-    let snapshot = service.registry().snapshot();
-    service.shutdown();
-    (tally, elapsed, report, snapshot)
-}
-
-// ---------------------------------------------------------------------------
-// Remote mode
-// ---------------------------------------------------------------------------
-
 /// In-flight cap per connection: pipelining window before the sender
 /// blocks on responses. Bounds client memory and, at saturation, degrades
 /// the open loop to a closed one instead of buffering without limit.
@@ -504,7 +313,7 @@ const PIPELINE_WINDOW: usize = 64;
 const CONNECT_RETRY: Duration = Duration::from_secs(10);
 /// Socket read timeout per response. Generous: first requests pay
 /// one-time profile training on the gateway side.
-const REMOTE_READ_TIMEOUT: Duration = Duration::from_secs(60);
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One corpus entry pre-flattened for the wire (routes as node-id arrays,
 /// conversion off the hot path).
@@ -515,15 +324,10 @@ struct WireEntry {
     attacked: bool,
 }
 
-fn remote_run(
-    args: &Args,
-    addr: &str,
-    corpus: &[CorpusEntry],
-) -> (Tally, Duration, MetricsReport, RegistrySnapshot) {
-    // Client-side registry: the same serve.* instrument names the local
-    // service would populate, so LoadgenSummary reads identically —
-    // except here latency spans the wire and cache hits come from the
-    // gateway's per-response flag.
+fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, MetricsReport, RegistrySnapshot) {
+    // Client-side registry under the service's serve.* instrument names:
+    // latency spans the wire, and cache hits come from the gateway's
+    // per-response flag.
     let registry = Arc::new(Registry::new());
     let metrics = Arc::new(ServiceMetrics::with_registry(&registry));
     let wire_corpus: Arc<Vec<WireEntry>> = Arc::new(
@@ -542,7 +346,8 @@ fn remote_run(
     );
 
     eprintln!(
-        "loadgen: driving {addr} with {} requests over {} connections{}",
+        "loadgen: driving {} with {} requests over {} connections{}",
+        args.remote,
         args.requests,
         args.conns,
         if args.rate > 0.0 {
@@ -559,7 +364,7 @@ fn remote_run(
             let ids: Vec<u64> = (0..args.requests)
                 .filter(|i| (i % args.conns as u64) as usize == conn)
                 .collect();
-            let addr = addr.to_string();
+            let addr = args.remote.clone();
             let corpus = wire_corpus.clone();
             let registry = registry.clone();
             let metrics = metrics.clone();
@@ -567,7 +372,7 @@ fn remote_run(
             std::thread::Builder::new()
                 .name(format!("loadgen-conn-{conn}"))
                 .spawn(move || {
-                    remote_client(
+                    client(
                         &addr,
                         conn,
                         &corpus,
@@ -590,7 +395,7 @@ fn remote_run(
         }
     }
     let elapsed = start.elapsed();
-    let report = metrics.report(0);
+    let report = metrics.report();
     let snapshot = registry.snapshot();
     (tally, elapsed, report, snapshot)
 }
@@ -600,7 +405,7 @@ fn remote_run(
 /// so responses match the send queue front by construction (a mismatch is
 /// a transport error).
 #[allow(clippy::too_many_arguments)]
-fn remote_client(
+fn client(
     addr: &str,
     conn: usize,
     corpus: &[WireEntry],
@@ -627,7 +432,7 @@ fn remote_client(
         }
     };
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(REMOTE_READ_TIMEOUT)).ok();
+    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     stream.set_write_timeout(Some(Duration::from_secs(5))).ok();
     let mut reader = match stream.try_clone() {
         Ok(s) => FrameReader::new(BufReader::new(s), sam_serve::wire::MAX_LINE_BYTES),

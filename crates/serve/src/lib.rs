@@ -7,7 +7,8 @@
 //! by many nodes' route discoveries, rather than a one-shot offline call
 //! inside an experiment runner.
 //!
-//! This crate provides that service, in-process:
+//! This crate provides that service as a library; `sam-gateway` puts it
+//! behind a socket:
 //!
 //! * [`DetectionService`](service::DetectionService) — a sharded worker
 //!   pool over bounded channels. Each worker drains its queue in
@@ -20,10 +21,12 @@
 //! * [`ProfileCache`](cache::ProfileCache) — an LRU of trained profiles
 //!   keyed by [`ProfileKey`](request::ProfileKey), shared across workers
 //!   behind a `parking_lot` mutex, with hit/miss accounting. Training is
-//!   performed outside the lock so a slow train never stalls hits.
+//!   single-flight and runs outside the lock: concurrent misses on one
+//!   key share one training, and a hit never waits on another key's
+//!   training.
 //! * [`ServiceMetrics`](metrics::ServiceMetrics) — throughput counters,
-//!   queue depth, a batch-size histogram, and fixed-bucket latency
-//!   histograms with percentile extraction (no external deps).
+//!   a batch-size histogram, and fixed-bucket latency histograms with
+//!   percentile extraction (no external deps).
 //!
 //! The service is **deterministic**: a request's verdict is a pure
 //! function of its route set, its profile, and its reported probe
@@ -31,9 +34,9 @@
 //! `worker_invariance` integration test pins this at 1, 2, and 8 workers.
 //!
 //! The `loadgen` binary replays simulated route-discovery traffic from
-//! `sam-experiments` scenarios through the service and prints a
-//! throughput/latency report (optionally writing `BENCH_serve.json` for
-//! trajectory tracking).
+//! `sam-experiments` scenarios against a running `sam-gateway` and prints
+//! a throughput/latency report (`--json` writes the same
+//! [`LoadgenSummary`](report::LoadgenSummary)).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -113,25 +113,16 @@ impl ServiceMetrics {
         self.completed.get()
     }
 
-    /// Snapshot every counter into an owned report.
-    pub fn report(&self, queue_depth: usize) -> MetricsReport {
+    /// Snapshot the request counters and latency percentiles into an
+    /// owned report.
+    pub fn report(&self) -> MetricsReport {
         let completed = self.completed();
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        let batch_hist: Vec<(usize, u64)> = self
-            .batch_size
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(size, count)| (size as usize, count))
-            .collect();
         MetricsReport {
             submitted: self.submitted(),
             rejected: self.rejected(),
             completed,
-            queue_depth,
             throughput_rps: completed as f64 / elapsed,
-            batches: self.batches.get(),
-            mean_batch: self.batch_size.mean(),
-            batch_hist,
             p50_us: self.latency_us.percentile(0.50),
             p90_us: self.latency_us.percentile(0.90),
             p99_us: self.latency_us.percentile(0.99),
@@ -139,27 +130,19 @@ impl ServiceMetrics {
     }
 }
 
-/// A point-in-time snapshot of [`ServiceMetrics`], serializable for
-/// `BENCH_serve.json`.
+/// A point-in-time snapshot of [`ServiceMetrics`], serializable as part
+/// of `loadgen`'s [`LoadgenSummary`](crate::report::LoadgenSummary).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricsReport {
-    /// Requests accepted into a queue.
+    /// Requests submitted (for `loadgen`, request lines sent).
     pub submitted: u64,
-    /// Requests shed with [`SubmitError::Rejected`](crate::request::SubmitError).
+    /// Requests shed ([`SubmitError::Rejected`](crate::request::SubmitError)
+    /// in-process, `"shed"` responses over the wire).
     pub rejected: u64,
     /// Responses delivered.
     pub completed: u64,
-    /// Requests sitting in shard queues at snapshot time.
-    pub queue_depth: usize,
     /// Completed requests per second since service start.
     pub throughput_rps: f64,
-    /// Worker wakes that drained at least one request.
-    pub batches: u64,
-    /// Mean requests drained per wake.
-    pub mean_batch: f64,
-    /// Sparse batch-size histogram as `(size, count)` pairs (sizes above
-    /// 64 collapse into the 64 bucket).
-    pub batch_hist: Vec<(usize, u64)>,
     /// Median latency upper bound, microseconds (0 with no samples).
     pub p50_us: u64,
     /// 90th-percentile latency upper bound, microseconds.
@@ -172,15 +155,10 @@ impl fmt::Display for MetricsReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "requests: {} submitted, {} completed, {} shed, {} queued",
-            self.submitted, self.completed, self.rejected, self.queue_depth
+            "requests: {} submitted, {} completed, {} shed",
+            self.submitted, self.completed, self.rejected
         )?;
         writeln!(f, "throughput: {:.0} req/s", self.throughput_rps)?;
-        writeln!(
-            f,
-            "batching: {} wakes, mean batch {:.2}",
-            self.batches, self.mean_batch
-        )?;
         write!(
             f,
             "latency: p50 < {}us, p90 < {}us, p99 < {}us",
@@ -203,7 +181,7 @@ mod tests {
         for _ in 0..10 {
             m.record_completed(Duration::from_micros(1000));
         }
-        let r = m.report(0);
+        let r = m.report();
         assert_eq!(r.completed, 100);
         assert!(r.p50_us <= 2, "median in the fast bucket, got {}", r.p50_us);
         assert!(
@@ -218,25 +196,26 @@ mod tests {
         // With no completed requests the percentile is an explicit 0 —
         // not the top bucket edge the CDF walk would fall through to.
         let m = ServiceMetrics::new();
-        let r = m.report(0);
+        let r = m.report();
         assert_eq!(r.completed, 0);
         assert_eq!(r.p50_us, 0);
         assert_eq!(r.p90_us, 0);
         assert_eq!(r.p99_us, 0);
-        assert_eq!(r.mean_batch, 0.0);
-        assert!(r.batch_hist.is_empty());
     }
 
     #[test]
     fn batch_histogram_is_sparse() {
-        let m = ServiceMetrics::new();
+        // perfbench reads `serve.batches` to report the mean batch size.
+        let registry = Registry::new();
+        let m = ServiceMetrics::with_registry(&registry);
         m.record_batch(1);
         m.record_batch(1);
         m.record_batch(7);
-        let r = m.report(0);
-        assert_eq!(r.batches, 3);
-        assert_eq!(r.batch_hist, vec![(1, 2), (7, 1)]);
-        assert!((r.mean_batch - 3.0).abs() < 1e-9);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.batches"), 3);
+        let sizes = snap.histogram("serve.batch_size").unwrap();
+        assert_eq!(sizes.buckets, vec![(1, 2), (7, 1)]);
+        assert!((sizes.mean - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -257,7 +236,7 @@ mod tests {
         assert_eq!(lat.count, 1);
         assert_eq!(snap.histogram("serve.batch_size").unwrap().count, 1);
         // And the typed report agrees with the snapshot.
-        let r = m.report(0);
+        let r = m.report();
         assert_eq!(r.submitted, 2);
         assert_eq!(r.p50_us, lat.p50);
     }

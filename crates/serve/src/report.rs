@@ -1,5 +1,5 @@
-//! The loadgen run summary — one serde model shared by stdout, `--json`
-//! (`BENCH_serve.json` in CI), and anything downstream that parses it.
+//! The loadgen run summary — one serde model shared by stdout, `--json`,
+//! and anything downstream that parses it.
 //!
 //! The wall-time + registry-snapshot core is a [`BenchReport`], so the
 //! run's counters read the same way as any other registry snapshot.
@@ -9,7 +9,7 @@ use sam_telemetry::BenchReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where a remote soak's transport failures happened. The lumped
+/// Where a soak's transport failures happened. The lumped
 /// [`LoadgenSummary::transport_errors`] stays (scripts assert on it);
 /// this breakdown says *which* layer lost the work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,7 +34,7 @@ impl TransportErrors {
     }
 }
 
-/// The slowest completed request of a remote soak — the first place to
+/// The slowest completed request of a soak — the first place to
 /// look after a bad p99, so the summary carries its trace id for
 /// `{"cmd":"trace"}` / audit-log lookup.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -47,8 +47,8 @@ pub struct SlowestRequest {
     pub trace: Option<String>,
 }
 
-/// The final summary of one loadgen run, assembled once from the
-/// service's registry snapshot plus the client-side counters. Stdout and
+/// The final summary of one loadgen run, assembled once from the client
+/// registry's snapshot plus the client-side counters. Stdout and
 /// `--json` render this same struct, so the two outputs cannot disagree.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LoadgenSummary {
@@ -58,37 +58,37 @@ pub struct LoadgenSummary {
     pub requests: u64,
     /// Responses received.
     pub completed: u64,
-    /// Requests shed by the *service* (protocol `"shed"` responses in
-    /// remote mode, [`SubmitError::Rejected`](crate::request::SubmitError)
-    /// locally). Deliberate overload behaviour — never lumped in with
-    /// transport failures.
+    /// Requests the gateway shed (protocol `"shed"` responses).
+    /// Deliberate overload behaviour — never lumped in with transport
+    /// failures.
     pub shed: u64,
-    /// Connection-level failures in remote mode: connects that never
-    /// succeeded, sockets that died mid-soak, unparseable response lines,
-    /// and requests whose response never arrived. Always 0 in-process.
-    /// Kept separate from `shed` so soak numbers distinguish "the service
-    /// protected itself" from "the transport lost work".
+    /// Connection-level failures: connects that never succeeded, sockets
+    /// that died mid-soak, unparseable response lines, and requests whose
+    /// response never arrived. Kept separate from `shed` so soak numbers
+    /// distinguish "the service protected itself" from "the transport
+    /// lost work".
     pub transport_errors: u64,
     /// `transport_errors` split by failure site;
     /// `transport_error_breakdown.total() == transport_errors` always.
     pub transport_error_breakdown: TransportErrors,
-    /// The slowest completed request and its trace id (remote mode;
-    /// `None` in-process or when nothing completed).
+    /// The slowest completed request and its trace id (`None` when
+    /// nothing completed).
     pub slowest: Option<SlowestRequest>,
     /// Accepted requests whose response never came back (always 0 unless
     /// the response accounting is broken).
     pub dropped_responses: u64,
     /// Responses with a confirmed-attack verdict.
     pub confirmed: u64,
-    /// Responses carrying a verdict explanation (`--explain` runs).
+    /// Responses carrying a verdict explanation (a gateway started with
+    /// `--explain`).
     pub explained: u64,
     /// Wall time + final registry snapshot.
     pub bench: BenchReport,
-    /// Service-side throughput/latency metrics.
+    /// Client-side throughput and round-trip latency.
     pub metrics: MetricsReport,
     /// The gateway's own windowed stats report, fetched with a final
-    /// `{"cmd":"stats"}` after a remote soak (before any drain). `None`
-    /// in-process, or when the fetch failed.
+    /// `{"cmd":"stats"}` after the soak (before any drain). `None` when
+    /// the fetch failed.
     pub gateway_stats: Option<crate::stats::StatsReport>,
 }
 
@@ -103,7 +103,7 @@ impl LoadgenSummary {
         self.bench.snapshot.counter("serve.cache_misses")
     }
 
-    /// The summary as pretty JSON (the `BENCH_serve.json` payload).
+    /// The summary as pretty JSON (the `--json` payload).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("loadgen summary serializes")
     }
@@ -202,11 +202,7 @@ mod tests {
                 submitted: 98,
                 rejected: 2,
                 completed: 98,
-                queue_depth: 0,
                 throughput_rps: 78.4,
-                batches: 10,
-                mean_batch: 9.8,
-                batch_hist: vec![(8, 2), (10, 8)],
                 p50_us: 120,
                 p90_us: 300,
                 p99_us: 900,

@@ -83,8 +83,7 @@ impl Default for ServiceConfig {
 /// A handle to one in-flight request's eventual response.
 ///
 /// This is a tiny oneshot: the worker fills the slot and notifies; the
-/// caller blocks in [`wait`](Pending::wait) (or polls
-/// [`try_take`](Pending::try_take)).
+/// caller blocks in [`wait`](Pending::wait).
 pub struct Pending {
     slot: Arc<(Mutex<Option<DetectionResponse>>, Condvar)>,
 }
@@ -112,12 +111,6 @@ impl Pending {
             }
             guard = cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Take the response if it has already arrived.
-    pub fn try_take(&self) -> Option<DetectionResponse> {
-        let (lock, _) = &*self.slot;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 

@@ -18,7 +18,7 @@
 //!
 //! Instrumented crates (`manet-sim`, `manet-routing`, `sam-serve`,
 //! `sam-experiments`) consult the process-global handle: [`install`] one
-//! with `--telemetry` in `reproduce`/`loadgen` and every layer records;
+//! with `--telemetry` in `reproduce`/`sam-gateway` and every layer records;
 //! leave it uninstalled and the cost is a single relaxed atomic load per
 //! check — no collector is allocated and no counter is touched. The
 //! `telemetry_off_is_zero_overhead` test in `manet-sim` pins that
