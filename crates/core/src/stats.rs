@@ -86,14 +86,6 @@ impl LinkStats {
         self.counts.get(link).unwrap_or(0)
     }
 
-    /// Relative frequency of one link (`p_i`, eq. 1).
-    pub fn relative_frequency(&self, link: Link) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        f64::from(self.count(link)) / self.total as f64
-    }
-
     /// All `(link, n_i)` pairs, unordered.
     pub fn counts(&self) -> impl Iterator<Item = (Link, u32)> + '_ {
         self.counts.iter()

@@ -10,7 +10,6 @@
 //! search over the candidates at each hop recovers a cause-consistent
 //! chain even when a node received the same flood several times.
 
-use crate::record::FlightRecording;
 use manet_sim::{NodeId, Trace, TraceChannel, TraceEntry, TraceKind};
 
 /// The reconstructed provenance of one route.
@@ -98,19 +97,6 @@ pub fn reconstruct_route(trace: &Trace, route: &[NodeId]) -> Option<RouteLineage
         }
     }
     None
-}
-
-/// Reconstruct every route of `routes` against the recording's trace,
-/// pairing each with its lineage when one exists.
-pub fn reconstruct_all(
-    recording: &FlightRecording,
-    routes: &[Vec<NodeId>],
-) -> Vec<Option<RouteLineage>> {
-    let trace = recording.trace();
-    routes
-        .iter()
-        .map(|r| reconstruct_route(&trace, r))
-        .collect()
 }
 
 #[cfg(test)]

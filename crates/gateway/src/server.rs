@@ -12,7 +12,8 @@
 //!                                     ┌───────────────────┴──────────┐
 //!                                     ▼                              ▼
 //!                             DetectionService 0   …   DetectionService S-1
-//!                             (own workers + own LRU profile cache each)
+//!                          (each: one bounded queue, its worker pool,
+//!                           its LRU profile cache)
 //! ```
 //!
 //! One acceptor thread owns the listener; `max_conns` connection workers
@@ -21,7 +22,9 @@
 //! (pipelining is supported; responses never reorder within a
 //! connection). Requests route to one of `shards` independent
 //! [`DetectionService`]s by consistent-hashing the deployment key, so a
-//! key's trained profile lives in exactly one shard's LRU cache.
+//! key's trained profile lives in exactly one shard's LRU cache. A
+//! request whose profile source or detector panics gets one `"error"`
+//! line (counted in `serve.failed`), and its connection stays open.
 //!
 //! ## Overload shed
 //!
@@ -326,11 +329,7 @@ impl Gateway {
         // process-global telemetry.
         let services = (0..cfg.shards)
             .map(|_| {
-                DetectionService::start_with_registry(
-                    cfg.service.clone(),
-                    profiles.clone(),
-                    registry.clone(),
-                )
+                DetectionService::start(cfg.service.clone(), profiles.clone(), registry.clone())
             })
             .collect();
         let tracer = if cfg.trace {
@@ -826,13 +825,17 @@ fn serve_request(
             gw_span.field("shard", s);
         }
         let submit_ctx = gw_span.context().or(trace_ctx);
-        match shared.services[s].submit_traced(request, submit_ctx) {
-            Ok(pending) => {
-                let response = pending.wait();
-                shared.requests.inc();
-                shared.shard_requests[s].fetch_add(1, Ordering::Relaxed);
-                Ok(response)
-            }
+        match shared.services[s].submit(request, submit_ctx) {
+            Ok(pending) => match pending.wait() {
+                Some(response) => {
+                    shared.requests.inc();
+                    shared.shard_requests[s].fetch_add(1, Ordering::Relaxed);
+                    Ok(response)
+                }
+                // The profile source or detector panicked on this
+                // request (`serve.failed`); the shard lives on.
+                None => Err(WireResponse::error(id, "internal error")),
+            },
             Err(SubmitError::Rejected { queue_depth }) => {
                 shared.request_shed.inc();
                 Err(WireResponse::shed(id, queue_depth))

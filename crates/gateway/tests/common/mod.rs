@@ -132,8 +132,16 @@ pub struct Client {
 
 impl Client {
     pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<Client> {
+        Client::connect_with_timeout(addr, Duration::from_secs(30))
+    }
+
+    /// [`connect`](Client::connect) with `read_timeout` on every read.
+    pub fn connect_with_timeout(
+        addr: std::net::SocketAddr,
+        read_timeout: Duration,
+    ) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+        stream.set_read_timeout(Some(read_timeout))?;
         Ok(Client {
             reader: FrameReader::new(BufReader::new(stream.try_clone()?), MAX_LINE_BYTES),
             writer: stream,
@@ -154,6 +162,11 @@ impl Client {
     pub fn recv(&mut self) -> Option<WireResponse> {
         let line = self.reader.next_frame().expect("read response")?;
         Some(WireResponse::decode(&line).expect("decode response"))
+    }
+
+    /// Stop writing: the gateway reads EOF once it has every line sent.
+    pub fn close_write(&self) -> std::io::Result<()> {
+        self.writer.shutdown(std::net::Shutdown::Write)
     }
 
     /// Like [`recv`](Client::recv), but surfacing transport errors.

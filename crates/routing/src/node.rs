@@ -226,12 +226,6 @@ impl RouterNode {
         &self.finalized
     }
 
-    /// All routes of the first finalized discovery — the "route set R from
-    /// one route discovery" SAM analyzes.
-    pub fn first_route_set(&self) -> Option<&[Route]> {
-        self.finalized.first().map(|(_, v)| v.as_slice())
-    }
-
     /// The finalized route set of a specific discovery, if its window has
     /// closed at this node.
     pub fn routes_for(&self, id: RreqId) -> Option<&[Route]> {
@@ -250,11 +244,6 @@ impl RouterNode {
     /// arrival order.
     pub fn broken_links(&self) -> &[Link] {
         &self.broken_links
-    }
-
-    /// Number of distinct ACKed sequence numbers.
-    pub fn acked_count(&self) -> usize {
-        self.acked.len()
     }
 
     // ------------------------------------------------------------------

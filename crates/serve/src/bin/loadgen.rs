@@ -28,15 +28,15 @@
 //! render the same struct, so they cannot disagree. Service shed and
 //! transport failures are separate fields: `shed` counts deliberate
 //! overload responses, `transport_errors` counts connection-level losses.
-//! CI's smokes assert on the JSON, reading profile trainings from the
-//! client registry snapshot in its [`BenchReport`] core; speed is gated
-//! by perfbench, not by this summary.
+//! CI's smokes assert on the JSON (`cache_misses` counts the responses
+//! that trained a profile); speed is gated by perfbench, not by this
+//! summary.
 
 use sam_experiments::serving::{replay_corpus, CorpusEntry};
 use sam_serve::prelude::*;
 use sam_serve::request::micros;
 use sam_serve::wire::{round_trip, FrameReader, WireRequest, WireResponse, STATUS_OK, STATUS_SHED};
-use sam_telemetry::{BenchReport, Registry, RegistrySnapshot, TraceIdGen};
+use sam_telemetry::{Histogram, TraceIdGen};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::TcpStream;
@@ -139,6 +139,8 @@ struct Tally {
     transport: TransportErrors,
     confirmed: u64,
     explained: u64,
+    cache_hits: u64,
+    cache_misses: u64,
     submitted_ids: u64,
     responded_ids: u64,
     slowest: Option<SlowestRequest>,
@@ -154,6 +156,8 @@ impl Tally {
         self.transport.protocol += other.transport.protocol;
         self.confirmed += other.confirmed;
         self.explained += other.explained;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
         self.submitted_ids ^= other.submitted_ids;
         self.responded_ids ^= other.responded_ids;
         if other
@@ -219,7 +223,7 @@ fn main() -> ExitCode {
     eprintln!("loadgen: simulating replay corpus ...");
     let corpus = replay_corpus(args.attacked_pct, fault_plan.as_ref());
 
-    let (tally, elapsed, report, snapshot) = run(&args, &corpus);
+    let (tally, elapsed, latency_us) = run(&args, &corpus);
 
     // Fold the gateway's own windowed view into the summary: fetched over
     // one extra connection after the soak but *before* any drain, so the
@@ -246,8 +250,12 @@ fn main() -> ExitCode {
             .saturating_sub(tally.completed + tally.shed + transport_errors),
         confirmed: tally.confirmed,
         explained: tally.explained,
-        bench: BenchReport::new("loadgen", elapsed.as_secs_f64(), snapshot),
-        metrics: report,
+        wall_s: elapsed.as_secs_f64(),
+        p50_us: latency_us.percentile(0.50),
+        p90_us: latency_us.percentile(0.90),
+        p99_us: latency_us.percentile(0.99),
+        cache_hits: tally.cache_hits,
+        cache_misses: tally.cache_misses,
         gateway_stats,
     };
 
@@ -276,17 +284,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let Some(slo) = args.slo_p99_us {
-        if summary.metrics.p99_us > slo {
-            eprintln!(
-                "loadgen: SLO VIOLATED: p99 {}us > {}us",
-                summary.metrics.p99_us, slo
-            );
+        if summary.p99_us > slo {
+            eprintln!("loadgen: SLO VIOLATED: p99 {}us > {slo}us", summary.p99_us);
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "loadgen: SLO ok: p99 {}us <= {}us",
-            summary.metrics.p99_us, slo
-        );
+        eprintln!("loadgen: SLO ok: p99 {}us <= {slo}us", summary.p99_us);
     }
     if args.drain {
         match send_drain(&args.remote) {
@@ -324,12 +326,10 @@ struct WireEntry {
     attacked: bool,
 }
 
-fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, MetricsReport, RegistrySnapshot) {
-    // Client-side registry under the service's serve.* instrument names:
-    // latency spans the wire, and cache hits come from the gateway's
-    // per-response flag.
-    let registry = Arc::new(Registry::new());
-    let metrics = Arc::new(ServiceMetrics::with_registry(&registry));
+/// Drive the soak; returns the merged tally, the wall time, and the
+/// round-trip latencies of completed requests (µs, power-of-two buckets).
+fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, Arc<Histogram>) {
+    let latency_us = Arc::new(Histogram::pow2());
     let wire_corpus: Arc<Vec<WireEntry>> = Arc::new(
         corpus
             .iter()
@@ -366,8 +366,7 @@ fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, MetricsReport, 
                 .collect();
             let addr = args.remote.clone();
             let corpus = wire_corpus.clone();
-            let registry = registry.clone();
-            let metrics = metrics.clone();
+            let latency_us = latency_us.clone();
             let detector = args.detector.clone();
             std::thread::Builder::new()
                 .name(format!("loadgen-conn-{conn}"))
@@ -379,8 +378,7 @@ fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, MetricsReport, 
                         &ids,
                         per_conn_rate,
                         detector.as_deref(),
-                        &registry,
-                        &metrics,
+                        &latency_us,
                     )
                 })
                 .expect("spawn client connection")
@@ -394,17 +392,13 @@ fn run(args: &Args, corpus: &[CorpusEntry]) -> (Tally, Duration, MetricsReport, 
             Err(_) => eprintln!("loadgen: client connection thread panicked"),
         }
     }
-    let elapsed = start.elapsed();
-    let report = metrics.report();
-    let snapshot = registry.snapshot();
-    (tally, elapsed, report, snapshot)
+    (tally, start.elapsed(), latency_us)
 }
 
 /// Drive one connection's share of the soak. Requests are pipelined up to
 /// [`PIPELINE_WINDOW`] deep; the gateway answers in order per connection,
 /// so responses match the send queue front by construction (a mismatch is
 /// a transport error).
-#[allow(clippy::too_many_arguments)]
 fn client(
     addr: &str,
     conn: usize,
@@ -412,12 +406,9 @@ fn client(
     ids: &[u64],
     rate: f64,
     detector: Option<&str>,
-    registry: &Registry,
-    metrics: &ServiceMetrics,
+    latency_us: &Histogram,
 ) -> Tally {
     let mut tally = Tally::default();
-    let cache_hits = registry.counter("serve.cache_hits");
-    let cache_misses = registry.counter("serve.cache_misses");
     // Every request carries a client-stamped trace id, deterministic in
     // (connection, send order), so a soak can be correlated against the
     // gateway's exemplars and audit log after the fact.
@@ -475,9 +466,9 @@ fn client(
                 STATUS_OK => {
                     tally.completed += 1;
                     tally.responded_ids ^= resp.id;
-                    let latency = sent.elapsed();
-                    metrics.record_completed(latency);
-                    tally.note_completed(id, micros(latency), Some(trace));
+                    let latency = micros(sent.elapsed());
+                    latency_us.record(latency);
+                    tally.note_completed(id, latency, Some(trace));
                     if resp.verdict.as_ref().is_some_and(|v| v.confirmed) {
                         tally.confirmed += 1;
                     }
@@ -485,15 +476,14 @@ fn client(
                         tally.explained += 1;
                     }
                     match resp.profile_cache_hit {
-                        Some(true) => cache_hits.inc(),
-                        Some(false) => cache_misses.inc(),
+                        Some(true) => tally.cache_hits += 1,
+                        Some(false) => tally.cache_misses += 1,
                         None => {}
                     }
                 }
                 STATUS_SHED => {
                     tally.shed += 1;
                     tally.responded_ids ^= id;
-                    metrics.record_rejected();
                 }
                 _ => tally.transport.protocol += 1, // error / unexpected drain
             }
@@ -540,7 +530,6 @@ fn client(
             return tally;
         }
         tally.submitted_ids ^= id;
-        metrics.record_submitted();
         in_flight.push_back((id, Instant::now(), trace));
     }
     while !in_flight.is_empty() {

@@ -10,12 +10,13 @@
 //! This crate provides that service as a library; `sam-gateway` puts it
 //! behind a socket:
 //!
-//! * [`DetectionService`](service::DetectionService) — a sharded worker
-//!   pool over bounded channels. Each worker drains its queue in
-//!   **batches** (up to `max_batch` requests per wake), amortizing wakeup
-//!   and cache-lookup costs.
-//! * **Backpressure** — submission never blocks: when a shard's queue is
-//!   full the caller gets [`SubmitError::Rejected`](request::SubmitError)
+//! * [`DetectionService`](service::DetectionService) — a worker pool
+//!   draining one bounded queue. Each worker takes requests in
+//!   **batches** (up to `max_batch` per wake), and each request answers
+//!   through its own one-message reply channel. A request whose profile
+//!   source or detector panics answers `None` and costs no worker.
+//! * **Backpressure** — submission never blocks: when the queue is full
+//!   the caller gets [`SubmitError::Rejected`](request::SubmitError)
 //!   carrying the observed queue depth, and the shed is counted. No
 //!   hidden unbounded buffering, no deadlock.
 //! * [`ProfileCache`](cache::ProfileCache) — an LRU of trained profiles
@@ -24,14 +25,15 @@
 //!   single-flight and runs outside the lock: concurrent misses on one
 //!   key share one training, and a hit never waits on another key's
 //!   training.
-//! * [`ServiceMetrics`](metrics::ServiceMetrics) — throughput counters,
-//!   a batch-size histogram, and fixed-bucket latency histograms with
-//!   percentile extraction (no external deps).
+//! * [`ServiceMetrics`](metrics::ServiceMetrics) — `serve.*` counters
+//!   (submitted, rejected, completed, failed), a batch-size histogram,
+//!   and latency histograms in a `sam-telemetry` registry.
 //!
 //! The service is **deterministic**: a request's verdict is a pure
 //! function of its route set, its profile, and its reported probe
 //! behaviour — never of worker count, batching, or arrival order. The
-//! `worker_invariance` integration test pins this at 1, 2, and 8 workers.
+//! `verdicts_are_invariant_across_worker_counts` test pins this at 1, 2,
+//! and 8 workers.
 //!
 //! The `loadgen` binary replays simulated route-discovery traffic from
 //! `sam-experiments` scenarios against a running `sam-gateway` and prints
@@ -53,7 +55,7 @@ pub mod wire;
 /// The service-facing surface in one import.
 pub mod prelude {
     pub use crate::cache::ProfileCache;
-    pub use crate::metrics::{MetricsReport, ServiceMetrics};
+    pub use crate::metrics::ServiceMetrics;
     pub use crate::report::{LoadgenSummary, SlowestRequest, TransportErrors};
     pub use crate::request::{
         DetectionRequest, DetectionResponse, ProfileKey, StageTiming, SubmitError, Verdict,

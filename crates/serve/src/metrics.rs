@@ -1,19 +1,15 @@
 //! Service observability, backed by the shared [`sam_telemetry`]
 //! registry.
 //!
-//! Since the telemetry unification this module no longer owns histogram
-//! or percentile code: [`ServiceMetrics`] is a thin façade of named
-//! instruments (`serve.*`) in a [`Registry`], so the same numbers are
-//! visible both through the typed [`MetricsReport`] this module has
-//! always produced and through any registry snapshot exported to JSONL.
-//! Everything on the hot path is still a single relaxed atomic update.
+//! [`ServiceMetrics`] is a thin façade of named instruments (`serve.*`)
+//! in a [`Registry`], so stats windows and exported snapshots read the
+//! same numbers. Everything on the hot path is a single relaxed atomic
+//! update.
 
 use crate::request::{micros, StageTiming};
 use sam_telemetry::{Counter, Histogram, Registry};
-use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Batch sizes are tracked exactly up to this value; larger batches land
 /// in the final overflow bucket.
@@ -23,14 +19,16 @@ const BATCH_BUCKETS: usize = 64;
 /// [`DetectionService`](crate::service::DetectionService).
 ///
 /// Instrument names: `serve.submitted`, `serve.rejected`,
-/// `serve.completed`, `serve.batches`, `serve.latency_us` (power-of-two
-/// histogram), `serve.batch_size` (exact up to 64), and the per-stage
-/// breakdown `serve.queue_wait_us` / `serve.compute_us` (power-of-two).
+/// `serve.completed`, `serve.failed`, `serve.batches`, `serve.latency_us`
+/// (power-of-two histogram), `serve.batch_size` (exact up to 64), and the
+/// per-stage breakdown `serve.queue_wait_us` / `serve.compute_us`
+/// (power-of-two). Every accepted request ends as exactly one of
+/// `completed` or `failed`.
 pub struct ServiceMetrics {
-    started: Instant,
     submitted: Arc<Counter>,
     rejected: Arc<Counter>,
     completed: Arc<Counter>,
+    failed: Arc<Counter>,
     batches: Arc<Counter>,
     latency_us: Arc<Histogram>,
     batch_size: Arc<Histogram>,
@@ -38,29 +36,14 @@ pub struct ServiceMetrics {
     compute_us: Arc<Histogram>,
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServiceMetrics {
-    /// Fresh metrics over a private registry; the throughput clock starts
-    /// now.
-    pub fn new() -> Self {
-        Self::with_registry(&Registry::new())
-    }
-
-    /// Metrics recording into `registry`'s `serve.*` instruments — the
-    /// form [`DetectionService`](crate::service::DetectionService) uses so
-    /// its report and the exported telemetry snapshot are one source of
-    /// truth.
+    /// Metrics recording into `registry`'s `serve.*` instruments.
     pub fn with_registry(registry: &Registry) -> Self {
         ServiceMetrics {
-            started: Instant::now(),
             submitted: registry.counter("serve.submitted"),
             rejected: registry.counter("serve.rejected"),
             completed: registry.counter("serve.completed"),
+            failed: registry.counter("serve.failed"),
             batches: registry.counter("serve.batches"),
             latency_us: registry.histogram_pow2("serve.latency_us"),
             batch_size: registry.histogram_linear("serve.batch_size", BATCH_BUCKETS),
@@ -69,12 +52,12 @@ impl ServiceMetrics {
         }
     }
 
-    /// A request was accepted into a shard queue.
+    /// A request was accepted into the queue.
     pub fn record_submitted(&self) {
         self.submitted.inc();
     }
 
-    /// A request was shed because its shard queue was full.
+    /// A request was shed because the queue was full.
     pub fn record_rejected(&self) {
         self.rejected.inc();
     }
@@ -91,16 +74,17 @@ impl ServiceMetrics {
         self.latency_us.record(micros(latency));
     }
 
+    /// An accepted request panicked in its profile source or detector and
+    /// gets no response.
+    pub fn record_failed(&self) {
+        self.failed.inc();
+    }
+
     /// One request's stage breakdown: time spent queued and time spent
     /// computing the verdict.
     pub fn record_stages(&self, timing: &StageTiming) {
         self.queue_wait_us.record(timing.queue_wait_us);
         self.compute_us.record(timing.compute_us);
-    }
-
-    /// Requests accepted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.get()
     }
 
     /// Requests shed so far.
@@ -112,96 +96,11 @@ impl ServiceMetrics {
     pub fn completed(&self) -> u64 {
         self.completed.get()
     }
-
-    /// Snapshot the request counters and latency percentiles into an
-    /// owned report.
-    pub fn report(&self) -> MetricsReport {
-        let completed = self.completed();
-        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        MetricsReport {
-            submitted: self.submitted(),
-            rejected: self.rejected(),
-            completed,
-            throughput_rps: completed as f64 / elapsed,
-            p50_us: self.latency_us.percentile(0.50),
-            p90_us: self.latency_us.percentile(0.90),
-            p99_us: self.latency_us.percentile(0.99),
-        }
-    }
-}
-
-/// A point-in-time snapshot of [`ServiceMetrics`], serializable as part
-/// of `loadgen`'s [`LoadgenSummary`](crate::report::LoadgenSummary).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MetricsReport {
-    /// Requests submitted (for `loadgen`, request lines sent).
-    pub submitted: u64,
-    /// Requests shed ([`SubmitError::Rejected`](crate::request::SubmitError)
-    /// in-process, `"shed"` responses over the wire).
-    pub rejected: u64,
-    /// Responses delivered.
-    pub completed: u64,
-    /// Completed requests per second since service start.
-    pub throughput_rps: f64,
-    /// Median latency upper bound, microseconds (0 with no samples).
-    pub p50_us: u64,
-    /// 90th-percentile latency upper bound, microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile latency upper bound, microseconds.
-    pub p99_us: u64,
-}
-
-impl fmt::Display for MetricsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "requests: {} submitted, {} completed, {} shed",
-            self.submitted, self.completed, self.rejected
-        )?;
-        writeln!(f, "throughput: {:.0} req/s", self.throughput_rps)?;
-        write!(
-            f,
-            "latency: p50 < {}us, p90 < {}us, p99 < {}us",
-            self.p50_us, self.p90_us, self.p99_us
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_walk_the_cdf() {
-        let m = ServiceMetrics::new();
-        // 90 fast samples (< 2us → bucket edge 2), 10 slow (~1ms).
-        for _ in 0..90 {
-            m.record_completed(Duration::from_micros(1));
-        }
-        for _ in 0..10 {
-            m.record_completed(Duration::from_micros(1000));
-        }
-        let r = m.report();
-        assert_eq!(r.completed, 100);
-        assert!(r.p50_us <= 2, "median in the fast bucket, got {}", r.p50_us);
-        assert!(
-            r.p99_us >= 1024,
-            "tail in the slow bucket, got {}",
-            r.p99_us
-        );
-    }
-
-    #[test]
-    fn empty_metrics_report_zero_percentiles() {
-        // With no completed requests the percentile is an explicit 0 —
-        // not the top bucket edge the CDF walk would fall through to.
-        let m = ServiceMetrics::new();
-        let r = m.report();
-        assert_eq!(r.completed, 0);
-        assert_eq!(r.p50_us, 0);
-        assert_eq!(r.p90_us, 0);
-        assert_eq!(r.p99_us, 0);
-    }
 
     #[test]
     fn batch_histogram_is_sparse() {
@@ -224,20 +123,21 @@ mod tests {
         let m = ServiceMetrics::with_registry(&registry);
         m.record_submitted();
         m.record_submitted();
+        m.record_submitted();
         m.record_rejected();
         m.record_batch(2);
         m.record_completed(Duration::from_micros(100));
+        m.record_failed();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("serve.submitted"), 2);
+        assert_eq!(snap.counter("serve.submitted"), 3);
         assert_eq!(snap.counter("serve.rejected"), 1);
         assert_eq!(snap.counter("serve.completed"), 1);
+        assert_eq!(snap.counter("serve.failed"), 1);
         assert_eq!(snap.counter("serve.batches"), 1);
-        let lat = snap.histogram("serve.latency_us").unwrap();
-        assert_eq!(lat.count, 1);
+        assert_eq!(snap.histogram("serve.latency_us").unwrap().count, 1);
         assert_eq!(snap.histogram("serve.batch_size").unwrap().count, 1);
-        // And the typed report agrees with the snapshot.
-        let r = m.report();
-        assert_eq!(r.submitted, 2);
-        assert_eq!(r.p50_us, lat.p50);
+        // And the typed getters agree with the snapshot.
+        assert_eq!(m.rejected(), 1);
+        assert_eq!(m.completed(), 1);
     }
 }

@@ -1,11 +1,7 @@
 //! The loadgen run summary — one serde model shared by stdout, `--json`,
-//! and anything downstream that parses it.
-//!
-//! The wall-time + registry-snapshot core is a [`BenchReport`], so the
-//! run's counters read the same way as any other registry snapshot.
+//! and anything downstream that parses it. Every figure in it is the
+//! client's own: counted from the responses it read, timed on its clock.
 
-use crate::metrics::MetricsReport;
-use sam_telemetry::BenchReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -47,9 +43,9 @@ pub struct SlowestRequest {
     pub trace: Option<String>,
 }
 
-/// The final summary of one loadgen run, assembled once from the client
-/// registry's snapshot plus the client-side counters. Stdout and
-/// `--json` render this same struct, so the two outputs cannot disagree.
+/// The final summary of one loadgen run, tallied from the responses
+/// the client read. Stdout and `--json` render this same struct, so the
+/// two outputs cannot disagree.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LoadgenSummary {
     /// Line discriminator, `"loadgen_summary"`.
@@ -82,10 +78,21 @@ pub struct LoadgenSummary {
     /// Responses carrying a verdict explanation (a gateway started with
     /// `--explain`).
     pub explained: u64,
-    /// Wall time + final registry snapshot.
-    pub bench: BenchReport,
-    /// Client-side throughput and round-trip latency.
-    pub metrics: MetricsReport,
+    /// Wall time of the soak, seconds.
+    pub wall_s: f64,
+    /// Median round-trip latency of completed requests, microseconds: the
+    /// upper edge of its power-of-two bucket (0 with no samples).
+    pub p50_us: u64,
+    /// 90th-percentile round-trip latency, microseconds (bucket edge).
+    pub p90_us: u64,
+    /// 99th-percentile round-trip latency, microseconds (bucket edge).
+    pub p99_us: u64,
+    /// Responses served from the gateway's profile cache
+    /// (`profile_cache_hit: true`).
+    pub cache_hits: u64,
+    /// Responses that trained their profile (`profile_cache_hit:
+    /// false`): with single-flight training, one per training.
+    pub cache_misses: u64,
     /// The gateway's own windowed stats report, fetched with a final
     /// `{"cmd":"stats"}` after the soak (before any drain). `None` when
     /// the fetch failed.
@@ -93,16 +100,6 @@ pub struct LoadgenSummary {
 }
 
 impl LoadgenSummary {
-    /// Profile-cache hits, read off the embedded snapshot.
-    pub fn cache_hits(&self) -> u64 {
-        self.bench.snapshot.counter("serve.cache_hits")
-    }
-
-    /// Profile-cache misses, read off the embedded snapshot.
-    pub fn cache_misses(&self) -> u64 {
-        self.bench.snapshot.counter("serve.cache_misses")
-    }
-
     /// The summary as pretty JSON (the `--json` payload).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("loadgen summary serializes")
@@ -116,8 +113,8 @@ impl fmt::Display for LoadgenSummary {
             "loadgen: {} requests in {:.2}s — {:.0} req/s ({} completed, {} shed, \
              {} transport errors, {} dropped responses, {} confirmed attacks)",
             self.requests,
-            self.bench.wall_s,
-            self.completed as f64 / self.bench.wall_s,
+            self.wall_s,
+            self.completed as f64 / self.wall_s,
             self.completed,
             self.shed,
             self.transport_errors,
@@ -150,8 +147,7 @@ impl fmt::Display for LoadgenSummary {
         writeln!(
             f,
             "profile cache: {} hits / {} misses",
-            self.cache_hits(),
-            self.cache_misses()
+            self.cache_hits, self.cache_misses
         )?;
         if let Some(gs) = &self.gateway_stats {
             if let Some(w) = gs.window(10).or_else(|| gs.windows.first()) {
@@ -166,19 +162,19 @@ impl fmt::Display for LoadgenSummary {
                 )?;
             }
         }
-        write!(f, "{}", self.metrics)
+        write!(
+            f,
+            "latency: p50 < {}us, p90 < {}us, p99 < {}us",
+            self.p50_us, self.p90_us, self.p99_us
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_telemetry::Registry;
 
     fn sample() -> LoadgenSummary {
-        let registry = Registry::default();
-        registry.counter("serve.cache_hits").add(7);
-        registry.counter("serve.cache_misses").add(3);
         LoadgenSummary {
             kind: "loadgen_summary".to_string(),
             requests: 100,
@@ -197,30 +193,25 @@ mod tests {
             dropped_responses: 0,
             confirmed: 30,
             explained: 98,
-            bench: BenchReport::new("loadgen", 1.25, registry.snapshot()),
-            metrics: MetricsReport {
-                submitted: 98,
-                rejected: 2,
-                completed: 98,
-                throughput_rps: 78.4,
-                p50_us: 120,
-                p90_us: 300,
-                p99_us: 900,
-            },
+            wall_s: 1.25,
+            p50_us: 128,
+            p90_us: 512,
+            p99_us: 1024,
+            cache_hits: 7,
+            cache_misses: 3,
             gateway_stats: None,
         }
     }
 
     #[test]
-    fn summary_round_trips_and_reads_snapshot_counters() {
-        let s = sample();
-        assert_eq!(s.cache_hits(), 7);
-        assert_eq!(s.cache_misses(), 3);
-        let json = s.to_json();
+    fn summary_round_trips() {
+        let json = sample().to_json();
         let back: LoadgenSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back.requests, 100);
-        assert_eq!(back.bench.name, "loadgen");
-        assert_eq!(back.cache_hits(), 7);
+        assert_eq!(back.wall_s, 1.25);
+        assert_eq!(back.p99_us, 1024);
+        assert_eq!(back.cache_hits, 7);
+        assert_eq!(back.cache_misses, 3);
         assert_eq!(back.shed, 2, "service shed kept separate");
         assert_eq!(back.transport_errors, 1, "transport failures kept separate");
         assert_eq!(back.transport_error_breakdown.decode, 1);
@@ -237,6 +228,10 @@ mod tests {
         let text = sample().to_string();
         assert!(text.contains("100 requests"), "{text}");
         assert!(text.contains("7 hits / 3 misses"), "{text}");
+        assert!(
+            text.contains("latency: p50 < 128us, p90 < 512us, p99 < 1024us"),
+            "{text}"
+        );
         assert!(text.contains("explained responses: 98"), "{text}");
         assert!(
             text.contains("transport errors: 0 connect, 0 read, 1 decode, 0 protocol"),

@@ -1,27 +1,31 @@
-//! The sharded, batching detection service.
+//! The batching detection service: one bounded queue, drained by a pool
+//! of workers.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!  submit() ──rr──▶ [bounded queue 0] ──▶ worker 0 ─┐
-//!            └────▶ [bounded queue 1] ──▶ worker 1 ─┼─▶ Pending slots
-//!                      …                     …      ┘
-//!                         shared: ProfileCache + ServiceMetrics
+//!  submit() ──▶ [bounded queue] ──┬──▶ worker 0 ─┐
+//!                                 ├──▶ worker 1 ─┼─▶ one reply channel
+//!                                 …       …      ┘   per request
+//!                  shared: ProfileCache + ServiceMetrics
 //! ```
 //!
-//! * **Sharding** — each worker owns one bounded channel. `submit`
-//!   round-robins across shards and fails over to the next shard when the
-//!   preferred one is full; only when *every* queue is full is the
-//!   request shed with [`SubmitError::Rejected`].
+//! * **Queueing** — every worker drains the service's one bounded
+//!   channel. `submit` never blocks: when the queue is full the request is
+//!   shed with [`SubmitError::Rejected`].
 //! * **Batching** — a worker blocks on `recv` for its first request, then
 //!   opportunistically drains up to `max_batch - 1` more with `try_recv`
 //!   before processing, amortizing wakeups under load while adding zero
 //!   latency when idle.
+//! * **Isolation** — each request runs under `catch_unwind`. A panicking
+//!   [`ProfileSource`] or detector drops that request's reply sender
+//!   unsent, so its [`Pending::wait`] returns `None` and `serve.failed`
+//!   counts it; the worker goes on to the next request.
 //! * **Determinism** — a verdict is a pure function of the request's
 //!   routes, its profile (itself a pure function of the
 //!   [`ProfileKey`]), and its reported probe behaviour. Worker count,
 //!   batch boundaries, and arrival order cannot change any verdict; the
-//!   `worker_invariance` integration test pins this.
+//!   `verdicts_are_invariant_across_worker_counts` test pins this.
 
 use crate::cache::ProfileCache;
 use crate::metrics::ServiceMetrics;
@@ -34,17 +38,18 @@ use sam::{
     run_procedure, DetectorInput, DetectorRegistry, NormalProfile, ProcedureConfig, SamConfig,
 };
 use sam_telemetry::{Registry, TraceContext};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// How a [`DetectionService`] is shaped.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads (= shards). At least 1.
+    /// Worker threads draining the service's queue. At least 1.
     pub workers: usize,
-    /// Bounded capacity of each shard's queue. At least 1.
+    /// Bounded capacity of the service's one queue; a submission that
+    /// finds it full is shed. At least 1.
     pub queue_capacity: usize,
     /// Maximum requests a worker drains per wake. At least 1.
     pub max_batch: usize,
@@ -80,37 +85,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A handle to one in-flight request's eventual response.
-///
-/// This is a tiny oneshot: the worker fills the slot and notifies; the
-/// caller blocks in [`wait`](Pending::wait).
-pub struct Pending {
-    slot: Arc<(Mutex<Option<DetectionResponse>>, Condvar)>,
-}
+/// A handle to one in-flight request's eventual response: the receiving
+/// end of a one-message channel whose sender travels with the request.
+pub struct Pending(Receiver<DetectionResponse>);
 
 impl Pending {
-    fn new() -> (Pending, Pending) {
-        let slot = Arc::new((Mutex::new(None), Condvar::new()));
-        (Pending { slot: slot.clone() }, Pending { slot })
-    }
-
-    fn fill(&self, response: DetectionResponse) {
-        let (lock, cvar) = &*self.slot;
-        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = Some(response);
-        cvar.notify_all();
-    }
-
-    /// Block until the response arrives.
-    pub fn wait(self) -> DetectionResponse {
-        let (lock, cvar) = &*self.slot;
-        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(response) = guard.take() {
-                return response;
-            }
-            guard = cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
+    /// Block until the request is finished. `None` when it failed: a
+    /// panic in its profile source or detector dropped the sender unsent.
+    pub fn wait(self) -> Option<DetectionResponse> {
+        self.0.recv().ok()
     }
 }
 
@@ -121,7 +104,7 @@ struct Job {
     /// The request's trace, handed explicitly across the channel — the
     /// worker thread's span stack cannot see the submitter's spans.
     trace: Option<TraceContext>,
-    reply: Pending,
+    reply: Sender<DetectionResponse>,
 }
 
 /// Produces the normal-condition profile for a deployment key. Must be
@@ -131,38 +114,21 @@ pub type ProfileSource = Arc<dyn Fn(&ProfileKey) -> NormalProfile + Send + Sync>
 /// The in-process batch detection service. See the [module
 /// docs](crate::service) for the architecture.
 pub struct DetectionService {
-    shards: Vec<Sender<Job>>,
+    /// `None` only while dropping: taking it disconnects the workers.
+    queue: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    next_shard: AtomicUsize,
     cache: Arc<ProfileCache>,
     metrics: Arc<ServiceMetrics>,
-    registry: Arc<Registry>,
     detectors: DetectorRegistry,
 }
 
 impl DetectionService {
-    /// Start the worker pool. `profiles` trains (or loads) the normal
-    /// profile for a key on first sight; results are cached.
-    pub fn start(cfg: ServiceConfig, profiles: ProfileSource) -> Self {
-        // All instruments live in one registry: the process-global one
-        // when telemetry is installed (so `serve.*` shows up in exported
-        // snapshots), a private one otherwise.
-        let registry = sam_telemetry::global()
-            .map(|t| t.registry().clone())
-            .unwrap_or_default();
-        Self::start_with_registry(cfg, profiles, registry)
-    }
-
-    /// Like [`start`](Self::start), but recording into an explicit
-    /// `registry` instead of the global-or-private default. A multi-shard
-    /// embedder (the gateway) passes its own registry to every shard so
-    /// all `serve.*` instruments aggregate alongside its own, regardless
-    /// of whether process-global telemetry is installed.
-    pub fn start_with_registry(
-        cfg: ServiceConfig,
-        profiles: ProfileSource,
-        registry: Arc<Registry>,
-    ) -> Self {
+    /// Start the worker pool, recording every `serve.*` instrument into
+    /// `registry`. `profiles` trains (or loads) the normal profile for a
+    /// key on first sight; results are cached. A multi-shard embedder
+    /// (the gateway) passes its own registry to every shard, so all
+    /// `serve.*` instruments aggregate alongside its own.
+    pub fn start(cfg: ServiceConfig, profiles: ProfileSource, registry: Arc<Registry>) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.queue_capacity >= 1, "need queue capacity >= 1");
         assert!(cfg.max_batch >= 1, "need max_batch >= 1");
@@ -174,36 +140,30 @@ impl DetectionService {
         ));
         let metrics = Arc::new(ServiceMetrics::with_registry(&registry));
         let detectors = DetectorRegistry::with_sam(cfg.detector);
-        let mut shards = Vec::with_capacity(cfg.workers);
-        let mut workers = Vec::with_capacity(cfg.workers);
-
-        for shard in 0..cfg.workers {
-            let (tx, rx) = bounded::<Job>(cfg.queue_capacity);
-            shards.push(tx);
-            let worker = Worker {
-                rx,
-                max_batch: cfg.max_batch,
-                detectors: detectors.clone(),
-                explain: cfg.explain,
-                cache: cache.clone(),
-                metrics: metrics.clone(),
-                profiles: profiles.clone(),
-            };
-            workers.push(
+        let (queue, rx) = bounded::<Job>(cfg.queue_capacity);
+        let workers = (0..cfg.workers)
+            .map(|i| {
+                let worker = Worker {
+                    rx: rx.clone(),
+                    max_batch: cfg.max_batch,
+                    detectors: detectors.clone(),
+                    explain: cfg.explain,
+                    cache: cache.clone(),
+                    metrics: metrics.clone(),
+                    profiles: profiles.clone(),
+                };
                 std::thread::Builder::new()
-                    .name(format!("sam-serve-{shard}"))
+                    .name(format!("sam-serve-{i}"))
                     .spawn(move || worker.run())
-                    .expect("spawn worker thread"),
-            );
-        }
+                    .expect("spawn worker thread")
+            })
+            .collect();
 
         DetectionService {
-            shards,
+            queue: Some(queue),
             workers,
-            next_shard: AtomicUsize::new(0),
             cache,
             metrics,
-            registry,
             detectors,
         }
     }
@@ -211,19 +171,13 @@ impl DetectionService {
     /// Submit a request without blocking.
     ///
     /// On success the returned [`Pending`] resolves to the response. When
-    /// every shard queue is full the request is shed with
-    /// [`SubmitError::Rejected`] carrying the depth of the preferred
-    /// shard's queue — callers decide whether to retry, downsample, or
-    /// surface the overload.
-    pub fn submit(&self, request: DetectionRequest) -> Result<Pending, SubmitError> {
-        self.submit_traced(request, None)
-    }
-
-    /// [`submit`](Self::submit) with a trace context carried across the
-    /// shard boundary: when telemetry is installed, the worker's
-    /// `serve.process` span is parented under `trace` instead of being a
-    /// detached root. `None` is exactly `submit` — no trace, no cost.
-    pub fn submit_traced(
+    /// the queue is full the request is shed with
+    /// [`SubmitError::Rejected`] carrying the queue's depth — callers
+    /// decide whether to retry, downsample, or surface the overload.
+    ///
+    /// With telemetry installed, a `trace` parents the worker's
+    /// `serve.process` span across the queue; `None` costs nothing.
+    pub fn submit(
         &self,
         request: DetectionRequest,
         trace: Option<TraceContext>,
@@ -236,35 +190,34 @@ impl DetectionService {
                 return Err(SubmitError::UnknownDetector { name: name.clone() });
             }
         }
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        let n = self.shards.len();
-        let (theirs, ours) = Pending::new();
-        let mut job = Job {
+        let Some(queue) = &self.queue else {
+            return Err(SubmitError::Closed);
+        };
+        let (reply, pending) = bounded(1);
+        let job = Job {
             request,
             accepted_at: Instant::now(),
             trace,
-            reply: theirs,
+            reply,
         };
-        for i in 0..n {
-            let shard = &self.shards[(start + i) % n];
-            match shard.try_send(job) {
-                Ok(()) => {
-                    self.metrics.record_submitted();
-                    return Ok(ours);
-                }
-                Err(TrySendError::Full(j)) => job = j,
-                Err(TrySendError::Disconnected(_)) => return Err(SubmitError::Closed),
+        match queue.try_send(job) {
+            Ok(()) => {
+                self.metrics.record_submitted();
+                Ok(Pending(pending))
             }
+            Err(TrySendError::Full(_)) => {
+                self.metrics.record_rejected();
+                Err(SubmitError::Rejected {
+                    queue_depth: queue.len(),
+                })
+            }
+            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Closed),
         }
-        self.metrics.record_rejected();
-        Err(SubmitError::Rejected {
-            queue_depth: self.shards[start % n].len(),
-        })
     }
 
-    /// Requests currently waiting in shard queues.
+    /// Requests currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.queue.as_ref().map_or(0, Sender::len)
     }
 
     /// The shared profile cache (hit/miss counters live here).
@@ -272,39 +225,26 @@ impl DetectionService {
         &self.cache
     }
 
-    /// The detector registry requests select from by name.
-    pub fn detectors(&self) -> &DetectorRegistry {
-        &self.detectors
-    }
-
     /// The shared metrics.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
         &self.metrics
     }
 
-    /// The registry holding every `serve.*` instrument — the global
-    /// telemetry registry when one was installed at start, a private one
-    /// otherwise.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Stop accepting work, drain the queues, and join every worker.
+    /// Stop accepting work, drain the queue, and join every worker.
     ///
     /// Already-queued requests are still processed and their `Pending`s
-    /// still resolve; only new submissions fail (with
-    /// [`SubmitError::Closed`]).
-    pub fn shutdown(mut self) {
-        self.shards.clear(); // disconnects senders; workers drain + exit
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    /// still resolve. Dropping the service does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for DetectionService {
     fn drop(&mut self) {
-        self.shards.clear();
+        // Disconnecting the queue ends each worker once it is empty
+        // (bounded channels deliver queued items before reporting
+        // disconnection).
+        self.queue = None;
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -327,14 +267,10 @@ struct Worker {
 impl Worker {
     fn run(self) {
         let mut batch = Vec::with_capacity(self.max_batch);
-        loop {
-            // Block for the first request; senders dropping ends the loop
-            // once the queue is empty (bounded channels deliver queued
-            // items before reporting disconnection).
-            match self.rx.recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => return,
-            }
+        // Block for the first request; the service dropping its sender
+        // ends the loop once the queue is empty.
+        while let Ok(job) = self.rx.recv() {
+            batch.push(job);
             // Opportunistically drain the rest of the batch.
             while batch.len() < self.max_batch {
                 match self.rx.try_recv() {
@@ -345,20 +281,34 @@ impl Worker {
             self.metrics.record_batch(batch.len());
             let mut span = sam_telemetry::span("serve.batch");
             span.field("size", batch.len());
-            for job in batch.drain(..) {
-                self.process(job);
+            for Job {
+                request,
+                accepted_at,
+                trace,
+                reply,
+            } in batch.drain(..)
+            {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    self.process(request, accepted_at, trace)
+                })) {
+                    Ok(response) => {
+                        // A caller that stopped waiting is no error.
+                        let _ = reply.send(response);
+                    }
+                    // Count before `reply` drops and wakes the caller.
+                    Err(_) => self.metrics.record_failed(),
+                }
             }
             drop(span);
         }
     }
 
-    fn process(&self, job: Job) {
-        let Job {
-            request,
-            accepted_at,
-            trace,
-            reply,
-        } = job;
+    fn process(
+        &self,
+        request: DetectionRequest,
+        accepted_at: Instant,
+        trace: Option<TraceContext>,
+    ) -> DetectionResponse {
         // Stage clock: submission → here is queue wait (plus batch
         // predecessors); here → verdict is compute. Both land in the
         // serve.* histograms and travel back on the response.
@@ -428,7 +378,7 @@ impl Worker {
         self.metrics.record_completed(accepted_at.elapsed());
         self.metrics.record_stages(&timing);
         drop(span); // close before the caller wakes
-        reply.fill(DetectionResponse {
+        DetectionResponse {
             id: request.id,
             detector: name.to_string(),
             score,
@@ -436,6 +386,6 @@ impl Worker {
             profile_cache_hit: cache_hit,
             timing,
             explanation,
-        });
+        }
     }
 }

@@ -50,7 +50,7 @@ pub struct StatsReport {
 pub struct ShardStats {
     /// Shard index on the hash ring.
     pub shard: u64,
-    /// Requests sitting in this shard's worker queues right now.
+    /// Requests sitting in this shard's queue right now.
     pub queue_depth: u64,
     /// Requests routed to this shard since start.
     pub requests: u64,
@@ -362,7 +362,7 @@ impl StatsReport {
             &mut out,
             "sam_gateway_shard_queue_depth",
             "gauge",
-            "Requests waiting in each shard's queues",
+            "Requests waiting in each shard's queue",
         );
         for s in &self.shards {
             let _ = writeln!(

@@ -276,24 +276,6 @@ pub struct WireRequest {
 }
 
 impl WireRequest {
-    /// Flatten a service request for the wire.
-    pub fn from_request(req: &DetectionRequest) -> Self {
-        WireRequest {
-            id: req.id,
-            topology: req.key.topology.clone(),
-            protocol: req.key.protocol.clone(),
-            routes: req
-                .routes
-                .iter()
-                .map(|r| r.nodes().iter().map(|n| n.0).collect())
-                .collect(),
-            probe_ack_ratio: req.probe_ack_ratio,
-            detector: req.detector.clone(),
-            timings: false,
-            trace: None,
-        }
-    }
-
     /// Validate into a service request. Every route must satisfy the
     /// [`Route`] invariants — wire input never bypasses them.
     pub fn into_request(self) -> Result<DetectionRequest, WireError> {

@@ -88,6 +88,7 @@ fn served() -> &'static [DetectionResponse] {
             Arc::new(|key: &ProfileKey| {
                 train_profile(&find(&key.topology, &key.protocol).expect("catalogue key"))
             }),
+            Arc::default(),
         );
         let responses = replay_corpus(50, None)
             .into_iter()
@@ -101,7 +102,11 @@ fn served() -> &'static [DetectionResponse] {
                     probe_ack_ratio: None,
                     detector: None,
                 };
-                service.submit(request).expect("one in flight").wait()
+                service
+                    .submit(request, None)
+                    .expect("one in flight")
+                    .wait()
+                    .expect("served")
             })
             .collect();
         service.shutdown();

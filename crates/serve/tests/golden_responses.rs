@@ -89,11 +89,16 @@ fn golden_lines() -> Vec<String> {
             let deployment = find(&key.topology, &key.protocol).expect("catalogue key");
             train_profile(&deployment)
         }),
+        Arc::default(),
     );
     let lines = requests()
         .into_iter()
         .map(|request| {
-            let mut response = service.submit(request).expect("one in flight").wait();
+            let mut response = service
+                .submit(request, None)
+                .expect("one in flight")
+                .wait()
+                .expect("served");
             response.timing = StageTiming::default();
             response.profile_cache_hit = false;
             let wire = WireResponse::ok(response.clone()).encode();

@@ -1,11 +1,13 @@
 //! Integration tests for the detection service: determinism across worker
-//! counts, profile-cache accounting, and backpressure behaviour.
+//! counts, profile-cache accounting, backpressure behaviour, and panic
+//! isolation.
 
 use manet_routing::Route;
 use manet_sim::NodeId;
 use sam::{NormalProfile, SamConfig};
 use sam_serve::prelude::*;
 use sam_serve::service::ProfileSource;
+use sam_telemetry::Registry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -89,13 +91,13 @@ fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Ver
         },
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles());
+    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
     let mut verdicts = BTreeMap::new();
     let mut pending = Vec::new();
     for req in requests {
         // Retry on shed: correctness tests must process every request.
         loop {
-            match service.submit(req.clone()) {
+            match service.submit(req.clone(), None) {
                 Ok(p) => {
                     pending.push(p);
                     break;
@@ -106,7 +108,7 @@ fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Ver
         }
     }
     for p in pending {
-        let resp = p.wait();
+        let resp = p.wait().expect("served");
         assert!(
             verdicts.insert(resp.id, resp.verdict).is_none(),
             "duplicate response id"
@@ -146,13 +148,20 @@ fn profile_cache_accounts_hits_and_misses() {
         cache_capacity: 8,
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles());
+    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
     let requests = request_mix(40); // two distinct keys
     let pending: Vec<Pending> = requests
         .iter()
-        .map(|r| service.submit(r.clone()).expect("queue is large enough"))
+        .map(|r| {
+            service
+                .submit(r.clone(), None)
+                .expect("queue is large enough")
+        })
         .collect();
-    let responses: Vec<DetectionResponse> = pending.into_iter().map(Pending::wait).collect();
+    let responses: Vec<DetectionResponse> = pending
+        .into_iter()
+        .map(|p| p.wait().expect("served"))
+        .collect();
 
     let cache = service.cache();
     assert_eq!(cache.misses(), 2, "one training per distinct key");
@@ -175,13 +184,20 @@ fn explain_flag_attaches_explanations_that_name_the_wormhole() {
         },
         explain: true,
     };
-    let service = DetectionService::start(cfg, synthetic_profiles());
+    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
     let requests = request_mix(24);
     let pending: Vec<Pending> = requests
         .iter()
-        .map(|r| service.submit(r.clone()).expect("queue is large enough"))
+        .map(|r| {
+            service
+                .submit(r.clone(), None)
+                .expect("queue is large enough")
+        })
         .collect();
-    let responses: Vec<DetectionResponse> = pending.into_iter().map(Pending::wait).collect();
+    let responses: Vec<DetectionResponse> = pending
+        .into_iter()
+        .map(|p| p.wait().expect("served"))
+        .collect();
     service.shutdown();
 
     for resp in &responses {
@@ -230,13 +246,14 @@ fn full_queue_sheds_with_rejected_and_never_deadlocks() {
             ..ServiceConfig::default()
         },
         source,
+        Arc::default(),
     );
 
     let requests = request_mix(32);
     let mut accepted = Vec::new();
     let mut shed = 0usize;
     for req in &requests {
-        match service.submit(req.clone()) {
+        match service.submit(req.clone(), None) {
             Ok(p) => accepted.push(p),
             Err(SubmitError::Rejected { queue_depth }) => {
                 assert!(queue_depth > 0, "rejection must report a full queue");
@@ -262,7 +279,7 @@ fn full_queue_sheds_with_rejected_and_never_deadlocks() {
     }
     let n = accepted.len() as u64;
     for p in accepted {
-        let _ = p.wait();
+        p.wait().expect("served");
     }
     assert_eq!(service.metrics().completed(), n);
     service.shutdown();
@@ -288,10 +305,14 @@ fn explicit_sam_is_byte_identical_to_the_unset_default() {
 
 #[test]
 fn unknown_detector_is_rejected_at_submission_with_a_typed_error() {
-    let service = DetectionService::start(ServiceConfig::default(), synthetic_profiles());
+    let service = DetectionService::start(
+        ServiceConfig::default(),
+        synthetic_profiles(),
+        Arc::default(),
+    );
     let mut req = request_mix(1).remove(0);
     req.detector = Some("oracle".to_string());
-    match service.submit(req) {
+    match service.submit(req, None) {
         Err(SubmitError::UnknownDetector { name }) => {
             assert_eq!(name, "oracle");
         }
@@ -319,11 +340,15 @@ fn alternative_detectors_serve_verdicts_and_echo_their_name() {
         explain: true,
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles());
+    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
     for name in ["zscore", "ensemble"] {
         let mut req = request_mix(1).remove(0); // id 0: attacked worm_set
         req.detector = Some(name.to_string());
-        let resp = service.submit(req).expect("known detector").wait();
+        let resp = service
+            .submit(req, None)
+            .expect("known detector")
+            .wait()
+            .expect("served");
         assert_eq!(resp.detector, name);
         assert!(
             resp.verdict.anomalous,
@@ -348,7 +373,55 @@ fn alternative_detectors_serve_verdicts_and_echo_their_name() {
     // A normal set stays clean under the ensemble.
     let mut normal = request_mix(2).remove(1);
     normal.detector = Some("ensemble".to_string());
-    let resp = service.submit(normal).expect("known detector").wait();
+    let resp = service
+        .submit(normal, None)
+        .expect("known detector")
+        .wait()
+        .expect("served");
     assert!(!resp.verdict.anomalous, "{:?}", resp.verdict);
     service.shutdown();
+}
+
+#[test]
+fn a_panicking_request_answers_none_and_costs_no_worker() {
+    // The source panics for synthetic-a (even ids of the mix) and trains
+    // synthetic-b (odd ids) as usual.
+    let synthetic = synthetic_profiles();
+    let source: ProfileSource = Arc::new(move |key: &ProfileKey| {
+        assert_ne!(key.topology, "synthetic-a", "profile source failed");
+        synthetic(key)
+    });
+    let registry = Arc::new(Registry::new());
+    let cfg = ServiceConfig {
+        workers: 2,
+        queue_capacity: 64,
+        max_batch: 4,
+        cache_capacity: 8,
+        ..ServiceConfig::default()
+    };
+    let service = DetectionService::start(cfg, source, registry.clone());
+    let requests = request_mix(16);
+
+    // Three panics: without isolation both workers would be dead by now,
+    // and the healthy submissions below would fail with `Closed`.
+    for req in requests.iter().filter(|r| r.id % 2 == 0).take(3) {
+        let pending = service.submit(req.clone(), None).expect("accepted");
+        assert!(pending.wait().is_none(), "request {} panicked", req.id);
+    }
+    for req in requests.iter().filter(|r| r.id % 2 == 1) {
+        let pending = service.submit(req.clone(), None).expect("accepted");
+        let resp = pending.wait().expect("the workers survive the panics");
+        assert_eq!(resp.id, req.id);
+    }
+    service.shutdown();
+
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.submitted"), 11);
+    assert_eq!(snap.counter("serve.completed"), 8);
+    assert_eq!(snap.counter("serve.failed"), 3);
+    assert_eq!(
+        snap.counter("serve.submitted"),
+        snap.counter("serve.completed") + snap.counter("serve.failed"),
+        "every accepted request ends completed or failed"
+    );
 }

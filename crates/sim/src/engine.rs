@@ -199,11 +199,6 @@ impl<M: Clone + Debug> Network<M> {
         self.faults = Some(hook);
     }
 
-    /// Remove the fault hook, restoring clean-channel behaviour.
-    pub fn clear_fault_hook(&mut self) {
-        self.faults = None;
-    }
-
     /// Whether a fault hook is installed.
     pub fn has_fault_hook(&self) -> bool {
         self.faults.is_some()
@@ -570,18 +565,6 @@ impl<'a, M: Clone + Debug> Ctx<'a, M> {
     /// The node this event was dispatched to.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Lineage id of the event currently being handled. Everything this
-    /// behaviour schedules is recorded as a causal child of this id, and
-    /// the matching [`TraceEntry`] (when tracing
-    /// is on) carries the same id — letting protocol layers associate
-    /// their own artefacts (a recorded route, a cache entry) with the
-    /// packet provenance in the flight recorder.
-    pub fn event_id(&self) -> u64 {
-        self.net
-            .current_cause
-            .expect("Ctx only exists while an event is being dispatched")
     }
 
     /// Current simulated time.

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::event::{Channel, FaultKind};
     pub use crate::ids::{Link, NodeId, NodeIndexOverflow};
     pub use crate::metrics::{Metrics, NodeCounters};
-    pub use crate::radio::{range_for_tier, LatencyModel, RadioConfig};
+    pub use crate::radio::{range_for_tier, LatencyModel};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::cluster::{two_cluster, two_cluster_with, TwoClusterConfig};
     pub use crate::topology::graph::{bfs_hops, hop_distance, is_connected, shortest_path};

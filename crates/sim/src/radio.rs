@@ -59,25 +59,6 @@ impl LatencyModel {
     }
 }
 
-/// Radio configuration: the disc range plus the latency model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct RadioConfig {
-    /// Disc radius: nodes within this distance are neighbours.
-    pub range: f64,
-    /// Latency model applied to each over-the-air delivery.
-    pub latency: LatencyModel,
-}
-
-impl RadioConfig {
-    /// Radio with the given range and default latencies.
-    pub fn with_range(range: f64) -> Self {
-        RadioConfig {
-            range,
-            latency: LatencyModel::default(),
-        }
-    }
-}
-
 /// Transmission range of a *k-tier* system on a unit-spaced grid.
 ///
 /// The paper defines tiers by grid hops: in a 1-tier system a node talks to

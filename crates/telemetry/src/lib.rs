@@ -49,7 +49,7 @@ pub mod trace;
 pub mod window;
 
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
-pub use report::{BenchReport, TelemetryReport};
+pub use report::TelemetryReport;
 pub use span::{EventRecord, SpanGuard};
 pub use trace::{TraceContext, TraceId, TraceIdGen};
 pub use window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};
@@ -212,7 +212,7 @@ pub mod prelude {
     pub use crate::registry::{
         Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
     };
-    pub use crate::report::{write_jsonl, BenchReport, TelemetryReport};
+    pub use crate::report::{write_jsonl, TelemetryReport};
     pub use crate::span::{EventRecord, SpanGuard};
     pub use crate::trace::{TraceContext, TraceId, TraceIdGen};
     pub use crate::window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};

@@ -14,7 +14,6 @@
 
 use crate::registry::RegistrySnapshot;
 use crate::span::EventRecord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -113,34 +112,6 @@ impl fmt::Display for TelemetryReport {
     }
 }
 
-/// One named run's wall time plus its final metrics snapshot, so key
-/// counters can be read with the same tooling that reads the registry.
-/// `loadgen --json` embeds it in its summary; CI asserts on the
-/// snapshot's counters (one profile training per deployment key).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Line discriminator, `"bench"`.
-    pub kind: String,
-    /// Which benchmark this is (e.g. `reproduce` or `loadgen`).
-    pub name: String,
-    /// Wall-clock duration of the measured section, seconds.
-    pub wall_s: f64,
-    /// Final registry snapshot (counters/gauges/histograms).
-    pub snapshot: RegistrySnapshot,
-}
-
-impl BenchReport {
-    /// Assemble a report.
-    pub fn new(name: &str, wall_s: f64, snapshot: RegistrySnapshot) -> Self {
-        BenchReport {
-            kind: "bench".to_string(),
-            name: name.to_string(),
-            wall_s,
-            snapshot,
-        }
-    }
-}
-
 /// Write `records` (one line each) followed by an optional final
 /// `snapshot` line to `w` in the JSONL schema above.
 pub fn write_jsonl<W: Write>(
@@ -199,18 +170,6 @@ mod tests {
     fn empty_report_renders_placeholder() {
         let report = TelemetryReport::from_records(&[]);
         assert_eq!(report.to_string(), "telemetry: no spans recorded");
-    }
-
-    #[test]
-    fn bench_report_round_trips() {
-        let tel = crate::Telemetry::new();
-        tel.registry().counter("runs").add(3);
-        let report = BenchReport::new("loadgen", 1.25, tel.snapshot());
-        let text = serde_json::to_string_pretty(&report).unwrap();
-        let back: BenchReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.kind, "bench");
-        assert_eq!(back.snapshot.counter("runs"), 3);
     }
 
     #[test]
