@@ -1,15 +1,19 @@
 //! Exactly one response per accepted request when the profile source
 //! panics: the failing request gets one `"error"` line, its connection
 //! and its shard keep serving, and drain still returns within its grace.
+//! The `{"cmd":"stats"}` totals then account for every request line.
 //! Every wait is bounded, so a gateway that never answers fails this test
 //! instead of hanging the suite.
 
 mod common;
 
-use common::{synthetic_profiles, test_gateway, test_gateway_with, wire_request, Client};
+use common::{
+    detector_wire_request, synthetic_profiles, test_gateway, test_gateway_with, wire_request,
+    Client,
+};
 use sam_serve::prelude::Verdict;
 use sam_serve::service::ProfileSource;
-use sam_serve::wire::{WireResponse, STATUS_ERROR, STATUS_OK};
+use sam_serve::wire::{WireResponse, STATUS_ERROR, STATUS_OK, STATUS_UNKNOWN_DETECTOR};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{mpsc, Arc};
@@ -131,4 +135,56 @@ fn a_panicking_profile_source_costs_one_error_line_per_request() {
     assert_eq!(snapshot.counter("serve.submitted"), sent);
     assert_eq!(snapshot.counter("serve.completed"), sent - failed);
     assert_eq!(snapshot.counter("gateway.requests"), sent - failed);
+}
+
+#[test]
+fn stats_totals_account_for_every_request_line() {
+    let gateway = test_gateway_with(1, panics_on_synthetic_a());
+    let mut client =
+        Client::connect_with_timeout(gateway.local_addr(), READ_BOUND).expect("connect");
+    let mut statuses = BTreeMap::<String, u64>::new();
+    let mut answer = |client: &mut Client, id: u64| {
+        let resp = one_line(client, id);
+        *statuses.entry(resp.status).or_default() += 1;
+    };
+    for id in PROBES.start..PIPELINED.end {
+        client.send(&wire_request(id)).expect("send");
+        answer(&mut client, id);
+        client
+            .send(&detector_wire_request(id, "oracle"))
+            .expect("send");
+        answer(&mut client, id);
+    }
+    client.send_raw("{not json").expect("send");
+    answer(&mut client, 0);
+    let lines = 2 * (PIPELINED.end - PROBES.start) + 1;
+
+    let failed = (PROBES.start..PIPELINED.end)
+        .filter(|&id| targets_synthetic_a(id))
+        .count() as u64;
+    let served = PIPELINED.end - PROBES.start - failed;
+    let refused = PIPELINED.end - PROBES.start + 1;
+    assert_eq!(statuses[STATUS_OK], served);
+    assert_eq!(statuses[STATUS_UNKNOWN_DETECTOR], refused - 1);
+    assert_eq!(statuses[STATUS_ERROR], failed + 1);
+
+    client.send_raw(r#"{"cmd":"stats"}"#).expect("send");
+    let totals = one_line(&mut client, 0)
+        .stats
+        .expect("stats payload")
+        .totals;
+    assert_eq!(
+        (
+            totals.requests,
+            totals.request_shed,
+            totals.refused,
+            totals.failed
+        ),
+        (served, 0, refused, failed)
+    );
+    assert_eq!(
+        totals.requests + totals.request_shed + totals.refused + totals.failed,
+        lines
+    );
+    drop(gateway.drain());
 }

@@ -213,6 +213,8 @@ pub fn doc_sample_report() -> StatsReport {
         totals: StatsTotals {
             requests: 1200,
             request_shed: 12,
+            refused: 3,
+            failed: 0,
             conns_accepted: 8,
             conn_shed: 0,
             active_conns: 4,

@@ -25,9 +25,11 @@
 //! clean runs) — the serving-path version of the robustness sweep.
 //!
 //! The final summary is one [`LoadgenSummary`] — stdout and `--json PATH`
-//! render the same struct, so they cannot disagree. Service shed and
-//! transport failures are separate fields: `shed` counts deliberate
-//! overload responses, `transport_errors` counts connection-level losses.
+//! render the same struct, so they cannot disagree. Service shed,
+//! refusals and transport failures are separate fields: `shed` counts
+//! deliberate overload responses, `refused` every other answer that is
+//! not `"ok"` (`"error"`, `"unknown_detector"`), and `transport_errors`
+//! connection-level losses.
 //! CI's smokes assert on the JSON (`cache_misses` counts the responses
 //! that trained a profile); speed is gated by perfbench, not by this
 //! summary.
@@ -136,6 +138,7 @@ fn parse_args() -> Result<Args, String> {
 struct Tally {
     completed: u64,
     shed: u64,
+    refused: u64,
     transport: TransportErrors,
     confirmed: u64,
     explained: u64,
@@ -150,6 +153,7 @@ impl Tally {
     fn merge(&mut self, other: Tally) {
         self.completed += other.completed;
         self.shed += other.shed;
+        self.refused += other.refused;
         self.transport.connect += other.transport.connect;
         self.transport.read += other.transport.read;
         self.transport.decode += other.transport.decode;
@@ -242,12 +246,13 @@ fn main() -> ExitCode {
         requests: args.requests,
         completed: tally.completed,
         shed: tally.shed,
+        refused: tally.refused,
         transport_errors,
         transport_error_breakdown: tally.transport,
         slowest: tally.slowest.clone(),
         dropped_responses: args
             .requests
-            .saturating_sub(tally.completed + tally.shed + transport_errors),
+            .saturating_sub(tally.completed + tally.shed + tally.refused + transport_errors),
         confirmed: tally.confirmed,
         explained: tally.explained,
         wall_s: elapsed.as_secs_f64(),
@@ -271,15 +276,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // Every request must be accounted for: answered, shed, or charged to
-    // the transport. When the transport was clean, the XOR of answered
-    // ids must match the XOR of sent ids exactly.
-    if tally.completed + tally.shed + transport_errors != args.requests
+    // Every request must be accounted for: served, shed, refused, or
+    // charged to the transport. When the transport was clean, the XOR of
+    // answered ids must match the XOR of sent ids exactly.
+    if tally.completed + tally.shed + tally.refused + transport_errors != args.requests
         || (transport_errors == 0 && tally.responded_ids != tally.submitted_ids)
     {
         eprintln!(
-            "loadgen: RESPONSE ACCOUNTING BROKEN: {} completed + {} shed + {} transport != {}",
-            tally.completed, tally.shed, transport_errors, args.requests
+            "loadgen: RESPONSE ACCOUNTING BROKEN: {} completed + {} shed + {} refused + {} transport != {}",
+            tally.completed, tally.shed, tally.refused, transport_errors, args.requests
         );
         return ExitCode::FAILURE;
     }
@@ -485,7 +490,10 @@ fn client(
                     tally.shed += 1;
                     tally.responded_ids ^= id;
                 }
-                _ => tally.transport.protocol += 1, // error / unexpected drain
+                _ => {
+                    tally.refused += 1;
+                    tally.responded_ids ^= id;
+                }
             }
             true
         };

@@ -18,8 +18,9 @@ pub struct TransportErrors {
     pub read: u64,
     /// Response lines that arrived but would not parse.
     pub decode: u64,
-    /// Protocol violations: unsolicited, reordered, or unexpected-status
-    /// response lines.
+    /// Protocol violations: unsolicited or reordered response lines. A
+    /// line that answers its request with a refusal is
+    /// [`LoadgenSummary::refused`], not a violation.
     pub protocol: u64,
 }
 
@@ -58,6 +59,15 @@ pub struct LoadgenSummary {
     /// Deliberate overload behaviour — never lumped in with transport
     /// failures.
     pub shed: u64,
+    /// Requests the gateway answered with any other status: an
+    /// `"unknown_detector"` line, or an `"error"` line for a request it
+    /// could not decode, whose deployment key it did not know, or whose
+    /// profile source or detector failed. Answered, so never charged to
+    /// the transport. The gateway counts these requests as its totals'
+    /// `refused` plus `failed`, and a `"service shut down"` answer in
+    /// neither, so this equals `gateway_stats.totals.refused` only while
+    /// nothing fails.
+    pub refused: u64,
     /// Connection-level failures: connects that never succeeded, sockets
     /// that died mid-soak, unparseable response lines, and requests whose
     /// response never arrived. Kept separate from `shed` so soak numbers
@@ -111,12 +121,13 @@ impl fmt::Display for LoadgenSummary {
         writeln!(
             f,
             "loadgen: {} requests in {:.2}s — {:.0} req/s ({} completed, {} shed, \
-             {} transport errors, {} dropped responses, {} confirmed attacks)",
+             {} refused, {} transport errors, {} dropped responses, {} confirmed attacks)",
             self.requests,
             self.wall_s,
             self.completed as f64 / self.wall_s,
             self.completed,
             self.shed,
+            self.refused,
             self.transport_errors,
             self.dropped_responses,
             self.confirmed
@@ -178,8 +189,9 @@ mod tests {
         LoadgenSummary {
             kind: "loadgen_summary".to_string(),
             requests: 100,
-            completed: 97,
+            completed: 95,
             shed: 2,
+            refused: 2,
             transport_errors: 1,
             transport_error_breakdown: TransportErrors {
                 decode: 1,
@@ -213,6 +225,7 @@ mod tests {
         assert_eq!(back.cache_hits, 7);
         assert_eq!(back.cache_misses, 3);
         assert_eq!(back.shed, 2, "service shed kept separate");
+        assert_eq!(back.refused, 2, "refusals kept separate");
         assert_eq!(back.transport_errors, 1, "transport failures kept separate");
         assert_eq!(back.transport_error_breakdown.decode, 1);
         assert_eq!(
@@ -227,6 +240,7 @@ mod tests {
     fn display_reports_throughput_and_cache() {
         let text = sample().to_string();
         assert!(text.contains("100 requests"), "{text}");
+        assert!(text.contains("95 completed, 2 shed, 2 refused"), "{text}");
         assert!(text.contains("7 hits / 3 misses"), "{text}");
         assert!(
             text.contains("latency: p50 < 128us, p90 < 512us, p99 < 1024us"),

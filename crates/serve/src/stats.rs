@@ -93,13 +93,32 @@ pub struct WindowStats {
     pub slo_burn: f64,
 }
 
-/// Cumulative since-start totals.
+/// Cumulative since-start totals. Every request line the gateway has
+/// answered is in exactly one of `requests`, `request_shed`, `refused`
+/// and `failed`, except a line answered `"service shut down"` while its
+/// shard stops, which is in none. `refused` also counts lines that were
+/// never answered or were not requests (see its doc).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatsTotals {
     /// Requests served.
     pub requests: u64,
     /// Requests shed (request-level overload).
     pub request_shed: u64,
+    /// Request lines refused before any detection ran: lines that would
+    /// not decode (`gateway.codec_errors`, which also counts undecodable
+    /// command lines, oversized frames and a truncated last frame nobody
+    /// is left to answer), unknown deployment keys
+    /// (`gateway.unknown_key`) and unknown detectors
+    /// (`gateway.unknown_detector`). A client's `refused`
+    /// (`LoadgenSummary::refused`) counts these answers together with
+    /// `failed` ones. 0 in reports from gateways that predate the field.
+    #[serde(default)]
+    pub refused: u64,
+    /// Requests whose profile source or detector panicked, each answered
+    /// with one `"error"` line (`serve.failed`). 0 in reports from
+    /// gateways that predate the field.
+    #[serde(default)]
+    pub failed: u64,
     /// Connections accepted.
     pub conns_accepted: u64,
     /// Connections shed at accept (backlog full).
@@ -199,6 +218,10 @@ impl StatsTotals {
         StatsTotals {
             requests: snapshot.counter("gateway.requests"),
             request_shed: snapshot.counter("gateway.request_shed"),
+            refused: snapshot.counter("gateway.codec_errors")
+                + snapshot.counter("gateway.unknown_key")
+                + snapshot.counter("gateway.unknown_detector"),
+            failed: snapshot.counter("serve.failed"),
             conns_accepted: snapshot.counter("gateway.accepted"),
             conn_shed: snapshot.counter("gateway.conn_shed"),
             active_conns: snapshot.gauge("gateway.active_conns"),

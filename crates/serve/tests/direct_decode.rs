@@ -149,6 +149,8 @@ fn stats(rng: &mut Rng) -> StatsReport {
         totals: StatsTotals {
             requests: n(rng),
             request_shed: n(rng),
+            refused: n(rng),
+            failed: n(rng),
             conns_accepted: n(rng),
             conn_shed: n(rng),
             active_conns: n(rng),

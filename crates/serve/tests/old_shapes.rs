@@ -162,8 +162,8 @@ fn corpus() -> Vec<Shape> {
                 r#""windows":[{"window_s":10,"span_s":10,"completed":5,"throughput_rps":0.5,"shed":0,"#,
                 r#""shed_rate":0,"cache_hit_ratio":0.8,"p50_us":128,"p90_us":256,"p99_us":512,"#,
                 r#""queue_wait_p99_us":16,"compute_p99_us":256,"serialize_p99_us":8,"slo_burn":0}],"#,
-                r#""totals":{"requests":5,"request_shed":0,"conns_accepted":1,"conn_shed":0,"#,
-                r#""active_conns":1,"cache_hits":4,"cache_misses":1,"slow_requests":0,"#,
+                r#""totals":{"requests":5,"request_shed":0,"refused":0,"failed":0,"conns_accepted":1,"#,
+                r#""conn_shed":0,"active_conns":1,"cache_hits":4,"cache_misses":1,"slow_requests":0,"#,
                 r#""slo_violations":0,"p99_us":512,"traced_requests":0,"trace_exemplars":0,"#,
                 r#""audit_records":0}},"stats_text":null,"trace":null,"exemplars":null,"error":null}"#
             )),
@@ -234,9 +234,24 @@ fn corpus() -> Vec<Shape> {
                 r#""cache_hits":4,"cache_misses":1,"slow_requests":0,"slo_violations":0,"p99_us":900}"#
             ),
             expect: Expect::Totals(concat!(
-                r#"{"requests":5,"request_shed":1,"conns_accepted":2,"conn_shed":0,"active_conns":1,"#,
-                r#""cache_hits":4,"cache_misses":1,"slow_requests":0,"slo_violations":0,"p99_us":900,"#,
-                r#""traced_requests":0,"trace_exemplars":0,"audit_records":0}"#
+                r#"{"requests":5,"request_shed":1,"refused":0,"failed":0,"conns_accepted":2,"#,
+                r#""conn_shed":0,"active_conns":1,"cache_hits":4,"cache_misses":1,"slow_requests":0,"#,
+                r#""slo_violations":0,"p99_us":900,"traced_requests":0,"trace_exemplars":0,"#,
+                r#""audit_records":0}"#
+            )),
+        },
+        Shape {
+            name: "StatsTotals before refused and failed (tracing release)",
+            line: concat!(
+                r#"{"requests":8,"request_shed":1,"conns_accepted":2,"conn_shed":0,"active_conns":1,"#,
+                r#""cache_hits":5,"cache_misses":3,"slow_requests":1,"slo_violations":0,"p99_us":900,"#,
+                r#""traced_requests":8,"trace_exemplars":2,"audit_records":9}"#
+            ),
+            expect: Expect::Totals(concat!(
+                r#"{"requests":8,"request_shed":1,"refused":0,"failed":0,"conns_accepted":2,"#,
+                r#""conn_shed":0,"active_conns":1,"cache_hits":5,"cache_misses":3,"slow_requests":1,"#,
+                r#""slo_violations":0,"p99_us":900,"traced_requests":8,"trace_exemplars":2,"#,
+                r#""audit_records":9}"#
             )),
         },
         // ---- Explanation ------------------------------------------------

@@ -329,15 +329,14 @@ impl<M: Clone + Debug> Network<M> {
         let mut processed = 0u64;
         let mut truncated = false;
         let faults_before = self.fault_stats;
-        while let Some(at) = self.queue.peek_time() {
-            if at > until {
-                break;
-            }
+        loop {
             if processed >= self.max_events {
-                truncated = true;
+                truncated = self.queue.peek_time().is_some_and(|at| at <= until);
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event exists");
+            let Some(ev) = self.queue.pop_due(until) else {
+                break;
+            };
             self.now = ev.at;
             processed += 1;
             if telemetry.is_some() {

@@ -8,19 +8,35 @@
 //!
 //! ## Layout
 //!
-//! The queue is struct-of-arrays: a manual binary heap over 24-byte
-//! `(at, seq, slot)` keys, with the variable-sized payloads (`cause` +
-//! [`EventKind`]) parked in a slot arena addressed by `u32` index and
-//! recycled through a free list. Sift operations therefore move small
-//! fixed-size keys instead of whole events — the payload for a routing
-//! simulation carries a `Vec<NodeId>` path, so a `BinaryHeap<Event<M>>`
-//! would shuffle ~64-byte structs on every push/pop.
+//! Every pending event sits in a slot arena addressed by `u32` index and
+//! recycled through a free list: its `at`, `seq`, `cause`, [`EventKind`]
+//! and a `next` link. Its key is in exactly one of two structures:
+//!
+//! - **The wheel** holds every event due in `[base, base +`
+//!   [`WHEEL_WINDOW_US`]`)`, where `base` is the time of the latest popped
+//!   event and never decreases. It has one bucket per microsecond; a
+//!   bucket is a FIFO list threaded through the slots' `next` links. A
+//!   64-word occupancy bitmap, with one summary word marking its non-empty
+//!   words, finds the next non-empty bucket in three bit scans. Radio
+//!   deliveries land here, so scheduling and popping one is O(1) however
+//!   many events are pending.
+//! - **The heap** holds everything else: protocol timers further out,
+//!   deliveries a fault delays past the window, and inserts before `base`.
+//!   It is a binary min-heap of 24-byte `(at, seq, slot)` keys, so sifts
+//!   never move a payload.
+//!
+//! Nothing migrates between the two. `pop` takes whichever front has the
+//! smaller `(at, seq)`; the same `at` can be pending in both, so the
+//! comparison needs `seq` too. All wheel entries lie within one window of
+//! `base`, so a bucket only ever holds one `at`, and entries join it in
+//! increasing `seq`: each bucket's FIFO order is `(at, seq)` order.
 //!
 //! Because `seq` is unique, `(at, seq)` is a *total* order: any correct
 //! priority queue yields the identical pop sequence, so "pop the minimum
 //! pending `(at, seq)`" fully specifies the queue. The tests below and
 //! `tests/props_sim.rs` check every pop against an ordered-set model of
-//! the pending keys, and `tests/differential_hotpath.rs` checks whole
+//! the pending keys, with times spread over several windows and inserts
+//! before `base`, and `tests/differential_hotpath.rs` checks whole
 //! scenario traces against output frozen from the pre-overhaul
 //! `BinaryHeap` queue.
 
@@ -120,6 +136,22 @@ pub struct Event<M> {
     pub kind: EventKind<M>,
 }
 
+/// Width of the timing wheel, in microseconds (one bucket each). It
+/// covers every delivery [`LatencyModel::default`] samples over a link
+/// shorter than 209 distance units: 1 ms base, under 1 ms of jitter and
+/// 10 µs per unit add up to less than 4.096 ms. An event due later (a
+/// slower latency model, a fault's extra delay, a protocol timer) goes to
+/// the heap, which costs speed but never changes the order.
+///
+/// [`LatencyModel::default`]: crate::radio::LatencyModel
+pub const WHEEL_WINDOW_US: u64 = 4096;
+
+/// Words of the wheel's occupancy bitmap.
+const WHEEL_WORDS: usize = WHEEL_WINDOW_US as usize / 64;
+
+/// The end of a bucket's list (never a slot index).
+const NIL: u32 = u32::MAX;
+
 /// One heap key: the total order `(at, seq)` plus the arena slot holding
 /// the payload. Sifts move these 24-byte keys, never the payload.
 #[derive(Clone, Copy)]
@@ -136,16 +168,47 @@ impl HeapKey {
     }
 }
 
-/// Arena-parked payload of one pending event.
+/// Arena-parked pending event. `next` links a wheel bucket's entries in
+/// FIFO order (`NIL` ends the list; unused for heap entries).
 struct Slot<M> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
     cause: Option<u64>,
     kind: EventKind<M>,
 }
 
-/// Priority queue of pending events: a min-heap of `(at, seq, slot)`
-/// keys plus the payload arena (see the module docs).
+/// The first and last slot of one wheel bucket's list. Meaningful only
+/// while the bucket's occupancy bit is set.
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+/// Where the earliest pending event is.
+#[derive(Clone, Copy)]
+enum Front {
+    /// At the head of this wheel bucket.
+    Wheel(usize),
+    /// At the root of the heap.
+    Heap,
+}
+
+/// Priority queue of pending events: a timing wheel for the near future,
+/// a min-heap of `(at, seq, slot)` keys for the rest, and the payload
+/// arena they share (see the module docs).
 pub struct EventQueue<M> {
     heap: Vec<HeapKey>,
+    buckets: Box<[Bucket]>,
+    /// One bit per bucket, set while the bucket holds an entry.
+    occupied: [u64; WHEEL_WORDS],
+    /// One bit per `occupied` word, set while the word is non-zero.
+    occupied_words: u64,
+    /// Time of the latest popped event: every wheel entry is due in
+    /// `[base, base + WHEEL_WINDOW_US)`.
+    base: SimTime,
+    wheel_len: usize,
     slots: Vec<Option<Slot<M>>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -163,6 +226,11 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            buckets: vec![Bucket::default(); WHEEL_WINDOW_US as usize].into_boxed_slice(),
+            occupied: [0; WHEEL_WORDS],
+            occupied_words: 0,
+            base: SimTime::ZERO,
+            wheel_len: 0,
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -182,20 +250,47 @@ impl<M> EventQueue<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let payload = Some(Slot { cause, kind });
+        let payload = Some(Slot {
+            at,
+            seq,
+            next: NIL,
+            cause,
+            kind,
+        });
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = payload;
                 s
             }
             None => {
-                let s = u32::try_from(self.slots.len()).expect("event queue slot overflow");
+                let s = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("event queue slot overflow");
                 self.slots.push(payload);
                 s
             }
         };
-        self.heap.push(HeapKey { at, seq, slot });
-        self.sift_up(self.heap.len() - 1);
+        if at >= self.base && at.0 - self.base.0 < WHEEL_WINDOW_US {
+            let b = (at.0 % WHEEL_WINDOW_US) as usize;
+            let (word, bit) = (b / 64, 1u64 << (b % 64));
+            if self.occupied[word] & bit == 0 {
+                self.occupied[word] |= bit;
+                self.occupied_words |= 1 << word;
+                self.buckets[b] = Bucket {
+                    head: slot,
+                    tail: slot,
+                };
+            } else {
+                let tail = self.buckets[b].tail;
+                self.slot_mut(tail).next = slot;
+                self.buckets[b].tail = slot;
+            }
+            self.wheel_len += 1;
+        } else {
+            self.heap.push(HeapKey { at, seq, slot });
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Allocate one lineage id without scheduling anything. Used for
@@ -210,20 +305,46 @@ impl<M> EventQueue<M> {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let key = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let payload = self.slots[key.slot as usize]
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest event if it is due at or before
+    /// `until`; `None` when nothing is. One front lookup serves both the
+    /// deadline check and the removal.
+    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Event<M>> {
+        let (at, front) = self.front().filter(|&(at, _)| at <= until)?;
+        let slot = match front {
+            Front::Wheel(b) => {
+                self.wheel_len -= 1;
+                let head = self.buckets[b].head;
+                let next = self.slot_mut(head).next;
+                if next == NIL {
+                    let word = b / 64;
+                    self.occupied[word] &= !(1u64 << (b % 64));
+                    if self.occupied[word] == 0 {
+                        self.occupied_words &= !(1 << word);
+                    }
+                } else {
+                    self.buckets[b].head = next;
+                }
+                head
+            }
+            Front::Heap => {
+                let key = self.heap.swap_remove(0);
+                if !self.heap.is_empty() {
+                    self.sift_down(0);
+                }
+                key.slot
+            }
+        };
+        let payload = self.slots[slot as usize]
             .take()
             .expect("popped key addresses a live slot");
-        self.free.push(key.slot);
+        self.free.push(slot);
+        self.base = self.base.max(at);
         Some(Event {
-            at: key.at,
-            seq: key.seq,
+            at,
+            seq: payload.seq,
             cause: payload.cause,
             kind: payload.kind,
         })
@@ -232,17 +353,17 @@ impl<M> EventQueue<M> {
     /// The time of the earliest pending event.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.at)
+        self.front().map(|(at, _)| at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.wheel_len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled (diagnostic; bounds run cost).
@@ -266,6 +387,54 @@ impl<M> EventQueue<M> {
     /// Slots currently on the free list, ready for reuse.
     pub fn free_slots(&self) -> usize {
         self.free.len()
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut Slot<M> {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("queued key addresses a live slot")
+    }
+
+    /// The earliest pending event's time and place: the smaller
+    /// `(at, seq)` of the wheel's and the heap's fronts.
+    #[inline]
+    fn front(&self) -> Option<(SimTime, Front)> {
+        let wheel = self.wheel_front().map(|b| {
+            let head = self.slots[self.buckets[b].head as usize]
+                .as_ref()
+                .expect("queued key addresses a live slot");
+            ((head.at, head.seq), Front::Wheel(b))
+        });
+        let heap = self.heap.first().map(|k| ((k.at, k.seq), Front::Heap));
+        wheel
+            .into_iter()
+            .chain(heap)
+            .min_by_key(|&(key, _)| key)
+            .map(|((at, _), front)| (at, front))
+    }
+
+    /// The first occupied bucket at or after `base`'s, wrapping round the
+    /// wheel: since every entry is due within one window of `base`, that
+    /// bucket holds the earliest wheel entry. Three bit scans, however
+    /// sparse the wheel.
+    #[inline]
+    fn wheel_front(&self) -> Option<usize> {
+        if self.occupied_words == 0 {
+            return None;
+        }
+        let start = (self.base.0 % WHEEL_WINDOW_US) as usize;
+        let (first, shift) = (start / 64, start % 64);
+        let here = self.occupied[first] & (!0u64 << shift);
+        if here != 0 {
+            return Some(first * 64 + here.trailing_zeros() as usize);
+        }
+        // The first non-empty word after `first`; failing that, the lowest
+        // one, which wraps round to `first` itself (its bits below `shift`
+        // are due last).
+        let words = self.occupied_words;
+        let later = words & (!1u64 << first);
+        let word = if later != 0 { later } else { words }.trailing_zeros() as usize;
+        Some(word * 64 + self.occupied[word].trailing_zeros() as usize)
     }
 
     /// Hole-technique sift (one copy per level, like `BinaryHeap`):
@@ -382,11 +551,49 @@ mod tests {
         assert_eq!(q.slot_capacity(), 8);
     }
 
+    /// Heap-parked event at `at`, then a wheel twin: the heap entry was
+    /// scheduled first, so it must pop first.
+    #[test]
+    fn equal_times_in_heap_and_wheel_pop_in_seq_order() {
+        let mut q = EventQueue::new();
+        let far = SimTime(3 * WHEEL_WINDOW_US);
+        q.schedule(SimTime(0), timer(0, 0));
+        q.schedule(far, timer(1, 0)); // past the window: heap
+        q.schedule(SimTime(2 * WHEEL_WINDOW_US + 1), timer(2, 0)); // heap
+        assert_eq!(q.pop().unwrap().seq, 0);
+        assert_eq!(q.pop().unwrap().seq, 2); // base moves within a window of `far`
+        q.schedule(far, timer(3, 0)); // now inside the window: wheel
+        assert_eq!((q.heap.len(), q.wheel_len), (1, 1));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at.0, e.seq))
+            .collect();
+        assert_eq!(order, vec![(far.0, 1), (far.0, 3)]);
+    }
+
+    #[test]
+    fn the_wheel_wraps_round_in_time_order() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_WINDOW_US;
+        q.schedule(SimTime(w - 10), timer(0, 0));
+        // Base is now w - 10: buckets past the wheel's end wrap to its
+        // start, and `2 * w - 11` lands in base's own word, below it.
+        assert_eq!(q.pop().unwrap().at.0, w - 10);
+        for at in [w + 20, w - 5, 2 * w - 11, w, w + 63, w + 64] {
+            q.schedule(SimTime(at), timer(0, at));
+        }
+        assert_eq!((q.heap.len(), q.wheel_len), (0, 6));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        assert_eq!(order, vec![w - 5, w, w + 20, w + 63, w + 64, 2 * w - 11]);
+    }
+
     #[test]
     fn backends_agree_on_interleaved_schedules_and_pops() {
         // Model: pending `(at, seq)` keys mapped to their causes. `(at,
         // seq)` is a total order, so every pop must return the model's
-        // first entry.
+        // first entry. Times are drawn relative to the latest pop, from
+        // half a window before it to three windows after, and a fifth of
+        // the inserts reuse the front's time, so both structures hold
+        // events and share times.
         type Model = BTreeMap<(SimTime, u64), Option<u64>>;
         type Popped = Option<(SimTime, u64, Option<u64>)>;
         fn pop_both(q: &mut EventQueue<()>, model: &mut Model) -> (Popped, Popped) {
@@ -399,19 +606,39 @@ mod tests {
         // Deterministic pseudo-random interleaving.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next_seq = 0u64;
-        for step in 0..500u64 {
+        let mut latest = 0u64;
+        let (mut ties, mut before_base, mut heap_only) = (0, 0, 0);
+        for step in 0..2_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if x.is_multiple_of(3) {
                 let (got, want) = pop_both(&mut q, &mut model);
                 assert_eq!(got, want, "step {step}");
+                latest = latest.max(got.map_or(0, |(at, _, _)| at.0));
             } else {
-                let at = SimTime(x % 50);
-                let cause = x.is_multiple_of(5).then_some(step);
+                let at = match model.keys().next() {
+                    Some(&(front, _)) if x.is_multiple_of(5) => front,
+                    _ => {
+                        let span = 7 * WHEEL_WINDOW_US / 2;
+                        SimTime((latest + (x >> 33) % span).saturating_sub(WHEEL_WINDOW_US / 2))
+                    }
+                };
+                if at.0 < latest {
+                    before_base += 1;
+                }
+                let cause = x.is_multiple_of(7).then_some(step);
+                let heap_before = q.heap.len();
                 q.schedule_caused(at, timer(0, step), cause);
+                let in_heap = |k: &HeapKey| k.at == at && k.seq < next_seq;
+                if q.heap.len() == heap_before && q.heap.iter().any(in_heap) {
+                    ties += 1;
+                }
                 model.insert((at, next_seq), cause);
                 next_seq += 1;
+            }
+            if q.wheel_len == 0 && !q.heap.is_empty() {
+                heap_only += 1;
             }
             assert_eq!(q.len(), model.len(), "step {step}");
             assert_eq!(
@@ -420,6 +647,10 @@ mod tests {
                 "step {step}"
             );
         }
+        assert!(latest > 3 * WHEEL_WINDOW_US, "spread over several windows");
+        assert!(ties > 0, "equal times in the heap and the wheel");
+        assert!(before_base > 0, "inserts before the latest pop");
+        assert!(heap_only > 0, "an empty wheel with heap events pending");
         loop {
             let (got, want) = pop_both(&mut q, &mut model);
             assert_eq!(got, want);

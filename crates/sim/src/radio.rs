@@ -17,6 +17,13 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Per-link propagation + access latency model.
+///
+/// The event queue's timing wheel covers deliveries due within
+/// [`WHEEL_WINDOW_US`](crate::event::WHEEL_WINDOW_US) (4.096 ms) of the
+/// latest dispatched event. The default model stays inside it on links
+/// shorter than 209 distance units: at most 1 ms base, 1 ms jitter and
+/// 10 µs per unit. A slower model is just as correct; its deliveries
+/// queue in the heap, at a cost that grows with the backlog.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// Fixed per-hop cost (transmit + processing), seconds.

@@ -4,34 +4,141 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use wormhole_sam::prelude::*;
 use wormhole_sam::routing::packet::{Rreq, RreqId};
-use wormhole_sam::sim::event::{EventKind, EventQueue};
+use wormhole_sam::sim::event::{EventKind, EventQueue, WHEEL_WINDOW_US};
 
-/// One step of an arbitrary event-queue workload.
+/// One step of an arbitrary event-queue workload. Times are relative to
+/// the latest popped time (the queue's wheel base), so however far a run
+/// has advanced, its inserts keep landing before the base, inside the
+/// wheel's window and past it.
 #[derive(Clone, Debug)]
 enum QueueOp {
-    /// Schedule a timer at this (possibly past) absolute time.
-    Schedule(u64),
+    /// Schedule a timer this many µs after the latest popped time
+    /// (negative: before it, clamped at time 0).
+    Schedule(i64),
+    /// Schedule a timer at the time of the pending event of this rank in
+    /// `(at, seq)` order (modulo the pending count; a no-op when empty).
+    /// A near-front event parked in the heap then gains a wheel twin at
+    /// the same `at` with a larger `seq`.
+    Again(usize),
     /// Pop the earliest pending event (may be a no-op on empty).
     Pop,
 }
 
-/// Schedule-biased (3:2) so runs build up backlog to drain.
+/// Insert-biased (7:3) so runs build up backlog to drain. Offsets span
+/// half a window before the base to three windows after it.
 fn arb_queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    proptest::collection::vec((0u8..5, 0u64..200), 1..150).prop_map(|steps| {
+    let w = WHEEL_WINDOW_US as i64;
+    proptest::collection::vec((0u8..10, -w / 2..3 * w, 0usize..4), 1..200).prop_map(|steps| {
         steps
             .into_iter()
-            .map(|(sel, at)| {
-                if sel < 3 {
-                    QueueOp::Schedule(at)
-                } else {
-                    QueueOp::Pop
-                }
+            .map(|(sel, offset, rank)| match sel {
+                0..=4 => QueueOp::Schedule(offset),
+                5 | 6 => QueueOp::Again(rank),
+                _ => QueueOp::Pop,
             })
             .collect()
     })
+}
+
+/// Which edges of the wheel/heap split one run of [`check_queue_ops`]
+/// reached, classified by the window rule the queue documents: an insert
+/// joins the wheel iff it is due in `[base, base + WHEEL_WINDOW_US)`.
+#[derive(Debug, Default)]
+struct QueueEdges {
+    /// Whole windows spanned by the latest scheduled time.
+    windows: u64,
+    /// Wheel inserts at an `at` that a heap event was already pending at
+    /// (so the heap's `seq` is the smaller).
+    cross_ties: u64,
+    /// Inserts due before the latest popped time.
+    before_base: u64,
+    /// Steps that ended with an empty wheel and heap events pending.
+    heap_only: u64,
+}
+
+/// Run `ops` against an `EventQueue` and an ordered-set model of the
+/// pending `(at, seq)` keys. `(at, seq)` is a total order, so "pop the
+/// minimum" fully specifies correct behaviour: every pop must return the
+/// model's first key. The arena never leaks a slot, and its capacity
+/// never exceeds the workload's concurrency high-water mark.
+fn check_queue_ops(ops: &[QueueOp]) -> QueueEdges {
+    let mut fast: EventQueue<()> = EventQueue::new();
+    // Pending keys, each marked with whether the window rule puts it in
+    // the wheel (`true`) or the heap.
+    let mut pending: BTreeMap<(SimTime, u64), bool> = BTreeMap::new();
+    let mut next_seq = 0u64;
+    let mut high_water = 0usize;
+    let mut base = 0u64;
+    let mut edges = QueueEdges::default();
+
+    for (i, op) in ops.iter().enumerate() {
+        let at = match *op {
+            QueueOp::Schedule(offset) => Some(base.saturating_add_signed(offset)),
+            QueueOp::Again(rank) => (!pending.is_empty())
+                .then(|| pending.keys().nth(rank % pending.len()).unwrap().0 .0),
+            QueueOp::Pop => {
+                let got = fast.pop().map(|e| (e.at, e.seq));
+                let expected = pending.pop_first().map(|(key, _)| key);
+                prop_assert_eq!(got, expected, "pop is not the minimum at op {}", i);
+                if let Some((at, _)) = got {
+                    base = base.max(at.0);
+                }
+                None
+            }
+        };
+        if let Some(at) = at {
+            let in_wheel = at >= base && at - base < WHEEL_WINDOW_US;
+            if at < base {
+                edges.before_base += 1;
+            }
+            if in_wheel
+                && pending
+                    .range((SimTime(at), 0)..=(SimTime(at), u64::MAX))
+                    .any(|(_, &w)| !w)
+            {
+                edges.cross_ties += 1;
+            }
+            edges.windows = edges.windows.max(at / WHEEL_WINDOW_US);
+            let kind = EventKind::Timer {
+                node: NodeId(0),
+                key: i as u64,
+            };
+            fast.schedule(SimTime(at), kind);
+            pending.insert((SimTime(at), next_seq), in_wheel);
+            next_seq += 1;
+            high_water = high_water.max(pending.len());
+        }
+        if !pending.is_empty() && pending.values().all(|&w| !w) {
+            edges.heap_only += 1;
+        }
+        // Arena invariants hold at every step, not just at the end.
+        prop_assert_eq!(fast.len(), pending.len());
+        prop_assert_eq!(fast.peek_time(), pending.keys().next().map(|&(at, _)| at));
+        prop_assert_eq!(fast.live_slots(), fast.len());
+        prop_assert_eq!(fast.live_slots() + fast.free_slots(), fast.slot_capacity());
+    }
+
+    // Drain: the tail must come out in full (at, seq) order too.
+    while let Some(e) = fast.pop() {
+        let expected = pending.pop_first().map(|(key, _)| key);
+        prop_assert_eq!(Some((e.at, e.seq)), expected);
+    }
+    prop_assert!(pending.is_empty());
+
+    // No slot leaked: the arena is fully recycled and never grew past the
+    // maximum number of simultaneously pending events.
+    prop_assert_eq!(fast.live_slots(), 0);
+    prop_assert_eq!(fast.free_slots(), fast.slot_capacity());
+    prop_assert!(
+        fast.slot_capacity() <= high_water,
+        "arena {} slots > high-water {}",
+        fast.slot_capacity(),
+        high_water
+    );
+    edges
 }
 
 fn arb_positions(n: usize, side: f64) -> impl Strategy<Value = Vec<Pos>> {
@@ -178,67 +285,30 @@ proptest! {
     fn tier_range_monotone_in_tier(k in 1u8..5) {
         prop_assert!(range_for_tier(k + 1) > range_for_tier(k));
     }
+}
 
-    /// The struct-of-arrays event queue under arbitrary schedule/pop
-    /// interleavings: every pop returns the minimum pending `(at, seq)`
-    /// (checked against an ordered-set model, the reference), the arena
-    /// never leaks a slot, and its capacity never exceeds the workload's
-    /// concurrency high-water mark.
-    #[test]
-    fn soa_queue_matches_reference_and_never_leaks_slots(ops in arb_queue_ops()) {
-        let mut fast: EventQueue<()> = EventQueue::new();
-        // Ground-truth model: the set of pending (at, seq) keys. `(at,
-        // seq)` is a total order, so "pop the minimum" fully specifies
-        // correct behaviour.
-        let mut pending: BTreeSet<(SimTime, u64)> = BTreeSet::new();
-        let mut next_seq = 0u64;
-        let mut high_water = 0usize;
-
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                QueueOp::Schedule(at) => {
-                    let at = SimTime(*at);
-                    let kind = EventKind::Timer { node: NodeId(0), key: i as u64 };
-                    fast.schedule(at, kind);
-                    pending.insert((at, next_seq));
-                    next_seq += 1;
-                    high_water = high_water.max(pending.len());
-                }
-                QueueOp::Pop => {
-                    let a = fast.pop().map(|e| (e.at, e.seq));
-                    let expected = pending.iter().next().copied();
-                    prop_assert_eq!(a, expected, "pop is not the minimum at op {}", i);
-                    if let Some(key) = a {
-                        pending.remove(&key);
-                    }
-                }
-            }
-            // Arena invariants hold at every step, not just at the end.
-            prop_assert_eq!(fast.len(), pending.len());
-            prop_assert_eq!(fast.live_slots(), fast.len());
-            prop_assert_eq!(
-                fast.live_slots() + fast.free_slots(),
-                fast.slot_capacity()
-            );
-        }
-
-        // Drain: the tail must come out in full (at, seq) order too.
-        while let Some(e) = fast.pop() {
-            let expected = pending.iter().next().copied();
-            prop_assert_eq!(Some((e.at, e.seq)), expected);
-            pending.remove(&(e.at, e.seq));
-        }
-        prop_assert!(pending.is_empty());
-
-        // No slot leaked: the arena is fully recycled and never grew
-        // past the maximum number of simultaneously pending events.
-        prop_assert_eq!(fast.live_slots(), 0);
-        prop_assert_eq!(fast.free_slots(), fast.slot_capacity());
-        prop_assert!(
-            fast.slot_capacity() <= high_water,
-            "arena {} slots > high-water {}",
-            fast.slot_capacity(),
-            high_water
-        );
+/// The event queue under seeded arbitrary schedule/pop interleavings,
+/// checked against the ordered-set model by [`check_queue_ops`]. Together
+/// the cases reach every edge of the wheel/heap split: times several
+/// windows out, equal `at` in both structures with the heap's `seq` the
+/// smaller, inserts before the latest popped time, and an empty wheel
+/// while heap events are pending.
+#[test]
+fn soa_queue_matches_reference_and_never_leaks_slots() {
+    let mut reached = QueueEdges::default();
+    for case in 0..64 {
+        let ops = arb_queue_ops().generate(&mut StdRng::seed_from_u64(case));
+        let edges = std::panic::catch_unwind(|| check_queue_ops(&ops)).unwrap_or_else(|panic| {
+            eprintln!("queue case {case} failed: {ops:?}");
+            std::panic::resume_unwind(panic)
+        });
+        reached.windows = reached.windows.max(edges.windows);
+        reached.cross_ties += edges.cross_ties;
+        reached.before_base += edges.before_base;
+        reached.heap_only += edges.heap_only;
     }
+    assert!(reached.windows >= 3, "{reached:?}");
+    assert!(reached.cross_ties > 0, "{reached:?}");
+    assert!(reached.before_base > 0, "{reached:?}");
+    assert!(reached.heap_only > 0, "{reached:?}");
 }
