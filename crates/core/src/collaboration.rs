@@ -94,10 +94,14 @@ impl GlobalCoordinator {
     /// Per-node verdicts, highest confidence first. A node accumulates
     /// the mass of every reported link touching it, so the common
     /// endpoint of several differently-named suspect links (a wormhole
-    /// endpoint seen from different destinations) rises to the top.
+    /// endpoint seen from different destinations) rises to the top. The
+    /// masses are summed in link order, so each node's float sum is the
+    /// same whatever the table's layout.
     pub fn node_verdicts(&self) -> Vec<NodeVerdict> {
+        let mut links: Vec<(Link, (f64, usize))> = self.link_mass.iter().collect();
+        links.sort_unstable_by_key(|&(link, _)| link);
         let mut per_node: HashMap<NodeId, (f64, usize)> = HashMap::new();
-        for (link, (confidence, reports)) in self.link_mass.iter() {
+        for (link, (confidence, reports)) in links {
             for n in [link.lo(), link.hi()] {
                 let e = per_node.entry(n).or_insert((0.0, 0));
                 e.0 += confidence;
@@ -196,6 +200,32 @@ mod tests {
         let everyone = c.isolation_list(0.05);
         assert!(everyone.contains(&NodeId(5)));
         assert!(c.isolation_list(10.0).is_empty());
+    }
+
+    #[test]
+    fn node_mass_does_not_depend_on_table_layout() {
+        // One report per link, so each link's mass is the same in any
+        // ingest order, but the order moves links around the table. These
+        // weights make a node's float sum depend on the order it is
+        // summed in.
+        let reports: Vec<AttackReport> = (1..=200u32)
+            .map(|i| report(i % 7, 7 + i, 1.0 - f64::from(i) / 201.0))
+            .collect();
+        let fuse = |order: &mut dyn Iterator<Item = &AttackReport>| {
+            let mut c = GlobalCoordinator::new();
+            order.for_each(|r| c.ingest(r));
+            let nodes = c.node_verdicts();
+            let layout: Vec<Link> = c.link_mass.iter().map(|(l, _)| l).collect();
+            let bits: Vec<(NodeId, u64, usize)> = nodes
+                .iter()
+                .map(|v| (v.node, v.confidence.to_bits(), v.reports))
+                .collect();
+            (bits, layout)
+        };
+        let (forward, forward_layout) = fuse(&mut reports.iter());
+        let (reversed, reversed_layout) = fuse(&mut reports.iter().rev());
+        assert_ne!(forward_layout, reversed_layout, "layouts differ");
+        assert_eq!(forward, reversed);
     }
 
     #[test]

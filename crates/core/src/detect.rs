@@ -249,6 +249,22 @@ fn mean_std(samples: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// Mean and population standard deviation of a table's link counts
+/// `n_i`, from the exact integer moments `Σ n_i` and `Σ n_i²`: the same
+/// bits whatever order the table yields its counts in.
+fn count_mean_std(stats: &LinkStats) -> (f64, f64) {
+    let n = stats.distinct_links() as u128;
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let (sum, sum_sq) = stats.count_moments();
+    let sum = u128::from(sum);
+    // n² · variance = n · Σ n_i² − (Σ n_i)², an exact integer ≥ 0.
+    let scaled_var = n * sum_sq - sum * sum;
+    let n = n as f64;
+    (sum as f64 / n, (scaled_var as f64).sqrt() / n)
+}
+
 /// Logistic soft decision shared by the alternative detectors: 0.5 at
 /// the threshold, decreasing in the signal.
 fn lambda_of(signal: f64, threshold: f64, steepness: f64) -> f64 {
@@ -348,8 +364,7 @@ impl Detector for ZScoreNeighborDetector {
         let excluded = |n: NodeId| exclude.contains(&n);
 
         // Signal 1: within-set z of each non-endpoint link's count.
-        let counts: Vec<f64> = stats.counts().map(|(_, c)| f64::from(c)).collect();
-        let (mean, std) = mean_std(&counts);
+        let (mean, std) = count_mean_std(&stats);
         let mut max_link_z = 0.0f64;
         if std > 1e-9 {
             for (link, c) in stats.counts() {

@@ -1,15 +1,26 @@
-//! A compact open-addressed map keyed by [`Link`] — the dense counter
-//! behind the link-frequency hot path.
+//! A compact open-addressed map keyed by [`Link`]: the table behind
+//! link-frequency tabulation.
 //!
 //! The paper's detector tallies every link of every captured route, so
-//! `Analysis::train`/`check` hammer a `Link → count` map. `std`'s
-//! `HashMap` pays SipHash plus pointer-chasing per tally; here a link's
-//! two `u32` node ids pack into one `u64` key that is mixed with
-//! splitmix64 and probed linearly in a power-of-two table — one
-//! multiply-shift per lookup, keys and values in flat arrays. Keys are
-//! never removed, which keeps linear probing trivially correct. Counts
-//! may be decremented, to zero at most, inside [`LinkStats`]'s
-//! leave-one-out, which restores them before it returns.
+//! training and detection hammer a `Link → count` map. `std`'s `HashMap`
+//! pays SipHash plus pointer-chasing per tally. Here a link's two `u32`
+//! node ids pack into one `u64` key. The key is mixed with the unkeyed
+//! splitmix64 finalizer and probed linearly in a power-of-two table,
+//! keys and values in flat arrays. Served node ids come from the wire,
+//! so keys are mixed, not used as they are: runs of consecutive ids must
+//! not land in one probe run.
+//!
+//! The table starts at 256 slots and doubles before it is a quarter
+//! full, so probe runs stay short. `LinkMap::count_path` checks the
+//! capacity once per route, not once per link. Keys are never removed,
+//! which keeps linear probing trivially correct. Counts may be
+//! decremented, to zero at most, inside [`LinkStats`]'s leave-one-out,
+//! which restores them before it returns.
+//!
+//! Iteration runs in slot order, which depends on the table size and on
+//! the order keys arrived in. No output may depend on it: every reader
+//! either combines values exactly (integer sums, maxima with a link
+//! tie-break) or sorts by link first.
 //!
 //! [`LinkStats`]: crate::stats::LinkStats
 
@@ -19,6 +30,9 @@ use manet_sim::{Link, NodeId};
 /// endpoint of a normalized link is strictly below the high one, so the
 /// packed value can never have all bits set.
 const EMPTY: u64 = u64::MAX;
+
+/// Slots allocated on first use.
+const MIN_SLOTS: usize = 256;
 
 #[inline]
 fn pack(link: Link) -> u64 {
@@ -39,6 +53,8 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Open-addressed map from [`Link`] to `V`; keys are never removed.
+/// At most a quarter of its slots are full, and it iterates in slot
+/// order (see the module doc for what may depend on that order).
 #[derive(Clone, Debug)]
 pub struct LinkMap<V> {
     keys: Vec<u64>,
@@ -114,30 +130,41 @@ impl<V: Copy + Default> LinkMap<V> {
     /// if absent.
     #[inline]
     pub fn entry_or_default(&mut self, link: Link) -> &mut V {
-        // Grow at 3/4 load (and on first use).
-        if (self.len + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
-        }
-        let key = pack(link);
+        self.reserve(1);
+        let i = self.slot_of(pack(link));
+        &mut self.vals[i]
+    }
+
+    /// The slot holding `key`, claimed if absent. Requires room for one
+    /// more key.
+    #[inline]
+    fn slot_of(&mut self, key: u64) -> usize {
         let i = self.probe(key);
         if self.keys[i] == EMPTY {
             self.keys[i] = key;
             self.len += 1;
         }
-        &mut self.vals[i]
+        i
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.keys.len() * 2).max(16);
+    /// Make room for `additional` more keys without passing a quarter
+    /// of the slots.
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        let needed = (self.len + additional) * 4;
+        if needed > self.keys.len() {
+            self.grow(needed.next_power_of_two().max(MIN_SLOTS));
+        }
+    }
+
+    fn grow(&mut self, new_cap: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); new_cap]);
-        self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != EMPTY {
                 let i = self.probe(k);
                 self.keys[i] = k;
                 self.vals[i] = v;
-                self.len += 1;
             }
         }
     }
@@ -153,7 +180,11 @@ impl<V: Copy + Default> LinkMap<V> {
 
     /// All values, unordered.
     pub fn values(&self) -> impl Iterator<Item = V> + '_ {
-        self.iter().map(|(_, v)| v)
+        self.keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|&(&k, _)| k != EMPTY)
+            .map(|(_, &v)| v)
     }
 
     /// Drop all entries, keeping the allocation.
@@ -161,6 +192,21 @@ impl<V: Copy + Default> LinkMap<V> {
         self.keys.fill(EMPTY);
         self.vals.fill(V::default());
         self.len = 0;
+    }
+}
+
+impl LinkMap<u32> {
+    /// Count each link of the node path `path` once: the tabulation
+    /// kernel behind every route and recorded set. One capacity check
+    /// covers the whole path. `path` is a route's node sequence, so no
+    /// two consecutive nodes are equal.
+    #[inline]
+    pub(crate) fn count_path(&mut self, path: &[NodeId]) {
+        self.reserve(path.len().saturating_sub(1));
+        for hop in path.windows(2) {
+            let i = self.slot_of(pack(Link::new(hop[0], hop[1])));
+            self.vals[i] += 1;
+        }
     }
 }
 
@@ -176,31 +222,51 @@ mod tests {
     #[test]
     fn counts_like_a_hashmap() {
         let mut m: LinkMap<u32> = LinkMap::new();
+        let mut paths: LinkMap<u32> = LinkMap::new();
         let mut reference: HashMap<Link, u32> = HashMap::new();
-        // Pseudo-random link stream with plenty of repeats.
         let mut state = 0x9E3779B97F4A7C15u64;
-        for _ in 0..5000 {
+        let mut next = move |bound: u64| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let a = ((state >> 33) % 60) as u32;
-            let b = ((state >> 13) % 60) as u32;
-            if a == b {
-                continue;
+            ((state >> 33) % bound) as u32
+        };
+        // Pseudo-random loop-free paths over 60 node ids, with plenty
+        // of repeated links, through both the per-link entry and the
+        // per-path kernel.
+        for _ in 0..800 {
+            let mut path: Vec<NodeId> = Vec::new();
+            for _ in 0..2 + next(12) {
+                let id = NodeId(next(60));
+                if !path.contains(&id) {
+                    path.push(id);
+                }
             }
-            let l = link(a, b);
-            *m.entry_or_default(l) += 1;
-            *reference.entry(l).or_insert(0) += 1;
+            for hop in path.windows(2) {
+                let l = link(hop[0].0, hop[1].0);
+                *m.entry_or_default(l) += 1;
+                *reference.entry(l).or_insert(0) += 1;
+            }
+            paths.count_path(&path);
+            assert!(paths.len() * 4 <= paths.keys.len(), "load stays at 1/4");
         }
-        assert_eq!(m.len(), reference.len());
-        for (&l, &c) in &reference {
-            assert_eq!(m.get(l), Some(c), "{l}");
-        }
-        let mut from_iter: Vec<(Link, u32)> = m.iter().collect();
-        from_iter.sort();
-        let mut from_ref: Vec<(Link, u32)> = reference.into_iter().collect();
+        assert!(paths.len() > 64, "the table grew past its first size");
+        let mut from_ref: Vec<(Link, u32)> = reference.iter().map(|(&l, &c)| (l, c)).collect();
         from_ref.sort();
-        assert_eq!(from_iter, from_ref);
+        for map in [&m, &paths] {
+            assert_eq!(map.len(), reference.len());
+            for (&l, &c) in &reference {
+                assert_eq!(map.get(l), Some(c), "{l}");
+            }
+            let mut from_iter: Vec<(Link, u32)> = map.iter().collect();
+            from_iter.sort();
+            assert_eq!(from_iter, from_ref);
+            let mut values: Vec<u32> = map.values().collect();
+            values.sort();
+            let mut expected: Vec<u32> = from_ref.iter().map(|&(_, c)| c).collect();
+            expected.sort();
+            assert_eq!(values, expected);
+        }
     }
 
     #[test]

@@ -110,17 +110,22 @@ pub struct NormalProfile {
 
 impl NormalProfile {
     /// Train from normal-condition route sets (one set per discovery).
+    ///
+    /// Every set is tabulated into one reused table, and every feature
+    /// read is independent of the table's iteration order: the PMF's bins
+    /// are counts.
     pub fn train(route_sets: &[Vec<Route>], pmf_bins: usize) -> Self {
         let mut pmaxes = Vec::with_capacity(route_sets.len());
         let mut deltas = Vec::with_capacity(route_sets.len());
         let mut hops = Vec::with_capacity(route_sets.len());
         let mut pmf = Pmf::new(pmf_bins);
+        let mut stats = LinkStats::default();
         for set in route_sets {
-            let stats = LinkStats::from_routes(set);
+            stats.tabulate(set.iter().map(Route::nodes));
             pmaxes.push(stats.p_max());
             deltas.push(stats.delta());
             hops.push(stats.mean_hops());
-            for f in stats.relative_frequencies() {
+            for f in stats.frequencies() {
                 pmf.add_sample(f);
             }
         }

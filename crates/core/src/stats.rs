@@ -51,18 +51,21 @@ pub struct LinkStats {
 impl LinkStats {
     /// Tally all links of `routes`.
     pub fn from_routes(routes: &[Route]) -> Self {
-        let mut counts: LinkMap<u32> = LinkMap::new();
-        let mut total = 0u64;
-        for route in routes {
-            for link in route.links() {
-                *counts.entry_or_default(link) += 1;
-                total += 1;
-            }
-        }
-        LinkStats {
-            counts,
-            total,
-            routes: routes.len(),
+        let mut stats = LinkStats::default();
+        stats.tabulate(routes.iter().map(Route::nodes));
+        stats
+    }
+
+    /// Replace the table with the tally of `paths`, one route's node
+    /// sequence each, keeping the table's allocation.
+    pub(crate) fn tabulate<'a>(&mut self, paths: impl Iterator<Item = &'a [NodeId]>) {
+        self.counts.clear();
+        self.total = 0;
+        self.routes = 0;
+        for path in paths {
+            self.counts.count_path(path);
+            self.total += path.len() as u64 - 1;
+            self.routes += 1;
         }
     }
 
@@ -94,11 +97,20 @@ impl LinkStats {
     /// All relative frequencies `n_i / N`, unordered — the samples whose
     /// PMF the paper plots in Fig. 5.
     pub fn relative_frequencies(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return Vec::new();
-        }
+        self.frequencies().collect()
+    }
+
+    /// [`LinkStats::relative_frequencies`] without collecting them.
+    pub(crate) fn frequencies(&self) -> impl Iterator<Item = f64> + '_ {
         let n = self.total as f64;
-        self.counts.values().map(|c| f64::from(c) / n).collect()
+        self.counts.values().map(move |c| f64::from(c) / n)
+    }
+
+    /// `(Σ n_i, Σ n_i²)` over the distinct links, exact whatever order
+    /// the table iterates in.
+    pub(crate) fn count_moments(&self) -> (u64, u128) {
+        let squares = self.counts.values().map(|c| u128::from(c) * u128::from(c));
+        (self.total, squares.sum())
     }
 
     /// The two largest counts `(n_max, n_2nd)`; zero-filled when there are

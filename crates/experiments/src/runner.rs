@@ -133,6 +133,24 @@ pub fn run_once_faulted(
         }
         return hit;
     }
+    let (record, routes) = simulate(spec, run, router_cfg, worm_cfg, faults);
+    let mut cache = RUN_CACHE.lock();
+    if cache.len() < RUN_CACHE_CAP {
+        cache.insert(cache_key, (record.clone(), routes.clone()));
+    }
+    drop(cache);
+    (record, routes)
+}
+
+/// [`run_once_faulted`] without the run memo: simulate the run every
+/// time and keep nothing.
+pub(crate) fn simulate(
+    spec: &ScenarioSpec,
+    run: u64,
+    router_cfg: &RouterConfig,
+    worm_cfg: WormholeConfig,
+    faults: Option<&sam_faults::FaultPlan>,
+) -> (RunRecord, Vec<Route>) {
     let run_seed = derive_seed(spec.base_seed, run);
     let mut span = sam_telemetry::span("experiment.run");
     span.field("scenario", spec.topology.label());
@@ -190,11 +208,6 @@ pub fn run_once_faulted(
         overhead: outcome.overhead,
         suspect_is_tunnel,
     };
-    let mut cache = RUN_CACHE.lock();
-    if cache.len() < RUN_CACHE_CAP {
-        cache.insert(cache_key, (record.clone(), outcome.routes.clone()));
-    }
-    drop(cache);
     (record, outcome.routes)
 }
 

@@ -10,18 +10,34 @@
 //! server.
 
 pub use crate::runner::TRAIN_OFFSET;
-use crate::runner::{run_once_with_routes_faulted, train_normal_profile};
+use crate::runner::{run_once_with_routes_faulted, simulate};
 use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
-use manet_routing::{ProtocolKind, Route};
-use sam::NormalProfile;
+use manet_attacks::WormholeConfig;
+use manet_routing::{ProtocolKind, Route, RouterConfig};
+use sam::{NormalProfile, SamConfig};
+use std::sync::OnceLock;
 
 /// Training route sets per profile.
 pub const TRAIN_RUNS: u64 = 8;
 /// Distinct replayed route sets per scenario in a loadgen corpus.
 pub const REPLAY_SETS: u64 = 16;
 
+/// Deployments in the catalogue.
+const CATALOGUE_LEN: usize = 3;
+
+/// The recorded training discoveries of each catalogue entry, in
+/// catalogue order. Filled on the entry's first training and kept for
+/// the life of the process.
+static RECORDINGS: [OnceLock<Vec<Vec<Route>>>; CATALOGUE_LEN] =
+    [const { OnceLock::new() }; CATALOGUE_LEN];
+
 /// One deployment the serving tier can answer for: a topology/protocol
 /// pair plus its normal and attacked scenario specs.
+///
+/// A `Deployment` also names its catalogue entry, whose recorded
+/// training discoveries [`train_profile`] reads. They belong to the
+/// entry, not to `normal`: a copy whose `normal` was edited still trains
+/// the entry's profile.
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// Topology half of the profile key (e.g. `"Uniform { cols: 6, ... }"`).
@@ -32,6 +48,9 @@ pub struct Deployment {
     pub normal: ScenarioSpec,
     /// Wormhole-attacked variant of the same deployment.
     pub attacked: ScenarioSpec,
+    /// Index of the catalogue entry, whose recording every `Deployment`
+    /// that [`catalogue`] and [`find`] return for it shares.
+    entry: usize,
 }
 
 impl Deployment {
@@ -50,7 +69,8 @@ pub fn catalogue() -> Vec<Deployment> {
         TopologyKind::uniform10x6(),
     ]
     .into_iter()
-    .map(|topo| {
+    .enumerate()
+    .map(|(entry, topo)| {
         let normal = ScenarioSpec::normal(topo, ProtocolKind::Mr);
         let attacked = ScenarioSpec::attacked(topo, ProtocolKind::Mr);
         Deployment {
@@ -58,6 +78,7 @@ pub fn catalogue() -> Vec<Deployment> {
             protocol: "mr".to_string(),
             normal,
             attacked,
+            entry,
         }
     })
     .collect()
@@ -70,11 +91,31 @@ pub fn find(topology: &str, protocol: &str) -> Option<Deployment> {
         .find(|d| d.topology == topology && d.protocol == protocol)
 }
 
-/// Train the normal-condition profile for one deployment the way the
-/// detection experiment does: [`TRAIN_RUNS`] clean route sets at seeds
-/// offset far from serving traffic.
+/// Train the normal-condition profile for one catalogue deployment the
+/// way the detection experiment does: [`TRAIN_RUNS`] clean route sets at
+/// seeds offset far from serving traffic, the profile
+/// [`train_normal_profile`](crate::runner::train_normal_profile) gives
+/// for the entry's `normal` spec.
+///
+/// The first call for a catalogue entry simulates its training
+/// discoveries and records them; the run memo is neither read nor
+/// filled. Every later call, from any thread, tabulates the recording in
+/// place: no simulation, no lookup by string, no route copied. The
+/// recording is the entry's, so edits to `deployment.normal` are not
+/// seen; train such a spec with `train_normal_profile`.
 pub fn train_profile(deployment: &Deployment) -> NormalProfile {
-    train_normal_profile(&deployment.normal, TRAIN_RUNS)
+    let entry = deployment.entry;
+    let sets = RECORDINGS[entry].get_or_init(|| {
+        let spec = catalogue()[entry].normal;
+        let router = RouterConfig::new(spec.protocol);
+        (0..TRAIN_RUNS)
+            .map(|i| {
+                let run = TRAIN_OFFSET + i;
+                simulate(&spec, run, &router, WormholeConfig::default(), None).1
+            })
+            .collect()
+    });
+    NormalProfile::train(sets, SamConfig::default().pmf_bins)
 }
 
 /// One pre-simulated replay corpus entry: the deployment it belongs to,
@@ -126,6 +167,42 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 3, "keys are distinct");
+    }
+
+    #[test]
+    fn recorded_training_trains_the_memos_profile() {
+        for d in catalogue() {
+            let recorded = train_profile(&d);
+            let memo = crate::runner::train_normal_profile(&d.normal, TRAIN_RUNS);
+            assert_eq!(
+                (recorded.p_max, recorded.delta, recorded.hops),
+                (memo.p_max, memo.delta, memo.hops),
+                "{}",
+                d.key_string()
+            );
+            assert_eq!(recorded.pmf, memo.pmf, "{}", d.key_string());
+
+            // Another lookup of the key shares the recording the first
+            // training filled, so it simulates nothing.
+            let again = find(&d.topology, &d.protocol).expect("key resolves");
+            assert_eq!(again.entry, d.entry);
+            let sets = RECORDINGS[again.entry]
+                .get()
+                .expect("recorded by the first training");
+            assert_eq!(sets.len() as u64, TRAIN_RUNS);
+            let second = train_profile(&again);
+            assert_eq!(second.pmf, recorded.pmf);
+
+            // The recording is the entry's: an edited `normal` is not seen.
+            let mut edited = again.clone();
+            edited.normal.base_seed += 1;
+            assert_eq!(train_profile(&edited).pmf, recorded.pmf);
+
+            // Debug names the entry, not the thousands of recorded nodes.
+            let shown = format!("{again:?}");
+            assert!(shown.contains(&d.topology), "{shown}");
+            assert!(shown.len() < 1_000, "{shown}");
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! an eviction, so a hit on one key never waits on another key's
 //! training. A training that panics leaves its slot empty, and the next
 //! call for the key trains again.
+//!
+//! A slot whose training is in flight is never evicted, so no key trains
+//! twice at once. When every other slot is in flight, a miss grows the
+//! map past its capacity. Every call evicts down to capacity what is no
+//! longer in flight, so the overflow ends with the first call after the
+//! trainings that caused it.
 
 use crate::request::ProfileKey;
 use parking_lot::Mutex;
@@ -31,8 +37,17 @@ struct LruInner {
     tick: u64,
 }
 
+/// Whether a training of `slot` is running or waited on: it is still
+/// empty and a call besides the map holds it. Calls clone a slot only
+/// under the map's lock, so the count read there can only overstate, and
+/// a slot whose training panicked with nobody waiting is evictable.
+fn in_flight(slot: &Slot) -> bool {
+    slot.get().is_none() && Arc::strong_count(slot) > 1
+}
+
 /// A bounded, least-recently-used map of trained profiles with hit/miss
-/// accounting.
+/// accounting. Slots in flight are exempt from eviction, so while
+/// trainings run the map can exceed its capacity by their number.
 ///
 /// The hit/miss counters are plain [`sam_telemetry::Counter`]s; pass
 /// registry-owned handles via [`ProfileCache::with_counters`] to surface
@@ -46,8 +61,8 @@ pub struct ProfileCache {
 }
 
 impl ProfileCache {
-    /// A cache retaining at most `capacity` profiles (`capacity ≥ 1`),
-    /// with private hit/miss counters.
+    /// A cache of `capacity` profiles (`capacity ≥ 1`), more only while
+    /// trainings are in flight, with private hit/miss counters.
     pub fn new(capacity: usize) -> Self {
         Self::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
     }
@@ -92,31 +107,38 @@ impl ProfileCache {
         (profile, !trained)
     }
 
-    /// The slot for `key`, made (and the LRU entry evicted) if absent.
+    /// The slot for `key`, made if absent. Then least recently used
+    /// slots are evicted until the map is back at capacity, skipping
+    /// `key` and every slot whose training is in flight.
     fn slot(&self, key: &ProfileKey) -> Slot {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some((recency, slot)) = inner.map.get_mut(key) {
-            *recency = tick;
-            return slot.clone();
-        }
-        if inner.map.len() >= self.capacity {
-            // Evict the least recently used entry. Linear scan: the cache
-            // holds one entry per deployment, so len is tens, not
-            // thousands. A training in flight on the victim still hands
-            // its profile to the calls already waiting on it.
-            if let Some(victim) = inner
+        let slot = match inner.map.get_mut(key) {
+            Some((recency, slot)) => {
+                *recency = tick;
+                slot.clone()
+            }
+            None => {
+                let slot = Slot::default();
+                inner.map.insert(key.clone(), (tick, slot.clone()));
+                slot
+            }
+        };
+        while inner.map.len() > self.capacity {
+            // Linear scan: the cache holds one entry per deployment, so
+            // len is tens, not thousands.
+            let Some(victim) = inner
                 .map
                 .iter()
+                .filter(|(k, (_, slot))| *k != key && !in_flight(slot))
                 .min_by_key(|(_, (recency, _))| *recency)
                 .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-            }
+            else {
+                break;
+            };
+            inner.map.remove(&victim);
         }
-        let slot = Slot::default();
-        inner.map.insert(key.clone(), (tick, slot.clone()));
         slot
     }
 
@@ -184,6 +206,114 @@ mod tests {
         assert!(!hit, "b was the LRU victim");
     }
 
+    #[test]
+    fn a_training_in_flight_is_never_evicted() {
+        let cache = ProfileCache::new(2);
+        let gate = Gate::new();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let hold = gate.lock.write().unwrap();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_train(&key("a"), || {
+                    entered_tx.send(()).unwrap();
+                    gate.train()
+                })
+            });
+            entered_rx.recv().unwrap();
+            // b and c fill the cache while a trains: c evicts b, not a.
+            cache.get_or_train(&key("b"), || gate.count());
+            cache.get_or_train(&key("c"), || gate.count());
+            assert_eq!(cache.len(), 2);
+            let again = s.spawn(|| cache.get_or_train(&key("a"), || gate.train()));
+            // Wait until the second call holds a's slot beside the map and
+            // the first call, or has started a second training.
+            let holders = || {
+                let inner = cache.inner.lock();
+                inner
+                    .map
+                    .get(&key("a"))
+                    .map_or(0, |(_, slot)| Arc::strong_count(slot))
+            };
+            while holders() < 3 && gate.trainings.load(Ordering::SeqCst) < 4 {
+                std::thread::yield_now();
+            }
+            drop(hold);
+            assert!(!first.join().unwrap().1);
+            assert!(
+                again.join().unwrap().1,
+                "the second call waited on the first"
+            );
+        });
+        assert_eq!(gate.trainings.load(Ordering::SeqCst), 3, "a trained once");
+        let (_, hit) = cache.get_or_train(&key("b"), empty_profile);
+        assert!(!hit, "b was the victim");
+    }
+
+    #[test]
+    fn the_map_overflows_only_while_every_slot_is_in_flight() {
+        let cache = ProfileCache::new(1);
+        let gate = Gate::new();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let hold = gate.lock.write().unwrap();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_train(&key("a"), || {
+                    entered_tx.send(()).unwrap();
+                    gate.train()
+                })
+            });
+            entered_rx.recv().unwrap();
+            cache.get_or_train(&key("b"), empty_profile);
+            assert_eq!(cache.len(), 2, "a in flight and b");
+            drop(hold);
+            first.join().unwrap();
+        });
+        let (_, hit) = cache.get_or_train(&key("b"), || panic!("must not retrain"));
+        assert!(hit);
+        assert_eq!(cache.len(), 1, "the next hit shrinks the map back");
+        cache.get_or_train(&key("c"), empty_profile);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.misses(), 3);
+    }
+
+    #[test]
+    fn concurrent_misses_past_capacity_end_with_the_next_hit() {
+        let cache = ProfileCache::new(2);
+        let gate = Gate::new();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let hold = gate.lock.write().unwrap();
+        std::thread::scope(|s| {
+            let calls: Vec<_> = ["a", "b", "c"]
+                .into_iter()
+                .map(|name| {
+                    let entered_tx = entered_tx.clone();
+                    let (cache, gate) = (&cache, &gate);
+                    s.spawn(move || {
+                        cache.get_or_train(&key(name), || {
+                            entered_tx.send(()).unwrap();
+                            gate.train()
+                        })
+                    })
+                })
+                .collect();
+            for _ in 0..3 {
+                entered_rx.recv().unwrap();
+            }
+            assert_eq!(cache.len(), 3, "three trainings in flight");
+            drop(hold);
+            for call in calls {
+                assert!(!call.join().unwrap().1);
+            }
+        });
+        // Only hits follow: the first one evicts back to capacity.
+        for _ in 0..3 {
+            let (_, hit) = cache.get_or_train(&key("a"), || panic!("must not retrain"));
+            assert!(hit);
+            assert_eq!(cache.len(), 2);
+        }
+        assert_eq!(cache.misses(), 3);
+    }
+
     /// Holds every training that reads it until the test drops the write
     /// guard, counting the trainings that started.
     struct Gate {
@@ -200,8 +330,14 @@ mod tests {
         }
 
         fn train(&self) -> NormalProfile {
-            self.trainings.fetch_add(1, Ordering::SeqCst);
+            let profile = self.count();
             let _open = self.lock.read().unwrap();
+            profile
+        }
+
+        /// Count a training that does not wait.
+        fn count(&self) -> NormalProfile {
+            self.trainings.fetch_add(1, Ordering::SeqCst);
             empty_profile()
         }
     }
