@@ -3,9 +3,11 @@
 //! disconnect semantics, in the `crossbeam::channel` module layout.
 //!
 //! The implementation is a `Mutex<VecDeque>` with two condvars (not the
-//! lock-free crossbeam queues); for the batch sizes and request rates the
-//! serving layer targets, the lock is not the bottleneck — see
-//! `DESIGN.md`'s serving section for measurements.
+//! lock-free crossbeam queues). The gateway hands each accepted
+//! connection through one; its requests run on the connection worker
+//! and cross no channel. `DetectionService::submit`'s in-process pool
+//! still queues through one, and at its request rates the lock is not
+//! the bottleneck.
 
 #![forbid(unsafe_code)]
 

@@ -541,6 +541,51 @@ impl<'de> Source<'de> for Parser<'de> {
         self.depth = depth;
     }
 
+    /// One pass over a run of plain integers, as `next_element` and
+    /// `token` would read them. At anything else (an error included) it
+    /// steps back before the element's separator and leaves the element
+    /// to them.
+    fn uint_run(&mut self, max: u64, mut push: impl FnMut(u64)) -> bool {
+        let mut first = true;
+        loop {
+            let at = self.pos;
+            self.skip_ws();
+            match self.peek() {
+                Some(b']') => {
+                    self.close();
+                    return true;
+                }
+                Some(b',') if !first => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                _ if first => {}
+                _ => {
+                    self.pos = at;
+                    return false;
+                }
+            }
+            let start = self.pos;
+            let mut n = Some(0u64);
+            while let Some(&b @ b'0'..=b'9') = self.bytes.get(self.pos) {
+                n = n
+                    .and_then(|n| n.checked_mul(10))
+                    .and_then(|n| n.checked_add(u64::from(b - b'0')));
+                self.pos += 1;
+            }
+            // Where `parse_number` would read on, or make no `UInt`.
+            let longer = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+            match n {
+                Some(n) if self.pos > start && !longer && n <= max => push(n),
+                _ => {
+                    self.pos = at;
+                    return false;
+                }
+            }
+            first = false;
+        }
+    }
+
     fn skip_unknown(&mut self, key: Cow<'de, str>) -> Result<(), DeError> {
         if !(self.keep_unknown && self.depth == 1) {
             return self.skip();
@@ -613,6 +658,61 @@ mod tests {
         }
         // Four hex digits, not a signed number.
         assert!(from_str::<String>(r#""\u+fff""#).is_err());
+    }
+
+    #[test]
+    fn integer_runs_read_like_one_element_at_a_time() {
+        // Text takes a run of plain integers in one pass; a tree reads
+        // each element on its own. Both must give the same value or the
+        // same error text.
+        fn agree<T: Deserialize + Serialize>(text: &str) {
+            let outcome = |read: Result<Vec<T>, Error>| {
+                read.map(|v| to_string(&v).unwrap())
+                    .map_err(|e| e.to_string())
+            };
+            let direct = outcome(from_str(text));
+            let tree = outcome(
+                from_str::<Value>(text).and_then(|v| Vec::<T>::from_value(&v).map_err(Error::from)),
+            );
+            assert_eq!(direct, tree, "{text:?}");
+        }
+        let lexemes = [
+            "01",
+            "-0",
+            "-1",
+            "1.0",
+            "1e2",
+            "255",
+            "256",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            " 7 ",
+            "\n7\n",
+            "[]",
+            "\"7\"",
+            "null",
+            "7,",
+            "7 8",
+            "7x",
+            "",
+        ];
+        for lexeme in lexemes {
+            for text in [
+                format!("[{lexeme}]"),
+                format!("[1,{lexeme}]"),
+                format!("[1, 2,{lexeme},3]"),
+                format!("[{lexeme},3]"),
+                format!("[1,{lexeme}"),
+            ] {
+                agree::<u8>(&text);
+                agree::<u32>(&text);
+                agree::<u64>(&text);
+            }
+        }
+        assert_eq!(from_str::<Vec<u32>>("[ 1 ,\n2 ]").unwrap(), vec![1, 2]);
+        assert_eq!(from_str::<Vec<u32>>("[]").unwrap(), Vec::<u32>::new());
     }
 
     #[test]

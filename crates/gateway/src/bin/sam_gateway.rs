@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sam-gateway [--addr HOST:PORT] [--shards N] [--replicas N]
-//!             [--workers N] [--queue N] [--batch N] [--cache N]
+//!             [--queue N] [--cache N]
 //!             [--max-conns N] [--backlog N] [--explain]
 //!             [--telemetry PATH] [--stats-interval-ms N]
 //!             [--slo-p99-us N] [--slow-request-us N]
@@ -20,7 +20,7 @@
 //!
 //! SIGINT/SIGTERM (or a client's `{"cmd":"drain"}` line) triggers
 //! graceful drain: the listener closes, every request already received
-//! is answered, shard queues flush, and the process exits 0 after
+//! is answered, and the process exits 0 after
 //! printing the final telemetry snapshot. `--telemetry PATH` writes
 //! spans plus that snapshot as JSONL.
 
@@ -39,9 +39,7 @@ struct Args {
     addr: String,
     shards: usize,
     replicas: u32,
-    workers: usize,
     queue: usize,
-    batch: usize,
     cache: usize,
     max_conns: usize,
     backlog: usize,
@@ -63,9 +61,7 @@ impl Default for Args {
             addr: "127.0.0.1:7700".to_string(),
             shards: 2,
             replicas: DEFAULT_REPLICAS,
-            workers: service.workers,
             queue: service.queue_capacity,
-            batch: 32,
             cache: service.cache_capacity,
             max_conns: 64,
             backlog: 128,
@@ -98,9 +94,7 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--shards" => args.shards = parse!("--shards"),
             "--replicas" => args.replicas = parse!("--replicas"),
-            "--workers" => args.workers = parse!("--workers"),
             "--queue" => args.queue = parse!("--queue"),
-            "--batch" => args.batch = parse!("--batch"),
             "--cache" => args.cache = parse!("--cache"),
             "--max-conns" => args.max_conns = parse!("--max-conns"),
             "--backlog" => args.backlog = parse!("--backlog"),
@@ -120,9 +114,7 @@ fn parse_args() -> Result<Args, String> {
                      --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 picks one)\n  \
                      --shards N        DetectionService shards (default 2)\n  \
                      --replicas N      hash-ring virtual points per shard (default {})\n  \
-                     --workers N       worker threads per shard (default: cores)\n  \
-                     --queue N         per-shard-queue capacity (default 256)\n  \
-                     --batch N         max requests per worker wake (default 32)\n  \
+                     --queue N         requests in compute per shard before shedding (default 256)\n  \
                      --cache N         profiles kept per shard LRU (default 16)\n  \
                      --max-conns N     concurrent connections served (default 64)\n  \
                      --backlog N       accepted connections buffered before shedding (default 128)\n  \
@@ -143,8 +135,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.shards == 0 || args.workers == 0 || args.queue == 0 || args.batch == 0 {
-        return Err("--shards, --workers, --queue, and --batch must be at least 1".into());
+    if args.shards == 0 || args.queue == 0 {
+        return Err("--shards and --queue must be at least 1".into());
     }
     if args.max_conns == 0 || args.backlog == 0 || args.replicas == 0 {
         return Err("--max-conns, --backlog, and --replicas must be at least 1".into());
@@ -192,15 +184,16 @@ fn main() -> ExitCode {
     let cfg = GatewayConfig {
         shards: args.shards,
         replicas: args.replicas,
+        // Requests run on the connection workers: the service's
+        // `workers` and `max_batch` go unused.
         service: ServiceConfig {
-            workers: args.workers,
             queue_capacity: args.queue,
-            max_batch: args.batch,
             cache_capacity: args.cache,
             // Calibrated like the detection experiment: at ~10-run
             // training scale the 3σ default under-fires.
             detector: sam::SamConfig::calibrated(),
             explain: args.explain,
+            ..ServiceConfig::default()
         },
         max_conns: args.max_conns,
         backlog: args.backlog,
@@ -226,8 +219,8 @@ fn main() -> ExitCode {
     println!("sam-gateway: listening on {}", gateway.local_addr());
     std::io::stdout().flush().ok();
     eprintln!(
-        "sam-gateway: {} shards x {} workers, queue {}, {} conns max",
-        args.shards, args.workers, args.queue, args.max_conns
+        "sam-gateway: {} shards, {} requests in compute per shard, {} conns max",
+        args.shards, args.queue, args.max_conns
     );
 
     // SIGINT/SIGTERM begins the drain; the poll loop below notices either

@@ -2,17 +2,18 @@
 //!
 //! A TCP front-end for wormhole detection: clients connect, write
 //! newline-delimited JSON requests (one discovered route set per line),
-//! and read one verdict line back per request, in order. Behind the
-//! socket the gateway consistent-hashes each deployment key onto one of
-//! several independent [`DetectionService`](sam_serve::prelude::DetectionService)
-//! shards, so a deployment's trained profile lives in exactly one
-//! shard's LRU cache.
+//! and read one verdict line back per request, in order. Each request is
+//! judged on the connection worker that read it. The gateway
+//! consistent-hashes its deployment key onto one of several independent
+//! [`DetectionService`](sam_serve::prelude::DetectionService) shards, so
+//! a deployment's trained profile lives in exactly one shard's LRU
+//! cache.
 //!
 //! The layer map:
 //!
 //! ```text
 //! loadgen --remote ──TCP/JSONL──▶ sam-gateway ──ring──▶ DetectionService × S
-//!                                  (this crate)           (sam-serve)
+//!                                  (this crate)     (sam-serve, run inline)
 //! ```
 //!
 //! * [`ring`] — deterministic consistent-hash ring (FNV-1a, virtual

@@ -4,27 +4,35 @@
 //! ## Threading model
 //!
 //! ```text
-//!              ┌─ acceptor ─┐   bounded backlog    ┌─ conn worker 0 ─┐
-//!  TcpListener │ nonblocking │ ──────────────────▶ │ conn worker 1   │
-//!              │ accept loop │   (full ⇒ shed     │      …           │
+//!              ┌─ acceptor ──┐   bounded backlog    ┌─ conn worker 0 ─┐
+//!  TcpListener │  blocks in  │ ──────────────────▶ │ conn worker 1   │
+//!              │   accept    │   (full ⇒ shed     │      …           │
 //!              └─────────────┘    + close)         └─ conn worker N ─┘
-//!                                                         │ ring.route(key)
-//!                                     ┌───────────────────┴──────────┐
+//!                                                   each request, on the
+//!                                                   worker that read it:
+//!                                                   decode → ring.route(key)
+//!                                                   → shard.serve → write
+//!                                     ┌──────────────────────┴───────┐
 //!                                     ▼                              ▼
-//!                             DetectionService 0   …   DetectionService S-1
-//!                          (each: one bounded queue, its worker pool,
-//!                           its LRU profile cache)
+//!                                  shard 0          …           shard S-1
+//!                        (each: an admission count and its LRU profile
+//!                         cache; no threads of its own)
 //! ```
 //!
-//! One acceptor thread owns the listener; `max_conns` connection workers
-//! each own one live connection at a time, reading length-guarded JSONL
-//! frames and writing one response line per request **in request order**
-//! (pipelining is supported; responses never reorder within a
-//! connection). Requests route to one of `shards` independent
-//! [`DetectionService`]s by consistent-hashing the deployment key, so a
-//! key's trained profile lives in exactly one shard's LRU cache. A
-//! request whose profile source or detector panics gets one `"error"`
-//! line (counted in `serve.failed`), and its connection stays open.
+//! One acceptor thread owns the listener and sleeps in `accept`;
+//! `max_conns` connection workers each own one live connection at a
+//! time, reading length-guarded JSONL frames and writing one response
+//! line per request **in request order** (pipelining is supported;
+//! responses never reorder within a connection). A request is decoded,
+//! judged and answered on the connection worker that read it: its
+//! deployment key consistent-hashes to one of `shards`
+//! [`DetectionService`]s, built [`inline`](DetectionService::inline),
+//! whose [`serve`](DetectionService::serve) runs the detection on the
+//! calling thread. A shard keeps a key's trained profile in its LRU
+//! cache and counts its requests in compute; it has no queue or worker
+//! of its own. A request whose profile source or detector panics gets
+//! one `"error"` line (counted in `serve.failed`), and its connection
+//! stays open.
 //!
 //! ## Overload shed
 //!
@@ -34,20 +42,24 @@
 //! * **Connection level** — the accept backlog channel is bounded; when
 //!   full, the acceptor writes one `"shed"` line on the new socket and
 //!   closes it (`gateway.conn_shed`).
-//! * **Request level** — a full shard queue turns
-//!   [`SubmitError::Rejected`] into a `"shed"` response carrying
-//!   `queue_depth` (`gateway.request_shed`), the protocol's 503.
+//! * **Request level** — `queue_capacity` (`--queue N`) bounds a shard's
+//!   requests in compute at once. The next request for a full shard gets
+//!   a `"shed"` response carrying `queue_depth`, the count it collided
+//!   with (`gateway.request_shed`), the protocol's 503. `{"cmd":"stats"}`
+//!   reports the same count per shard as `queue_depth`.
 //!
 //! ## Graceful drain
 //!
 //! [`Gateway::begin_drain`] (SIGTERM/ctrl-c in the binary, or the remote
-//! `drain` command) flips one flag. The acceptor stops accepting and
-//! closes the listener — new connects are refused at the TCP level.
-//! Connection handlers finish every request already received (socket
-//! reads use a short tick timeout, so each handler notices the flag
-//! within ~100ms of going idle), then close. [`Gateway::drain`] joins
-//! all of that, shuts the shard services down (flushing in-flight
-//! batches), and returns the final telemetry snapshot.
+//! `drain` command) flips one flag and wakes the acceptor out of
+//! `accept` with one loopback connection of its own, which the acceptor
+//! knows by its address and neither counts nor serves. The acceptor then
+//! takes every connection the OS has already completed, and closes the
+//! listener — new connects are refused at the TCP level. Connection
+//! handlers finish every request already received (socket reads use a
+//! short tick timeout, so each handler notices the flag within ~100ms of
+//! going idle), then close. [`Gateway::drain`] joins all of that, stops
+//! the stats sampler, and returns the final telemetry snapshot.
 
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -63,22 +75,24 @@ use sam_telemetry::{
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How a [`Gateway`] is shaped.
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Independent [`DetectionService`] shards (each with its own worker
-    /// pool and profile cache). At least 1.
+    /// Independent [`DetectionService`] shards (each with its own profile
+    /// cache and admission count). At least 1.
     pub shards: usize,
     /// Virtual points per shard on the hash ring.
     pub replicas: u32,
-    /// Shape of each shard's service.
+    /// Each shard's service. Requests run on the connection workers, so
+    /// `workers` and `max_batch` are not used; `queue_capacity` bounds a
+    /// shard's requests in compute at once.
     pub service: ServiceConfig,
     /// Concurrent connection handlers (= live connections). At least 1.
     pub max_conns: usize,
@@ -155,6 +169,11 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// finish before being closed mid-stream.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// Cap on the loopback connect that wakes the acceptor for drain. It
+/// completes at once unless the listen backlog is full, and then the
+/// acceptor is not asleep.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Everything the acceptor, connection workers, and public handle share.
 struct Shared {
     cfg: GatewayConfig,
@@ -162,6 +181,12 @@ struct Shared {
     services: Vec<DetectionService>,
     draining: AtomicBool,
     drain_started: Mutex<Option<Instant>>,
+    /// Where `begin_drain` connects to wake the acceptor: the listener's
+    /// address, with an unspecified IP replaced by loopback.
+    wake_to: SocketAddr,
+    /// The local address of that wake connection, set once it is made
+    /// (`None` when the connect failed).
+    wake_from: OnceLock<Option<SocketAddr>>,
     active: AtomicUsize,
     registry: Arc<Registry>,
     accepted: Arc<Counter>,
@@ -267,11 +292,22 @@ impl Shared {
 
     fn begin_drain(&self) {
         let mut started = self.drain_started.lock().unwrap_or_else(|e| e.into_inner());
-        if started.is_none() {
+        let first = started.is_none();
+        if first {
             *started = Some(Instant::now());
         }
         drop(started);
         self.draining.store(true, Ordering::Release);
+        if first {
+            // The acceptor sleeps in `accept`: one connection ends the
+            // sleep, and its address tells the acceptor it is no client.
+            // Should the connect fail (the process is out of sockets),
+            // the acceptor notices drain at its next connection instead.
+            let wake = TcpStream::connect_timeout(&self.wake_to, WAKE_TIMEOUT)
+                .and_then(|stream| stream.local_addr())
+                .ok();
+            let _ = self.wake_from.set(wake);
+        }
     }
 
     /// Whether the post-drain grace budget is exhausted.
@@ -315,7 +351,13 @@ impl Gateway {
 
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut wake_to = local_addr;
+        if wake_to.ip().is_unspecified() {
+            wake_to.set_ip(match wake_to {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         // All gateway.* instruments live beside the shards' serve.*
         // instruments: the process-global registry when telemetry is
@@ -326,10 +368,11 @@ impl Gateway {
         // Every shard records into the gateway's registry, so the final
         // drain snapshot carries aggregated serve.* counters (cache
         // hits/misses, latency) next to the gateway.* ones even without
-        // process-global telemetry.
+        // process-global telemetry. Shards start no threads: requests
+        // run on the connection workers.
         let services = (0..cfg.shards)
             .map(|_| {
-                DetectionService::start(cfg.service.clone(), profiles.clone(), registry.clone())
+                DetectionService::inline(cfg.service.clone(), profiles.clone(), registry.clone())
             })
             .collect();
         let tracer = if cfg.trace {
@@ -355,6 +398,8 @@ impl Gateway {
             services,
             draining: AtomicBool::new(false),
             drain_started: Mutex::new(None),
+            wake_to,
+            wake_from: OnceLock::new(),
             active: AtomicUsize::new(0),
             accepted: registry.counter("gateway.accepted"),
             conn_shed: registry.counter("gateway.conn_shed"),
@@ -439,17 +484,24 @@ impl Gateway {
         self.shared.draining()
     }
 
-    /// Signal drain without blocking: stop accepting, let in-flight work
-    /// finish. Follow with [`drain`](Gateway::drain) to join.
+    /// Signal drain without waiting for it: stop accepting, let in-flight
+    /// work finish. The first call wakes the acceptor with one loopback
+    /// connect. Follow with [`drain`](Gateway::drain) to join.
     pub fn begin_drain(&self) {
         self.shared.begin_drain();
     }
 
     /// Drain gracefully: stop accepting, serve everything already
-    /// received, join every connection handler, shut the shard services
-    /// down (flushing in-flight batches), and return the final telemetry
-    /// snapshot.
+    /// received, join every connection handler and the stats sampler, and
+    /// return the final telemetry snapshot.
     pub fn drain(mut self) -> sam_telemetry::RegistrySnapshot {
+        self.stop();
+        self.shared.registry.snapshot()
+    }
+
+    /// Begin drain and join every thread. Idempotent: after `drain`, the
+    /// `Drop` that follows finds nothing left to join.
+    fn stop(&mut self) {
         self.shared.begin_drain();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -459,49 +511,28 @@ impl Gateway {
         }
         self.shared.stop_sampler.store(true, Ordering::Release);
         if let Some(h) = self.sampler.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
-        let snapshot = self.shared.registry.snapshot();
-        // Every thread has returned, so `self.shared` is the last handle:
-        // dropping it drops the shard services, whose own Drop flushes
-        // their queues and joins their workers.
-        drop(self);
-        snapshot
     }
 }
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        // Idempotent: after `drain` both join lists are already empty.
-        self.shared.begin_drain();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.conn_workers.drain(..) {
-            let _ = h.join();
-        }
-        self.shared.stop_sampler.store(true, Ordering::Release);
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
-        // Shard services shut down via their own Drop when `shared`
-        // releases its last reference.
+        self.stop();
     }
 }
 
 /// The stats sampler: push a cumulative snapshot into the window ring
-/// every `stats_interval`, sleeping in short ticks so shutdown is never
-/// blocked on a full interval.
+/// every `stats_interval`, parked until the next one is due. Shutdown
+/// sets `stop_sampler` and unparks the thread, so it never waits out an
+/// interval.
 fn sampler_loop(shared: Arc<Shared>) {
-    let tick = shared.cfg.stats_interval.min(Duration::from_millis(50));
     let mut next = shared.started + shared.cfg.stats_interval;
-    loop {
-        if shared.stop_sampler.load(Ordering::Acquire) {
-            return;
-        }
+    while !shared.stop_sampler.load(Ordering::Acquire) {
         let now = Instant::now();
         if now < next {
-            std::thread::sleep(tick.min(next - now));
+            std::thread::park_timeout(next - now);
             continue;
         }
         shared
@@ -565,8 +596,8 @@ fn ring_span_s(cfg: &GatewayConfig) -> u64 {
     ((DEFAULT_WINDOW_SLOTS as u64).saturating_mul(interval_us) / 1_000_000).max(1)
 }
 
-/// The accept loop: nonblocking accept, shed on full backlog, stop and
-/// close the listener on drain.
+/// The accept loop: block in `accept`, shed on full backlog; on drain,
+/// take what the OS already handshook and close the listener.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener, tx: Sender<TcpStream>) {
     let dispatch = |stream: TcpStream| {
         shared.accepted.inc();
@@ -580,30 +611,39 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, tx: Sender<TcpStream>
             Err(TrySendError::Disconnected(_)) => false,
         }
     };
-    loop {
+    let last = loop {
+        let accepted = listener.accept();
         if shared.draining() {
-            // Final sweep before closing: the OS has already completed
-            // TCP handshakes for connections sitting in the listen
-            // backlog — those clients believe they are connected, so
-            // closing now would RST them mid-request. Accept everything
-            // already pending, then stop.
-            while let Ok((stream, _peer)) = listener.accept() {
-                if !dispatch(stream) {
-                    break;
-                }
-            }
-            break;
+            break accepted;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if !dispatch(stream) {
-                    break;
+                    return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors and the like: back off, don't spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    // Drain. `begin_drain`'s wake connection is known by its address and
+    // neither counted nor served; every other connection is a client.
+    let wake = *shared.wake_from.wait();
+    let take = |(stream, peer): (TcpStream, SocketAddr)| Some(peer) == wake || dispatch(stream);
+    if let Ok(conn) = last {
+        if !take(conn) {
+            return;
+        }
+    }
+    // Final sweep before closing: the OS has already completed TCP
+    // handshakes for connections sitting in the listen backlog — those
+    // clients believe they are connected, so closing now would RST them
+    // mid-request. Accept everything already pending, then stop.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok(conn) = listener.accept() {
+            if !take(conn) {
+                break;
+            }
         }
     }
     // Dropping the listener closes the socket: further connects are
@@ -763,20 +803,23 @@ fn serve_line(
                 Ok(true)
             }
         },
-        WireLine::Request(wire_req) => serve_request(shared, *wire_req, writer),
+        WireLine::Request(wire_req) => {
+            serve_request(shared, *wire_req, writer)?;
+            Ok(true)
+        }
     }
 }
 
-/// Serve one request line. Admission (known-key check, decode, shard
-/// routing, submission) ends in either the served response or the line
-/// refusing the request; one tail then stamps the trace id, finishes the
-/// trace and writes the line. Returns `Ok(false)` when the connection
-/// should close (the shard service has shut down).
+/// Serve one request line on this connection worker. Admission
+/// (known-key check, decode, shard routing, the shard's admission count)
+/// ends in either the served response or the line refusing the request;
+/// one tail then stamps the trace id, finishes the trace and writes the
+/// line.
 fn serve_request(
     shared: &Shared,
     wire_req: WireRequest,
     writer: &mut BufWriter<TcpStream>,
-) -> std::io::Result<bool> {
+) -> std::io::Result<()> {
     let id = wire_req.id;
     let want_timings = wire_req.timings;
     let accepted_at = Instant::now();
@@ -793,7 +836,6 @@ fn serve_request(
     let key = format!("{}/{}", wire_req.topology, wire_req.protocol);
     let mut shard: Option<u64> = None;
     let mut gw_span = SpanGuard::disabled();
-    let mut keep_open = true;
     let admitted: Result<DetectionResponse, WireResponse> = 'admit: {
         if let Some(known) = &shared.cfg.known_keys {
             if !known.contains(&key) {
@@ -813,9 +855,8 @@ fn serve_request(
         };
         let s = shared.ring.route(&key) as usize;
         shard = Some(s as u64);
-        // The conn worker's own span opens before submission so the
-        // shard-queue wait happens inside it; the worker thread's
-        // `serve.process` span parents here via the explicit handoff.
+        // The request's span on this thread; the shard's `serve.process`
+        // span opens inside it, parented through the explicit context.
         if let (Some(ctx), Some(tel)) = (&trace_ctx, sam_telemetry::global()) {
             gw_span = tel.span_in("gateway.request", ctx);
         }
@@ -824,18 +865,16 @@ fn serve_request(
             gw_span.field("key", key.as_str());
             gw_span.field("shard", s);
         }
-        let submit_ctx = gw_span.context().or(trace_ctx);
-        match shared.services[s].submit(request, submit_ctx) {
-            Ok(pending) => match pending.wait() {
-                Some(response) => {
-                    shared.requests.inc();
-                    shared.shard_requests[s].fetch_add(1, Ordering::Relaxed);
-                    Ok(response)
-                }
-                // The profile source or detector panicked on this
-                // request (`serve.failed`); the shard lives on.
-                None => Err(WireResponse::error(id, "internal error")),
-            },
+        let ctx = gw_span.context().or(trace_ctx);
+        match shared.services[s].serve(request, ctx) {
+            Ok(Some(response)) => {
+                shared.requests.inc();
+                shared.shard_requests[s].fetch_add(1, Ordering::Relaxed);
+                Ok(response)
+            }
+            // The profile source or detector panicked on this request
+            // (`serve.failed`); the shard lives on.
+            Ok(None) => Err(WireResponse::error(id, "internal error")),
             Err(SubmitError::Rejected { queue_depth }) => {
                 shared.request_shed.inc();
                 Err(WireResponse::shed(id, queue_depth))
@@ -847,10 +886,7 @@ fn serve_request(
                 shared.unknown_detector.inc();
                 Err(WireResponse::unknown_detector(id, &name))
             }
-            Err(SubmitError::Closed) => {
-                keep_open = false;
-                Err(WireResponse::error(id, "service shut down"))
-            }
+            Err(SubmitError::Closed) => unreachable!("`serve` has no queue to close"),
         }
     };
 
@@ -916,18 +952,16 @@ fn serve_request(
     if let (Some(t), Some(record)) = (&shared.tracer, record) {
         t.finish(record);
     }
-    write_encoded_line(writer, &encoded)?;
-    Ok(keep_open)
+    write_encoded_line(writer, &encoded)
 }
 
 /// Synthesize the queue-wait and serialize stages as child spans of the
-/// live `gateway.request` span, cut from the record's stage ladder. No
-/// thread is parked inside either stage (the wait happens in a channel,
-/// the encode is measured around a call), so they cannot be spanned live
-/// — but the timing breakdown pins them exactly, and emitting them makes
-/// the telemetry JSONL carry the same ladder the exemplar does. Compute
-/// needs no synthesis: the worker's `serve.process` span records it for
-/// real.
+/// live `gateway.request` span, cut from the record's stage ladder.
+/// Neither is a span of its own (nothing queues on this path, so the
+/// wait is zero-length; the encode is measured around a call), but the
+/// timing breakdown pins them exactly, and emitting them makes the
+/// telemetry JSONL carry the same ladder the exemplar does. Compute needs
+/// no synthesis: the shard's `serve.process` span records it for real.
 fn emit_stage_children(span: &SpanGuard, record: &AuditRecord, accepted_at: Instant) {
     let (Some(tel), Some(ctx)) = (sam_telemetry::global(), span.context()) else {
         return;

@@ -57,12 +57,15 @@ pub fn test_gateway(shards: usize) -> Gateway {
 
 /// [`test_gateway`] with its profiles from `profiles`.
 pub fn test_gateway_with(shards: usize, profiles: ProfileSource) -> Gateway {
-    let cfg = GatewayConfig {
+    Gateway::bind("127.0.0.1:0", test_config(shards), profiles).expect("bind ephemeral port")
+}
+
+/// The configuration of [`test_gateway`].
+pub fn test_config(shards: usize) -> GatewayConfig {
+    GatewayConfig {
         shards,
         service: ServiceConfig {
-            workers: 2,
             queue_capacity: 64,
-            max_batch: 4,
             cache_capacity: 8,
             // Permissive threshold so synthetic mixes produce confirmed
             // and normal verdicts alike.
@@ -75,8 +78,7 @@ pub fn test_gateway_with(shards: usize, profiles: ProfileSource) -> Gateway {
         max_conns: 8,
         backlog: 16,
         ..GatewayConfig::default()
-    };
-    Gateway::bind("127.0.0.1:0", cfg, profiles).expect("bind ephemeral port")
+    }
 }
 
 /// The wire form of one synthetic request (keys cycle over three

@@ -8,6 +8,7 @@ mod common;
 use common::{test_gateway, wire_request, Client};
 use sam_serve::wire::{STATUS_DRAINING, STATUS_OK};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// After drain completes, connecting to the old address must fail (the
@@ -119,4 +120,41 @@ fn drain_returns_a_final_snapshot_with_gateway_counters() {
     assert_eq!(hist.count, 1);
     // Shard serve.* instruments aggregate into the same snapshot.
     assert_eq!(snapshot.counter("serve.completed"), 1);
+}
+
+#[test]
+fn drain_wakes_an_acceptor_that_never_saw_a_client() {
+    let gateway = test_gateway(1);
+    // Drain on its own thread: a lost wake-up leaves that thread asleep
+    // in `accept`, and this one fails instead of hanging.
+    let (tx, drained) = mpsc::channel();
+    let drainer = std::thread::spawn(move || tx.send(gateway.drain()));
+    let snapshot = drained
+        .recv_timeout(Duration::from_secs(1))
+        .expect("drain returns within 1 s");
+    drainer
+        .join()
+        .expect("drain thread")
+        .expect("snapshot sent");
+    // The wake connection is neither counted nor served.
+    assert_eq!(snapshot.counter("gateway.accepted"), 0);
+    assert_eq!(snapshot.counter("gateway.conn_shed"), 0);
+}
+
+#[test]
+fn a_request_written_just_before_drain_is_served() {
+    for id in 0..5 {
+        let gateway = test_gateway(1);
+        let mut client =
+            Client::connect_with_timeout(gateway.local_addr(), Duration::from_secs(10))
+                .expect("connect");
+        client.send(&wire_request(id)).expect("send");
+        gateway.begin_drain();
+        let resp = client.recv().expect("the request is answered");
+        assert_eq!((resp.id, resp.status.as_str()), (id, STATUS_OK));
+        assert!(client.recv().is_none(), "then the connection closes");
+        let snapshot = gateway.drain();
+        assert_eq!(snapshot.counter("gateway.accepted"), 1);
+        assert_eq!(snapshot.counter("gateway.requests"), 1);
+    }
 }

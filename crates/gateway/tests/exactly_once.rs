@@ -122,6 +122,17 @@ fn a_panicking_profile_source_costs_one_error_line_per_request() {
     }
     assert_no_more_lines(&mut client);
 
+    // Every place in compute was given back, the panicking requests'
+    // included.
+    let mut client = Client::connect_with_timeout(addr, READ_BOUND).expect("connect");
+    client.send_raw(r#"{"cmd":"stats"}"#).expect("send");
+    let shards = one_line(&mut client, 0)
+        .stats
+        .expect("stats payload")
+        .shards;
+    assert!(shards.iter().all(|s| s.queue_depth == 0), "{shards:?}");
+    drop(client);
+
     start_drain.send(()).expect("drain thread waits");
     let snapshot = drained
         .recv_timeout(DRAIN_GRACE)

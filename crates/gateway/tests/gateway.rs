@@ -100,8 +100,8 @@ fn concurrent_first_requests_for_one_key_share_one_training() {
         })
     };
     let hold = gate.write().unwrap();
-    // One shard with two workers: the two requests go to different
-    // workers of the shard that owns the key.
+    // One shard: the two requests run at once, each on the connection
+    // worker that read it, against the one cache that owns the key.
     let gateway = test_gateway_with(1, source);
     let mut first = Client::connect(gateway.local_addr()).expect("connect");
     let mut second = Client::connect(gateway.local_addr()).expect("connect");

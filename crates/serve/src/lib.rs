@@ -10,15 +10,19 @@
 //! This crate provides that service as a library; `sam-gateway` puts it
 //! behind a socket:
 //!
-//! * [`DetectionService`](service::DetectionService) — a worker pool
-//!   draining one bounded queue. Each worker takes requests in
-//!   **batches** (up to `max_batch` per wake), and each request answers
-//!   through its own one-message reply channel. A request whose profile
-//!   source or detector panics answers `None` and costs no worker.
-//! * **Backpressure** — submission never blocks: when the queue is full
+//! * [`DetectionService`](service::DetectionService) — one request body,
+//!   run two ways. `submit` hands a request to a worker pool draining one
+//!   bounded queue; each worker takes requests in **batches** (up to
+//!   `max_batch` per wake), and each request answers through its own
+//!   one-message reply channel. `serve` runs the same body on the calling
+//!   thread, which is how `sam-gateway`'s connection workers use it. A
+//!   request whose profile source or detector panics answers `None` and
+//!   costs no worker.
+//! * **Backpressure** — neither way blocks: when the queue is full, or
+//!   `queue_capacity` requests are already in compute through `serve`,
 //!   the caller gets [`SubmitError::Rejected`](request::SubmitError)
-//!   carrying the observed queue depth, and the shed is counted. No
-//!   hidden unbounded buffering, no deadlock.
+//!   carrying that depth, and the shed is counted. No hidden unbounded
+//!   buffering, no deadlock.
 //! * [`ProfileCache`](cache::ProfileCache) — an LRU of trained profiles
 //!   keyed by [`ProfileKey`](request::ProfileKey), shared across workers
 //!   behind a `parking_lot` mutex, with hit/miss accounting. Training is

@@ -23,7 +23,8 @@ const BATCH_BUCKETS: usize = 64;
 /// (power-of-two histogram), `serve.batch_size` (exact up to 64), and the
 /// per-stage breakdown `serve.queue_wait_us` / `serve.compute_us`
 /// (power-of-two). Every accepted request ends as exactly one of
-/// `completed` or `failed`.
+/// `completed` or `failed`. A request served on its caller's thread is a
+/// batch of one that waited 0 µs.
 pub struct ServiceMetrics {
     submitted: Arc<Counter>,
     rejected: Arc<Counter>,
@@ -52,12 +53,12 @@ impl ServiceMetrics {
         }
     }
 
-    /// A request was accepted into the queue.
+    /// A request was accepted into the queue or into compute.
     pub fn record_submitted(&self) {
         self.submitted.inc();
     }
 
-    /// A request was shed because the queue was full.
+    /// A request was shed because the queue, or compute, was full.
     pub fn record_rejected(&self) {
         self.rejected.inc();
     }

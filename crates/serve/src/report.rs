@@ -64,9 +64,8 @@ pub struct LoadgenSummary {
     /// could not decode, whose deployment key it did not know, or whose
     /// profile source or detector failed. Answered, so never charged to
     /// the transport. The gateway counts these requests as its totals'
-    /// `refused` plus `failed`, and a `"service shut down"` answer in
-    /// neither, so this equals `gateway_stats.totals.refused` only while
-    /// nothing fails.
+    /// `refused` plus `failed`, so this equals
+    /// `gateway_stats.totals.refused` only while nothing fails.
     pub refused: u64,
     /// Connection-level failures: connects that never succeeded, sockets
     /// that died mid-soak, unparseable response lines, and requests whose

@@ -149,15 +149,17 @@ impl Verdict {
 /// Where one request's latency went, stage by stage, on the monotonic
 /// request clock started at submission.
 ///
-/// The worker fills `queue_wait_us` (submission → dequeue) and
-/// `compute_us` (detection + explanation); `serialize_us` is 0 until a
+/// The service fills `queue_wait_us` (submission → dequeue; 0 from
+/// [`serve`](crate::service::DetectionService::serve), where nothing
+/// queues) and `compute_us` (detection + explanation); `serialize_us` is
+/// 0 until a
 /// transport that actually serializes (the gateway) measures its
 /// encode-and-write step. Diagnostic only — excluded from the
 /// determinism contract, like `profile_cache_hit`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTiming {
     /// Time spent in the shard queue before a worker picked the request
-    /// up, microseconds.
+    /// up, microseconds (0 when served on the caller's thread).
     pub queue_wait_us: u64,
     /// Time spent producing the verdict (profile lookup, procedure,
     /// explanation), microseconds.
@@ -208,8 +210,9 @@ pub struct DetectionResponse {
 /// Why a submission was not accepted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target shard's queue was full; the request was shed. The
-    /// caller sees the depth it collided with and may retry later.
+    /// The target shard's queue was full, or `queue_capacity` requests
+    /// were already in compute through `serve`; the request was shed.
+    /// The caller sees the depth it collided with and may retry later.
     Rejected {
         /// Queue depth observed at rejection time.
         queue_depth: usize,

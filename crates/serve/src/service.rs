@@ -1,5 +1,5 @@
-//! The batching detection service: one bounded queue, drained by a pool
-//! of workers.
+//! The detection service: one request body, run by a pool of workers
+//! draining one bounded queue, or on the caller's own thread.
 //!
 //! ## Architecture
 //!
@@ -7,25 +7,36 @@
 //!  submit() ──▶ [bounded queue] ──┬──▶ worker 0 ─┐
 //!                                 ├──▶ worker 1 ─┼─▶ one reply channel
 //!                                 …       …      ┘   per request
+//!  serve()  ──▶ admission count ──▶ the caller's own thread
 //!                  shared: ProfileCache + ServiceMetrics
 //! ```
 //!
+//! * **Two ways in** — [`DetectionService::start`] spawns a worker pool
+//!   for [`submit`](DetectionService::submit), which hands the request
+//!   to a worker and answers through a [`Pending`].
+//!   [`serve`](DetectionService::serve) runs the same body on the calling
+//!   thread, with no queue and no hand-off; a service built by
+//!   [`DetectionService::inline`] has no pool and serves only that way
+//!   (the gateway's connection workers call it).
 //! * **Queueing** — every worker drains the service's one bounded
 //!   channel. `submit` never blocks: when the queue is full the request is
-//!   shed with [`SubmitError::Rejected`].
+//!   shed with [`SubmitError::Rejected`]. `serve` admits at most
+//!   `queue_capacity` requests into compute at once and sheds the next
+//!   one the same way.
 //! * **Batching** — a worker blocks on `recv` for its first request, then
 //!   opportunistically drains up to `max_batch - 1` more with `try_recv`
 //!   before processing, amortizing wakeups under load while adding zero
-//!   latency when idle.
+//!   latency when idle. A request `serve` runs is a batch of one.
 //! * **Isolation** — each request runs under `catch_unwind`. A panicking
-//!   [`ProfileSource`] or detector drops that request's reply sender
-//!   unsent, so its [`Pending::wait`] returns `None` and `serve.failed`
-//!   counts it; the worker goes on to the next request.
+//!   [`ProfileSource`] or detector fails that request alone:
+//!   [`Pending::wait`] and `serve` answer `None`, `serve.failed` counts
+//!   it, and the worker or caller goes on to the next request.
 //! * **Determinism** — a verdict is a pure function of the request's
 //!   routes, its profile (itself a pure function of the
 //!   [`ProfileKey`]), and its reported probe behaviour. Worker count,
-//!   batch boundaries, and arrival order cannot change any verdict; the
-//!   `verdicts_are_invariant_across_worker_counts` test pins this.
+//!   batch boundaries, the thread it runs on, and arrival order cannot
+//!   change any verdict; the `verdicts_are_invariant_across_worker_counts`
+//!   test pins this.
 
 use crate::cache::ProfileCache;
 use crate::metrics::ServiceMetrics;
@@ -39,6 +50,7 @@ use sam::{
 };
 use sam_telemetry::{Registry, TraceContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -46,12 +58,16 @@ use std::time::Instant;
 /// How a [`DetectionService`] is shaped.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads draining the service's queue. At least 1.
+    /// Worker threads draining the service's queue. At least 1. Unused
+    /// by [`DetectionService::inline`].
     pub workers: usize,
     /// Bounded capacity of the service's one queue; a submission that
-    /// finds it full is shed. At least 1.
+    /// finds it full is shed. Also the most requests
+    /// [`serve`](DetectionService::serve) admits into compute at once.
+    /// At least 1.
     pub queue_capacity: usize,
-    /// Maximum requests a worker drains per wake. At least 1.
+    /// Maximum requests a worker drains per wake. At least 1. Unused by
+    /// [`DetectionService::inline`].
     pub max_batch: usize,
     /// Profiles retained in the shared LRU cache.
     pub cache_capacity: usize,
@@ -111,15 +127,19 @@ struct Job {
 /// deterministic in the key — the determinism contract leans on it.
 pub type ProfileSource = Arc<dyn Fn(&ProfileKey) -> NormalProfile + Send + Sync>;
 
-/// The in-process batch detection service. See the [module
+/// The in-process detection service. See the [module
 /// docs](crate::service) for the architecture.
 pub struct DetectionService {
-    /// `None` only while dropping: taking it disconnects the workers.
+    /// `None` for an [`inline`](DetectionService::inline) service, and
+    /// while dropping: taking it disconnects the workers.
     queue: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    cache: Arc<ProfileCache>,
-    metrics: Arc<ServiceMetrics>,
-    detectors: DetectorRegistry,
+    /// The one request body, shared by the pool's threads and `serve`'s
+    /// callers.
+    worker: Arc<Worker>,
+    /// Requests in compute through `serve` right now.
+    in_compute: AtomicUsize,
+    queue_capacity: usize,
 }
 
 impl DetectionService {
@@ -130,41 +150,59 @@ impl DetectionService {
     /// `serve.*` instruments aggregate alongside its own.
     pub fn start(cfg: ServiceConfig, profiles: ProfileSource, registry: Arc<Registry>) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
-        assert!(cfg.queue_capacity >= 1, "need queue capacity >= 1");
         assert!(cfg.max_batch >= 1, "need max_batch >= 1");
-
-        let cache = Arc::new(ProfileCache::with_counters(
-            cfg.cache_capacity,
-            registry.counter("serve.cache_hits"),
-            registry.counter("serve.cache_misses"),
-        ));
-        let metrics = Arc::new(ServiceMetrics::with_registry(&registry));
-        let detectors = DetectorRegistry::with_sam(cfg.detector);
-        let (queue, rx) = bounded::<Job>(cfg.queue_capacity);
-        let workers = (0..cfg.workers)
+        let (workers, max_batch, capacity) = (cfg.workers, cfg.max_batch, cfg.queue_capacity);
+        let mut service = Self::inline(cfg, profiles, registry);
+        let (queue, rx) = bounded::<Job>(capacity);
+        service.workers = (0..workers)
             .map(|i| {
-                let worker = Worker {
-                    rx: rx.clone(),
-                    max_batch: cfg.max_batch,
-                    detectors: detectors.clone(),
-                    explain: cfg.explain,
-                    cache: cache.clone(),
-                    metrics: metrics.clone(),
-                    profiles: profiles.clone(),
-                };
+                let (worker, rx) = (service.worker.clone(), rx.clone());
                 std::thread::Builder::new()
                     .name(format!("sam-serve-{i}"))
-                    .spawn(move || worker.run())
+                    .spawn(move || worker.run(&rx, max_batch))
                     .expect("spawn worker thread")
             })
             .collect();
+        service.queue = Some(queue);
+        service
+    }
 
+    /// The service without a worker pool: every request runs on the
+    /// thread that calls [`serve`](DetectionService::serve), and
+    /// [`submit`](DetectionService::submit), finding no queue, answers
+    /// [`SubmitError::Closed`]. `cfg.workers` and `cfg.max_batch` are not
+    /// used. Instruments and profiles as in [`start`](DetectionService::start).
+    pub fn inline(cfg: ServiceConfig, profiles: ProfileSource, registry: Arc<Registry>) -> Self {
+        assert!(cfg.queue_capacity >= 1, "need queue capacity >= 1");
+        let worker = Worker {
+            detectors: DetectorRegistry::with_sam(cfg.detector),
+            explain: cfg.explain,
+            cache: Arc::new(ProfileCache::with_counters(
+                cfg.cache_capacity,
+                registry.counter("serve.cache_hits"),
+                registry.counter("serve.cache_misses"),
+            )),
+            metrics: Arc::new(ServiceMetrics::with_registry(&registry)),
+            profiles,
+        };
         DetectionService {
-            queue: Some(queue),
-            workers,
-            cache,
-            metrics,
-            detectors,
+            queue: None,
+            workers: Vec::new(),
+            worker: Arc::new(worker),
+            in_compute: AtomicUsize::new(0),
+            queue_capacity: cfg.queue_capacity,
+        }
+    }
+
+    /// Detector names are validated at the door: a typo'd request never
+    /// takes a queue slot or a place in compute, and the body can trust
+    /// every name it gets resolves.
+    fn check_detector(&self, request: &DetectionRequest) -> Result<(), SubmitError> {
+        match &request.detector {
+            Some(name) if !self.worker.detectors.contains(name) => {
+                Err(SubmitError::UnknownDetector { name: name.clone() })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -182,14 +220,7 @@ impl DetectionService {
         request: DetectionRequest,
         trace: Option<TraceContext>,
     ) -> Result<Pending, SubmitError> {
-        // Detector names are validated here, at the door: a typo'd
-        // request never consumes a queue slot, and workers can trust
-        // every queued name resolves.
-        if let Some(name) = &request.detector {
-            if !self.detectors.contains(name) {
-                return Err(SubmitError::UnknownDetector { name: name.clone() });
-            }
-        }
+        self.check_detector(&request)?;
         let Some(queue) = &self.queue else {
             return Err(SubmitError::Closed);
         };
@@ -202,11 +233,11 @@ impl DetectionService {
         };
         match queue.try_send(job) {
             Ok(()) => {
-                self.metrics.record_submitted();
+                self.worker.metrics.record_submitted();
                 Ok(Pending(pending))
             }
             Err(TrySendError::Full(_)) => {
-                self.metrics.record_rejected();
+                self.worker.metrics.record_rejected();
                 Err(SubmitError::Rejected {
                     queue_depth: queue.len(),
                 })
@@ -215,19 +246,64 @@ impl DetectionService {
         }
     }
 
-    /// Requests currently waiting in the queue.
+    /// Serve a request on the calling thread: the body a pool worker
+    /// runs, under the same `catch_unwind` and counters, with no queue
+    /// and no hand-off. At most `queue_capacity` requests are in compute
+    /// this way at once; the next is shed with [`SubmitError::Rejected`]
+    /// carrying that count, without waiting. `Ok(None)` when the request
+    /// failed (its profile source or detector panicked), as from
+    /// [`Pending::wait`]. Never answers [`SubmitError::Closed`].
+    ///
+    /// Nothing waits, so the response's `queue_wait_us` is 0; each call
+    /// counts as one `serve.batches`. A `trace` parents the
+    /// `serve.process` span, as for [`submit`](DetectionService::submit).
+    pub fn serve(
+        &self,
+        request: DetectionRequest,
+        trace: Option<TraceContext>,
+    ) -> Result<Option<DetectionResponse>, SubmitError> {
+        self.check_detector(&request)?;
+        let metrics = &self.worker.metrics;
+        let cap = self.queue_capacity;
+        if let Err(queue_depth) =
+            self.in_compute
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                    (n < cap).then_some(n + 1)
+                })
+        {
+            metrics.record_rejected();
+            return Err(SubmitError::Rejected { queue_depth });
+        }
+        // Leaves compute on every path out, unwinding included.
+        let _admitted = Admitted(&self.in_compute);
+        metrics.record_submitted();
+        metrics.record_batch(1);
+        let now = Instant::now();
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.worker.process(request, now, now, trace)
+        })) {
+            Ok(response) => Ok(Some(response)),
+            Err(_) => {
+                metrics.record_failed();
+                Ok(None)
+            }
+        }
+    }
+
+    /// Requests the service holds: those waiting in the queue, plus
+    /// those in compute through [`serve`](DetectionService::serve).
     pub fn queue_depth(&self) -> usize {
-        self.queue.as_ref().map_or(0, Sender::len)
+        self.queue.as_ref().map_or(0, Sender::len) + self.in_compute.load(Ordering::Acquire)
     }
 
     /// The shared profile cache (hit/miss counters live here).
     pub fn cache(&self) -> &Arc<ProfileCache> {
-        &self.cache
+        &self.worker.cache
     }
 
     /// The shared metrics.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
-        &self.metrics
+        &self.worker.metrics
     }
 
     /// Stop accepting work, drain the queue, and join every worker.
@@ -251,11 +327,21 @@ impl Drop for DetectionService {
     }
 }
 
+/// One request's place in compute through `serve`; dropping it frees
+/// the place.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The per-request body, one per service: the pool's threads run it on
+/// queued jobs, `serve` on its caller's thread.
 struct Worker {
-    rx: Receiver<Job>,
-    max_batch: usize,
     /// Named detectors requests select from (`"sam"` when they name
-    /// none); shared across workers (trait objects behind `Arc`s).
+    /// none).
     detectors: DetectorRegistry,
     /// Attach an [`Explanation`](sam::Explanation) to every response.
     explain: bool,
@@ -265,15 +351,15 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(self) {
-        let mut batch = Vec::with_capacity(self.max_batch);
+    fn run(&self, rx: &Receiver<Job>, max_batch: usize) {
+        let mut batch = Vec::with_capacity(max_batch);
         // Block for the first request; the service dropping its sender
         // ends the loop once the queue is empty.
-        while let Ok(job) = self.rx.recv() {
+        while let Ok(job) = rx.recv() {
             batch.push(job);
             // Opportunistically drain the rest of the batch.
-            while batch.len() < self.max_batch {
-                match self.rx.try_recv() {
+            while batch.len() < max_batch {
+                match rx.try_recv() {
                     Ok(job) => batch.push(job),
                     Err(_) => break,
                 }
@@ -289,7 +375,7 @@ impl Worker {
             } in batch.drain(..)
             {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    self.process(request, accepted_at, trace)
+                    self.process(request, accepted_at, Instant::now(), trace)
                 })) {
                     Ok(response) => {
                         // A caller that stopped waiting is no error.
@@ -303,16 +389,17 @@ impl Worker {
         }
     }
 
+    /// Judge one request. Stage clock: `accepted_at` → `dequeued_at` is
+    /// queue wait (plus batch predecessors), `dequeued_at` → verdict is
+    /// compute. Both land in the serve.* histograms and travel back on
+    /// the response.
     fn process(
         &self,
         request: DetectionRequest,
         accepted_at: Instant,
+        dequeued_at: Instant,
         trace: Option<TraceContext>,
     ) -> DetectionResponse {
-        // Stage clock: submission → here is queue wait (plus batch
-        // predecessors); here → verdict is compute. Both land in the
-        // serve.* histograms and travel back on the response.
-        let dequeued_at = Instant::now();
         let mut timing = StageTiming {
             queue_wait_us: micros(dequeued_at.duration_since(accepted_at)),
             ..StageTiming::default()

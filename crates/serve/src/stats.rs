@@ -50,7 +50,8 @@ pub struct StatsReport {
 pub struct ShardStats {
     /// Shard index on the hash ring.
     pub shard: u64,
-    /// Requests sitting in this shard's queue right now.
+    /// This shard's requests in compute right now (a request runs on
+    /// the connection worker that read it; `--queue N` bounds this).
     pub queue_depth: u64,
     /// Requests routed to this shard since start.
     pub requests: u64,
@@ -95,9 +96,8 @@ pub struct WindowStats {
 
 /// Cumulative since-start totals. Every request line the gateway has
 /// answered is in exactly one of `requests`, `request_shed`, `refused`
-/// and `failed`, except a line answered `"service shut down"` while its
-/// shard stops, which is in none. `refused` also counts lines that were
-/// never answered or were not requests (see its doc).
+/// and `failed`. `refused` also counts lines that were never answered or
+/// were not requests (see its doc).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatsTotals {
     /// Requests served.
@@ -385,7 +385,7 @@ impl StatsReport {
             &mut out,
             "sam_gateway_shard_queue_depth",
             "gauge",
-            "Requests waiting in each shard's queue",
+            "Requests in compute on each shard",
         );
         for s in &self.shards {
             let _ = writeln!(

@@ -195,8 +195,9 @@ impl AuditRecord {
 
     /// The stage ladder on the request's monotonic clock, started at
     /// acceptance: `request`, `queue_wait`, `compute`, `serialize`. Queue
-    /// wait starts at 0, compute follows it, and serialization starts at
-    /// `total_us`, once the worker's reply is back at the gateway.
+    /// wait starts at 0 (and lasts 0 on the gateway, where nothing
+    /// queues), compute follows it, and serialization starts at
+    /// `total_us`, once the verdict is back at the gateway.
     pub fn ladder(&self) -> [TraceSpan; 4] {
         let span = |name: &str, start_us, dur_us| TraceSpan {
             name: name.to_string(),

@@ -10,6 +10,12 @@
 //! followed by `T::from_value`. The two must give the same value (compared
 //! through its re-encoding, and with `==` where `T` has it) or the same
 //! error text.
+//!
+//! Text reads a run of plain integers in one pass (`Source::uint_run`),
+//! a tree one element at a time, so a request's route elements also get
+//! edge lexemes of that pass: leading zeros, signs, fractions, exponents,
+//! the `u32` and `u64` limits, whitespace around commas, a nested array,
+//! a stray or missing comma, and a cut inside the number.
 
 use proptest::prelude::*;
 use sam::SamConfig;
@@ -318,6 +324,50 @@ fn mutate(rng: &mut Rng, line: &str) -> String {
     serde_json::to_string(&tree).expect("a tree serializes")
 }
 
+/// A request's `line` with one route element's text replaced by an edge
+/// lexeme of the integer pass, or cut inside that element. Unchanged when
+/// the request has no route element.
+fn edge_lexeme(rng: &mut Rng, line: &str) -> String {
+    const LEXEMES: &[&str] = &[
+        "01",
+        "-0",
+        "-1",
+        "1.0",
+        "1e2",
+        "4294967295",
+        "4294967296",
+        "18446744073709551616",
+        "\n7\n",
+        " 7 ",
+        "[]",
+        "7,",
+        "7 8",
+    ];
+    let routes = line.find("\"routes\":[").expect("requests encode routes") + 10;
+    let mut elements = Vec::new();
+    let (mut depth, mut at) = (0, routes);
+    for (i, b) in line.bytes().enumerate().skip(routes) {
+        match b {
+            b'[' => depth += 1,
+            b']' if depth == 0 => break,
+            b']' => depth -= 1,
+            b'0'..=b'9' if !line.as_bytes()[i - 1].is_ascii_digit() => at = i,
+            _ => {}
+        }
+        if b.is_ascii_digit() && !line.as_bytes()[i + 1].is_ascii_digit() {
+            elements.push(at..i + 1);
+        }
+    }
+    let Some(element) = elements.get(rng.below(elements.len().max(1))).cloned() else {
+        return line.to_string();
+    };
+    if rng.chance(LEXEMES.len() + 1) {
+        return line[..element.start + 1 + rng.below(element.len())].to_string();
+    }
+    let lexeme = LEXEMES[rng.below(LEXEMES.len())];
+    format!("{}{lexeme}{}", &line[..element.start], &line[element.end..])
+}
+
 // ---------------------------------------------------------------------------
 // The comparison
 // ---------------------------------------------------------------------------
@@ -366,6 +416,9 @@ proptest! {
                 .and_then(|tree| WireRequest::from_value(&tree).ok());
             prop_assert_eq!(direct, via_tree, "{}", mutated);
             agree::<WireRequest>(&mutated).ok();
+        }
+        for _ in 0..8 {
+            agree::<WireRequest>(&edge_lexeme(&mut rng, &line)).ok();
         }
         for response in responses(&mut rng) {
             check(&mut rng, &response);

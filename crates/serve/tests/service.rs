@@ -425,3 +425,47 @@ fn a_panicking_request_answers_none_and_costs_no_worker() {
         "every accepted request ends completed or failed"
     );
 }
+
+#[test]
+fn serving_on_the_callers_thread_gives_the_pools_verdicts() {
+    let requests = request_mix(60);
+    let pooled = serve_all(1, &requests);
+    let synthetic = synthetic_profiles();
+    // synthetic-a (even ids) panics, to show the panic leaves compute.
+    let source: ProfileSource = Arc::new(move |key: &ProfileKey| {
+        assert_ne!(key.topology, "synthetic-a", "profile source failed");
+        synthetic(key)
+    });
+    let registry = Arc::new(Registry::new());
+    let cfg = ServiceConfig {
+        queue_capacity: 1,
+        cache_capacity: 8,
+        detector: SamConfig {
+            z_threshold: 1.5,
+            ..SamConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let service = DetectionService::inline(cfg, source, registry.clone());
+    for req in &requests {
+        let served = service.serve(req.clone(), None).expect("admitted");
+        assert_eq!(service.queue_depth(), 0, "request {} left compute", req.id);
+        match served {
+            Some(resp) => {
+                assert_eq!(resp.verdict, pooled[&req.id], "request {}", req.id);
+                assert_eq!(resp.timing.queue_wait_us, 0, "nothing queues");
+            }
+            None => assert_eq!(req.id % 2, 0, "only synthetic-a fails"),
+        }
+    }
+    assert_eq!(
+        service.submit(requests[0].clone(), None).err(),
+        Some(SubmitError::Closed),
+        "an inline service has no queue"
+    );
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.submitted"), 60);
+    assert_eq!(snap.counter("serve.completed"), 30);
+    assert_eq!(snap.counter("serve.failed"), 30);
+    assert_eq!(snap.counter("serve.batches"), 60, "one batch per request");
+}
