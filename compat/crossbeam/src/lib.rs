@@ -4,10 +4,9 @@
 //!
 //! The implementation is a `Mutex<VecDeque>` with two condvars (not the
 //! lock-free crossbeam queues). The gateway hands each accepted
-//! connection through one; its requests run on the connection worker
-//! and cross no channel. `DetectionService::submit`'s in-process pool
-//! still queues through one, and at its request rates the lock is not
-//! the bottleneck.
+//! connection through one, and the telemetry crate its span records; a
+//! request runs on the connection worker that read it and crosses no
+//! channel, so at these rates the lock is not the bottleneck.
 
 #![forbid(unsafe_code)]
 

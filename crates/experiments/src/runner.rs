@@ -8,8 +8,6 @@ use manet_sim::prelude::*;
 use parking_lot::Mutex;
 use sam::{LinkStats, NormalProfile, SamConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::LazyLock;
 
 /// Everything measured in one run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -93,58 +91,13 @@ pub fn run_once_configured(
     run_once_faulted(spec, run, router_cfg, worm_cfg, None)
 }
 
-/// Cap on memoized runs. The reproduce suite needs a few hundred; the
-/// cap only bounds memory for long-running embedders that sweep an
-/// unbounded variety of configurations.
-const RUN_CACHE_CAP: usize = 4096;
-
-/// One memoized outcome: the run record plus its discovered route set.
-type CachedRun = (RunRecord, Vec<Route>);
-
-/// Memoized [`run_once_faulted`] results. A run is a pure function of
-/// its inputs (the simulator's determinism contract), and the
-/// experiment suite replays the same (spec, run, configuration)
-/// combination dozens of times across tables, figures, and ablations —
-/// the cluster-1 attacked baseline alone recurs ~60× per `reproduce`
-/// invocation. Sharing outcomes here outweighs any micro-optimization
-/// in the loop underneath. The key is the `Debug` rendering of every
-/// semantic input, so adding a config field can never silently alias
-/// two distinct runs.
-static RUN_CACHE: LazyLock<Mutex<HashMap<String, CachedRun>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
-
 /// Execute one run with an optional [`FaultPlan`](sam_faults::FaultPlan)
 /// composed onto the scenario (the robustness sweeps feed loss bursts,
 /// churn and jitter through here). `None` is byte-identical to
-/// [`run_once_configured`]. Results are memoized in the process-wide
-/// run cache.
+/// [`run_once_configured`]. Every call simulates the run afresh: a run is
+/// a pure function of its inputs, so callers that replay one recompute
+/// it.
 pub fn run_once_faulted(
-    spec: &ScenarioSpec,
-    run: u64,
-    router_cfg: &RouterConfig,
-    worm_cfg: WormholeConfig,
-    faults: Option<&sam_faults::FaultPlan>,
-) -> (RunRecord, Vec<Route>) {
-    let cache_key = format!("{spec:?}|{run}|{router_cfg:?}|{worm_cfg:?}|{faults:?}");
-    if let Some(hit) = RUN_CACHE.lock().get(&cache_key) {
-        let hit = hit.clone();
-        if let Some(tel) = sam_telemetry::global() {
-            tel.registry().counter("discovery.cache_hits").inc();
-        }
-        return hit;
-    }
-    let (record, routes) = simulate(spec, run, router_cfg, worm_cfg, faults);
-    let mut cache = RUN_CACHE.lock();
-    if cache.len() < RUN_CACHE_CAP {
-        cache.insert(cache_key, (record.clone(), routes.clone()));
-    }
-    drop(cache);
-    (record, routes)
-}
-
-/// [`run_once_faulted`] without the run memo: simulate the run every
-/// time and keep nothing.
-pub(crate) fn simulate(
     spec: &ScenarioSpec,
     run: u64,
     router_cfg: &RouterConfig,

@@ -10,10 +10,9 @@
 //! server.
 
 pub use crate::runner::TRAIN_OFFSET;
-use crate::runner::{run_once_with_routes_faulted, simulate};
+use crate::runner::{run_once_with_routes, run_once_with_routes_faulted};
 use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
-use manet_attacks::WormholeConfig;
-use manet_routing::{ProtocolKind, Route, RouterConfig};
+use manet_routing::{ProtocolKind, Route};
 use sam::{NormalProfile, SamConfig};
 use std::sync::OnceLock;
 
@@ -98,21 +97,17 @@ pub fn find(topology: &str, protocol: &str) -> Option<Deployment> {
 /// for the entry's `normal` spec.
 ///
 /// The first call for a catalogue entry simulates its training
-/// discoveries and records them; the run memo is neither read nor
-/// filled. Every later call, from any thread, tabulates the recording in
-/// place: no simulation, no lookup by string, no route copied. The
-/// recording is the entry's, so edits to `deployment.normal` are not
-/// seen; train such a spec with `train_normal_profile`.
+/// discoveries and records them. Every later call, from any thread,
+/// tabulates the recording in place: no simulation, no lookup by string,
+/// no route copied. The recording is the entry's, so edits to
+/// `deployment.normal` are not seen; train such a spec with
+/// `train_normal_profile`.
 pub fn train_profile(deployment: &Deployment) -> NormalProfile {
     let entry = deployment.entry;
     let sets = RECORDINGS[entry].get_or_init(|| {
         let spec = catalogue()[entry].normal;
-        let router = RouterConfig::new(spec.protocol);
         (0..TRAIN_RUNS)
-            .map(|i| {
-                let run = TRAIN_OFFSET + i;
-                simulate(&spec, run, &router, WormholeConfig::default(), None).1
-            })
+            .map(|i| run_once_with_routes(&spec, TRAIN_OFFSET + i).1)
             .collect()
     });
     NormalProfile::train(sets, SamConfig::default().pmf_bins)
@@ -172,15 +167,17 @@ mod tests {
     #[test]
     fn recorded_training_trains_the_memos_profile() {
         for d in catalogue() {
+            // `train_normal_profile` simulates its training runs afresh;
+            // the recording must train the same profile, bit for bit.
             let recorded = train_profile(&d);
-            let memo = crate::runner::train_normal_profile(&d.normal, TRAIN_RUNS);
+            let fresh = crate::runner::train_normal_profile(&d.normal, TRAIN_RUNS);
             assert_eq!(
                 (recorded.p_max, recorded.delta, recorded.hops),
-                (memo.p_max, memo.delta, memo.hops),
+                (fresh.p_max, fresh.delta, fresh.hops),
                 "{}",
                 d.key_string()
             );
-            assert_eq!(recorded.pmf, memo.pmf, "{}", d.key_string());
+            assert_eq!(recorded.pmf, fresh.pmf, "{}", d.key_string());
 
             // Another lookup of the key shares the recording the first
             // training filled, so it simulates nothing.

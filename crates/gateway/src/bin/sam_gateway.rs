@@ -184,8 +184,9 @@ fn main() -> ExitCode {
     let cfg = GatewayConfig {
         shards: args.shards,
         replicas: args.replicas,
-        // Requests run on the connection workers: the service's
-        // `workers` and `max_batch` go unused.
+        // Requests run on the connection workers, through each shard's
+        // one way in (`DetectionService::serve`); the service does not
+        // use `workers` or `max_batch`.
         service: ServiceConfig {
             queue_capacity: args.queue,
             cache_capacity: args.cache,

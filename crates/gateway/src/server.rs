@@ -26,13 +26,12 @@
 //! responses never reorder within a connection). A request is decoded,
 //! judged and answered on the connection worker that read it: its
 //! deployment key consistent-hashes to one of `shards`
-//! [`DetectionService`]s, built [`inline`](DetectionService::inline),
-//! whose [`serve`](DetectionService::serve) runs the detection on the
-//! calling thread. A shard keeps a key's trained profile in its LRU
-//! cache and counts its requests in compute; it has no queue or worker
-//! of its own. A request whose profile source or detector panics gets
-//! one `"error"` line (counted in `serve.failed`), and its connection
-//! stays open.
+//! [`DetectionService`]s, whose [`serve`](DetectionService::serve), the
+//! service's one way in, runs the detection on the calling thread. A
+//! shard keeps a key's trained profile in its LRU cache and counts its
+//! requests in compute; it has no queue or thread of its own. A request
+//! whose profile source or detector panics gets one `"error"` line
+//! (counted in `serve.failed`), and its connection stays open.
 //!
 //! ## Overload shed
 //!
@@ -371,9 +370,7 @@ impl Gateway {
         // process-global telemetry. Shards start no threads: requests
         // run on the connection workers.
         let services = (0..cfg.shards)
-            .map(|_| {
-                DetectionService::inline(cfg.service.clone(), profiles.clone(), registry.clone())
-            })
+            .map(|_| DetectionService::new(cfg.service.clone(), profiles.clone(), registry.clone()))
             .collect();
         let tracer = if cfg.trace {
             let audit = match &cfg.audit_log {
@@ -886,7 +883,6 @@ fn serve_request(
                 shared.unknown_detector.inc();
                 Err(WireResponse::unknown_detector(id, &name))
             }
-            Err(SubmitError::Closed) => unreachable!("`serve` has no queue to close"),
         }
     };
 

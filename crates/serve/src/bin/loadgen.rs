@@ -17,7 +17,7 @@
 //! an open-loop arrival rate (requests/s across all connections; 0 =
 //! closed loop), `--slo-p99-us` turns the p99 into an exit-code
 //! assertion, and `--drain` sends the gateway a `{"cmd":"drain"}` line
-//! after the soak. Service-side knobs (workers, batching, queue size,
+//! after the soak. Service-side knobs (requests in compute, cache size,
 //! explanations, telemetry) are `sam-gateway` flags.
 //!
 //! `--faults PLAN.json` composes a [`sam_faults::FaultPlan`] onto every

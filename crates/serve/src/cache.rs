@@ -3,7 +3,7 @@
 //! Training a [`NormalProfile`] is the expensive part of serving a
 //! detection request — it walks every training route set. Deployments
 //! are few and requests are many, so profiles are trained once per
-//! [`ProfileKey`] and shared (via `Arc`) across all workers.
+//! [`ProfileKey`] and shared (via `Arc`) across every calling thread.
 //!
 //! Training is **single-flight** and runs **outside** the lock. A miss
 //! puts an empty [`OnceLock`] slot for the key into the map, releases the

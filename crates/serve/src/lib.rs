@@ -1,4 +1,4 @@
-//! # sam-serve — a high-throughput batch detection service over the SAM core
+//! # sam-serve — a detection service over the SAM core
 //!
 //! SAM is a pure statistical post-processor over route sets: it needs no
 //! protocol changes and no per-node state beyond a trained
@@ -10,34 +10,31 @@
 //! This crate provides that service as a library; `sam-gateway` puts it
 //! behind a socket:
 //!
-//! * [`DetectionService`](service::DetectionService) — one request body,
-//!   run two ways. `submit` hands a request to a worker pool draining one
-//!   bounded queue; each worker takes requests in **batches** (up to
-//!   `max_batch` per wake), and each request answers through its own
-//!   one-message reply channel. `serve` runs the same body on the calling
-//!   thread, which is how `sam-gateway`'s connection workers use it. A
-//!   request whose profile source or detector panics answers `None` and
-//!   costs no worker.
-//! * **Backpressure** — neither way blocks: when the queue is full, or
-//!   `queue_capacity` requests are already in compute through `serve`,
-//!   the caller gets [`SubmitError::Rejected`](request::SubmitError)
-//!   carrying that depth, and the shed is counted. No hidden unbounded
-//!   buffering, no deadlock.
+//! * [`DetectionService`](service::DetectionService) — one way in:
+//!   `serve` judges one request, the paper's three-step procedure over
+//!   one discovery's route set, on the thread that calls it. That is how
+//!   `sam-gateway`'s connection workers use it; the service spawns no
+//!   thread. A request whose profile source or detector panics answers
+//!   `None` and fails alone.
+//! * **Backpressure** — `serve` never blocks: once `queue_capacity`
+//!   requests are in compute, the next caller gets
+//!   [`SubmitError::Rejected`](request::SubmitError) carrying that count,
+//!   and the shed is counted. No hidden unbounded buffering, no deadlock.
 //! * [`ProfileCache`](cache::ProfileCache) — an LRU of trained profiles
-//!   keyed by [`ProfileKey`](request::ProfileKey), shared across workers
-//!   behind a `parking_lot` mutex, with hit/miss accounting. Training is
-//!   single-flight and runs outside the lock: concurrent misses on one
-//!   key share one training, and a hit never waits on another key's
-//!   training.
+//!   keyed by [`ProfileKey`](request::ProfileKey), shared across calling
+//!   threads behind a `parking_lot` mutex, with hit/miss accounting.
+//!   Training is single-flight and runs outside the lock: concurrent
+//!   misses on one key share one training, and a hit never waits on
+//!   another key's training.
 //! * [`ServiceMetrics`](metrics::ServiceMetrics) — `serve.*` counters
-//!   (submitted, rejected, completed, failed), a batch-size histogram,
-//!   and latency histograms in a `sam-telemetry` registry.
+//!   (submitted, rejected, completed, failed) and latency histograms in a
+//!   `sam-telemetry` registry.
 //!
 //! The service is **deterministic**: a request's verdict is a pure
 //! function of its route set, its profile, and its reported probe
-//! behaviour — never of worker count, batching, or arrival order. The
-//! `verdicts_are_invariant_across_worker_counts` test pins this at 1, 2,
-//! and 8 workers.
+//! behaviour — never of the calling thread, how many threads call, or
+//! arrival order. The `verdicts_are_invariant_across_calling_threads`
+//! test pins this at 1, 2, and 8 calling threads.
 //!
 //! The `loadgen` binary replays simulated route-discovery traffic from
 //! `sam-experiments` scenarios against a running `sam-gateway` and prints
@@ -64,7 +61,7 @@ pub mod prelude {
     pub use crate::request::{
         DetectionRequest, DetectionResponse, ProfileKey, StageTiming, SubmitError, Verdict,
     };
-    pub use crate::service::{DetectionService, Pending, ServiceConfig};
+    pub use crate::service::{DetectionService, ServiceConfig};
     pub use crate::stats::{ShardStats, StatsReport, StatsTotals, WindowStats};
     pub use crate::trace::{AuditRecord, TraceExemplar, TraceSpan};
     pub use crate::wire::{

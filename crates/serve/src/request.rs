@@ -56,8 +56,8 @@ pub struct DetectionRequest {
     pub probe_ack_ratio: Option<f64>,
     /// Which registered detector should judge the routes (`"sam"`,
     /// `"zscore"`, `"geometric"`, `"ensemble"`). `None` selects `"sam"`
-    /// — exactly the pre-registry behaviour. Unknown names are rejected
-    /// at submission with [`SubmitError::UnknownDetector`].
+    /// — exactly the pre-registry behaviour. Unknown names are refused
+    /// with [`SubmitError::UnknownDetector`].
     pub detector: Option<String>,
 }
 
@@ -147,19 +147,19 @@ impl Verdict {
 }
 
 /// Where one request's latency went, stage by stage, on the monotonic
-/// request clock started at submission.
+/// request clock.
 ///
-/// The service fills `queue_wait_us` (submission → dequeue; 0 from
-/// [`serve`](crate::service::DetectionService::serve), where nothing
-/// queues) and `compute_us` (detection + explanation); `serialize_us` is
-/// 0 until a
+/// The service fills `compute_us` (detection + explanation) and leaves
+/// `queue_wait_us` at 0: [`serve`](crate::service::DetectionService::serve)
+/// runs the request on its caller's thread. `serialize_us` is 0 until a
 /// transport that actually serializes (the gateway) measures its
 /// encode-and-write step. Diagnostic only — excluded from the
 /// determinism contract, like `profile_cache_hit`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTiming {
-    /// Time spent in the shard queue before a worker picked the request
-    /// up, microseconds (0 when served on the caller's thread).
+    /// Time spent waiting before compute, microseconds: always 0, since
+    /// nothing queues. Kept on the wire and in the stage ladder so
+    /// readers of either keep their shape.
     pub queue_wait_us: u64,
     /// Time spent producing the verdict (profile lookup, procedure,
     /// explanation), microseconds.
@@ -191,7 +191,7 @@ pub struct DetectionResponse {
     /// `score` is always the real one.
     pub score: f64,
     /// The verdict. Deterministic in the request contents — independent
-    /// of worker count, batching, and arrival order.
+    /// of the calling thread, how many threads call, and arrival order.
     pub verdict: Verdict,
     /// Whether the profile came from the cache (`true`) or was trained
     /// for this request (`false`). Diagnostic; excluded from the
@@ -207,20 +207,18 @@ pub struct DetectionResponse {
     pub explanation: Option<sam::Explanation>,
 }
 
-/// Why a submission was not accepted.
+/// Why a request was not accepted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target shard's queue was full, or `queue_capacity` requests
-    /// were already in compute through `serve`; the request was shed.
-    /// The caller sees the depth it collided with and may retry later.
+    /// `queue_capacity` requests were already in compute; the request
+    /// was shed. The caller sees the count it collided with and may
+    /// retry later.
     Rejected {
-        /// Queue depth observed at rejection time.
+        /// Requests in compute at rejection time.
         queue_depth: usize,
     },
-    /// The service has been shut down.
-    Closed,
     /// The request named a detector the service's registry does not
-    /// hold. Rejected at submission — no shard queue slot is consumed.
+    /// hold. Refused at the door — it takes no place in compute.
     UnknownDetector {
         /// The name the request asked for.
         name: String,
@@ -231,9 +229,8 @@ impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubmitError::Rejected { queue_depth } => {
-                write!(f, "request shed: shard queue full (depth {queue_depth})")
+                write!(f, "request shed: {queue_depth} requests in compute")
             }
-            SubmitError::Closed => write!(f, "service is shut down"),
             SubmitError::UnknownDetector { name } => {
                 write!(
                     f,

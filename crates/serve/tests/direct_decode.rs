@@ -84,19 +84,18 @@ fn served() -> &'static [DetectionResponse] {
     static SERVED: OnceLock<Vec<DetectionResponse>> = OnceLock::new();
     SERVED.get_or_init(|| {
         let cfg = ServiceConfig {
-            workers: 1,
             detector: SamConfig::calibrated(),
             explain: true,
             ..ServiceConfig::default()
         };
-        let service = DetectionService::start(
+        let service = DetectionService::new(
             cfg,
             Arc::new(|key: &ProfileKey| {
                 train_profile(&find(&key.topology, &key.protocol).expect("catalogue key"))
             }),
             Arc::default(),
         );
-        let responses = replay_corpus(50, None)
+        replay_corpus(50, None)
             .into_iter()
             .take(6)
             .enumerate()
@@ -109,14 +108,11 @@ fn served() -> &'static [DetectionResponse] {
                     detector: None,
                 };
                 service
-                    .submit(request, None)
-                    .expect("one in flight")
-                    .wait()
+                    .serve(request, None)
+                    .expect("one in compute")
                     .expect("served")
             })
-            .collect();
-        service.shutdown();
-        responses
+            .collect()
     })
 }
 

@@ -1,13 +1,13 @@
 //! Golden wire responses: the serving tier's output, frozen byte for
 //! byte.
 //!
-//! Every entry of the 30%-attacked replay corpus goes through an
-//! in-process [`DetectionService`] (one worker, explanations on, the
-//! calibrated SAM configuration, catalogue-trained profiles) under every
-//! detector selection: absent, `"sam"`, `"zscore"`, `"geometric"` and
-//! `"ensemble"`. Attacked entries run twice, with the probe ratio absent
-//! and at `0.1`; normal entries run with it absent. That is 300
-//! requests.
+//! Every entry of the 30%-attacked replay corpus goes through
+//! [`DetectionService::serve`], the path the gateway runs (on the test's
+//! thread, explanations on, the calibrated SAM configuration,
+//! catalogue-trained profiles), under every detector selection: absent,
+//! `"sam"`, `"zscore"`, `"geometric"` and `"ensemble"`. Attacked entries
+//! run twice, with the probe ratio absent and at `0.1`; normal entries
+//! run with it absent. That is 300 requests.
 //!
 //! Each golden line keeps the response's `id`, `detector`, `score` and
 //! `verdict` in clear, plus a 64-bit FNV-1a digest of the full
@@ -78,12 +78,11 @@ fn requests() -> Vec<DetectionRequest> {
 /// Serve every request and render its golden line.
 fn golden_lines() -> Vec<String> {
     let cfg = ServiceConfig {
-        workers: 1,
         detector: SamConfig::calibrated(),
         explain: true,
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(
+    let service = DetectionService::new(
         cfg,
         Arc::new(|key: &ProfileKey| {
             let deployment = find(&key.topology, &key.protocol).expect("catalogue key");
@@ -91,13 +90,12 @@ fn golden_lines() -> Vec<String> {
         }),
         Arc::default(),
     );
-    let lines = requests()
+    requests()
         .into_iter()
         .map(|request| {
             let mut response = service
-                .submit(request, None)
-                .expect("one in flight")
-                .wait()
+                .serve(request, None)
+                .expect("one in compute")
                 .expect("served");
             response.timing = StageTiming::default();
             response.profile_cache_hit = false;
@@ -111,9 +109,7 @@ fn golden_lines() -> Vec<String> {
             };
             serde_json::to_string(&golden).expect("golden line serializes")
         })
-        .collect();
-    service.shutdown();
-    lines
+        .collect()
 }
 
 fn golden_path() -> PathBuf {

@@ -1,6 +1,6 @@
-//! Integration tests for the detection service: determinism across worker
-//! counts, profile-cache accounting, backpressure behaviour, and panic
-//! isolation.
+//! Integration tests for the detection service: determinism across
+//! calling threads, profile-cache accounting, backpressure behaviour, and
+//! panic isolation.
 
 use manet_routing::Route;
 use manet_sim::NodeId;
@@ -9,7 +9,9 @@ use sam_serve::prelude::*;
 use sam_serve::service::ProfileSource;
 use sam_telemetry::Registry;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn route(ids: &[u32]) -> Route {
     Route::new(ids.iter().map(|&i| NodeId(i)).collect()).unwrap()
@@ -77,56 +79,59 @@ fn request_mix(n: u64) -> Vec<DetectionRequest> {
         .collect()
 }
 
-fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Verdict> {
-    let cfg = ServiceConfig {
-        workers,
+/// The permissive configuration the verdict comparisons use: a low
+/// threshold, so the mix produces all three outcome shapes and the
+/// comparisons are not vacuous.
+fn permissive() -> ServiceConfig {
+    ServiceConfig {
         queue_capacity: 64,
-        max_batch: 4,
         cache_capacity: 8,
-        // A permissive threshold so the mix produces all three outcome
-        // shapes, making the invariance comparison meaningful.
         detector: SamConfig {
             z_threshold: 1.5,
             ..SamConfig::default()
         },
         ..ServiceConfig::default()
-    };
-    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
-    let mut verdicts = BTreeMap::new();
-    let mut pending = Vec::new();
-    for req in requests {
-        // Retry on shed: correctness tests must process every request.
-        loop {
-            match service.submit(req.clone(), None) {
-                Ok(p) => {
-                    pending.push(p);
-                    break;
+    }
+}
+
+/// Serve `requests` on one service from `threads` scoped threads, each
+/// taking every `threads`-th request, and collect the verdicts by id.
+fn serve_all(threads: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Verdict> {
+    let service = DetectionService::new(permissive(), synthetic_profiles(), Arc::default());
+    let verdicts = Mutex::new(BTreeMap::new());
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (service, verdicts) = (&service, &verdicts);
+            s.spawn(move || {
+                for req in requests.iter().skip(t).step_by(threads) {
+                    // Retry on shed: correctness tests must judge every
+                    // request.
+                    let resp = loop {
+                        match service.serve(req.clone(), None) {
+                            Ok(served) => break served.expect("served"),
+                            Err(SubmitError::Rejected { .. }) => std::thread::yield_now(),
+                            Err(e) => panic!("unexpected serve error: {e}"),
+                        }
+                    };
+                    let fresh = verdicts.lock().unwrap().insert(resp.id, resp.verdict);
+                    assert!(fresh.is_none(), "duplicate response id");
                 }
-                Err(SubmitError::Rejected { .. }) => std::thread::yield_now(),
-                Err(e) => panic!("unexpected submit error: {e}"),
-            }
+            });
         }
-    }
-    for p in pending {
-        let resp = p.wait().expect("served");
-        assert!(
-            verdicts.insert(resp.id, resp.verdict).is_none(),
-            "duplicate response id"
-        );
-    }
-    service.shutdown();
-    verdicts
+    });
+    assert_eq!(service.queue_depth(), 0, "every request left compute");
+    verdicts.into_inner().unwrap()
 }
 
 #[test]
-fn verdicts_are_invariant_across_worker_counts() {
+fn verdicts_are_invariant_across_calling_threads() {
     let requests = request_mix(120);
     let one = serve_all(1, &requests);
     let two = serve_all(2, &requests);
     let eight = serve_all(8, &requests);
     assert_eq!(one.len(), 120);
-    assert_eq!(one, two, "1-worker and 2-worker verdicts differ");
-    assert_eq!(one, eight, "1-worker and 8-worker verdicts differ");
+    assert_eq!(one, two, "1-thread and 2-thread verdicts differ");
+    assert_eq!(one, eight, "1-thread and 8-thread verdicts differ");
     // The mix must actually exercise the interesting paths, otherwise the
     // invariance above is vacuous.
     assert!(
@@ -139,66 +144,43 @@ fn verdicts_are_invariant_across_worker_counts() {
     );
 }
 
+/// Serve `request` on the calling thread, which must be admitted and
+/// answered.
+fn served(service: &DetectionService, request: &DetectionRequest) -> DetectionResponse {
+    service
+        .serve(request.clone(), None)
+        .expect("admitted")
+        .expect("served")
+}
+
 #[test]
 fn profile_cache_accounts_hits_and_misses() {
     let cfg = ServiceConfig {
-        workers: 1, // single worker ⇒ exact hit/miss sequencing
         queue_capacity: 64,
-        max_batch: 8,
         cache_capacity: 8,
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
+    // One calling thread ⇒ exact hit/miss sequencing.
+    let service = DetectionService::new(cfg, synthetic_profiles(), Arc::default());
     let requests = request_mix(40); // two distinct keys
-    let pending: Vec<Pending> = requests
-        .iter()
-        .map(|r| {
-            service
-                .submit(r.clone(), None)
-                .expect("queue is large enough")
-        })
-        .collect();
-    let responses: Vec<DetectionResponse> = pending
-        .into_iter()
-        .map(|p| p.wait().expect("served"))
-        .collect();
+    let responses: Vec<DetectionResponse> = requests.iter().map(|r| served(&service, r)).collect();
 
     let cache = service.cache();
     assert_eq!(cache.misses(), 2, "one training per distinct key");
     assert_eq!(cache.hits(), 38);
     assert_eq!(responses.iter().filter(|r| !r.profile_cache_hit).count(), 2);
     assert_eq!(service.metrics().completed(), 40);
-    service.shutdown();
 }
 
 #[test]
 fn explain_flag_attaches_explanations_that_name_the_wormhole() {
     let cfg = ServiceConfig {
-        workers: 2,
-        queue_capacity: 64,
-        max_batch: 4,
-        cache_capacity: 8,
-        detector: SamConfig {
-            z_threshold: 1.5,
-            ..SamConfig::default()
-        },
         explain: true,
+        ..permissive()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
+    let service = DetectionService::new(cfg, synthetic_profiles(), Arc::default());
     let requests = request_mix(24);
-    let pending: Vec<Pending> = requests
-        .iter()
-        .map(|r| {
-            service
-                .submit(r.clone(), None)
-                .expect("queue is large enough")
-        })
-        .collect();
-    let responses: Vec<DetectionResponse> = pending
-        .into_iter()
-        .map(|p| p.wait().expect("served"))
-        .collect();
-    service.shutdown();
+    let responses: Vec<DetectionResponse> = requests.iter().map(|r| served(&service, r)).collect();
 
     for resp in &responses {
         let ex = resp
@@ -222,26 +204,31 @@ fn explain_flag_attaches_explanations_that_name_the_wormhole() {
 }
 
 #[test]
-fn full_queue_sheds_with_rejected_and_never_deadlocks() {
-    // Gate the profile source so the single worker wedges on its first
-    // request until we release it — queues fill deterministically.
+fn full_compute_sheds_with_rejected_and_never_deadlocks() {
+    // Gate the profile source so the first `CAP` callers wedge in compute
+    // until we release them: the service fills deterministically. A call
+    // admitted past the bound would wedge the test's own thread, so the
+    // gate gives up after a while and fails that call instead.
+    const CAP: usize = 2;
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let source: ProfileSource = {
         let gate = gate.clone();
         Arc::new(move |_key: &ProfileKey| {
             let (lock, cvar) = &*gate;
+            let deadline = Instant::now() + Duration::from_secs(10);
             let mut open = lock.lock().unwrap();
             while !*open {
-                open = cvar.wait(open).unwrap();
+                let left = deadline
+                    .checked_duration_since(Instant::now())
+                    .expect("the gate opens within 10 s");
+                open = cvar.wait_timeout(open, left).unwrap().0;
             }
             NormalProfile::train(&(0..4).map(normal_set).collect::<Vec<_>>(), 20)
         })
     };
-    let service = DetectionService::start(
+    let service = DetectionService::new(
         ServiceConfig {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 4,
+            queue_capacity: CAP,
             cache_capacity: 4,
             ..ServiceConfig::default()
         },
@@ -250,39 +237,111 @@ fn full_queue_sheds_with_rejected_and_never_deadlocks() {
     );
 
     let requests = request_mix(32);
-    let mut accepted = Vec::new();
-    let mut shed = 0usize;
-    for req in &requests {
-        match service.submit(req.clone(), None) {
-            Ok(p) => accepted.push(p),
-            Err(SubmitError::Rejected { queue_depth }) => {
-                assert!(queue_depth > 0, "rejection must report a full queue");
-                shed += 1;
-            }
-            Err(e) => panic!("unexpected submit error: {e}"),
+    std::thread::scope(|s| {
+        // Ids 0 and 1 carry distinct keys, so each caller trains its own.
+        let service = &service;
+        let held: Vec<_> = requests[..CAP]
+            .iter()
+            .map(|req| s.spawn(move || service.serve(req.clone(), None)))
+            .collect();
+        while service.queue_depth() < CAP {
+            std::thread::yield_now();
         }
-    }
-    // Capacity 2 + at most a few in worker hands: most of the 32 shed.
-    assert!(shed > 0, "full queue must shed");
-    assert_eq!(service.metrics().rejected(), shed as u64);
-    assert_eq!(
-        accepted.len() + shed,
-        requests.len(),
-        "every request either accepted or explicitly shed"
-    );
+        for req in &requests[CAP..] {
+            match service.serve(req.clone(), None) {
+                Err(SubmitError::Rejected { queue_depth }) => {
+                    assert_eq!(queue_depth, CAP, "rejection reports the full count");
+                }
+                other => panic!("a full service must shed, got {other:?}"),
+            }
+        }
+        let shed = (requests.len() - CAP) as u64;
+        assert_eq!(service.metrics().rejected(), shed);
 
-    // Open the gate: everything accepted must still complete.
-    {
-        let (lock, cvar) = &*gate;
-        *lock.lock().unwrap() = true;
-        cvar.notify_all();
-    }
-    let n = accepted.len() as u64;
-    for p in accepted {
-        p.wait().expect("served");
-    }
-    assert_eq!(service.metrics().completed(), n);
-    service.shutdown();
+        // Open the gate: every admitted request must still complete.
+        {
+            let (lock, cvar) = &*gate;
+            *lock.lock().unwrap() = true;
+            cvar.notify_all();
+        }
+        for (h, req) in held.into_iter().zip(&requests) {
+            let resp = h.join().unwrap().expect("admitted").expect("served");
+            assert_eq!(resp.id, req.id);
+        }
+    });
+    assert_eq!(service.metrics().completed(), CAP as u64);
+    assert_eq!(service.queue_depth(), 0, "every request left compute");
+}
+
+#[test]
+fn admission_bound_holds_under_contention() {
+    // Eight threads contend for three places in compute. Every request
+    // has its own key and the cache holds one profile, so every request
+    // runs the profile source inside compute, where the source counts
+    // the calls in flight at once.
+    const CAP: usize = 3;
+    const THREADS: usize = 8;
+    const CALLS: usize = 40;
+    let (in_flight, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let source: ProfileSource = {
+        let (in_flight, most) = (in_flight.clone(), most.clone());
+        Arc::new(move |_key: &ProfileKey| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            most.fetch_max(now, Ordering::SeqCst);
+            // Stay in compute long enough for the other threads to
+            // collide with this call.
+            std::thread::sleep(Duration::from_millis(1));
+            let profile = NormalProfile::train(&(0..4).map(normal_set).collect::<Vec<_>>(), 20);
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            profile
+        })
+    };
+    let registry = Arc::new(Registry::new());
+    let cfg = ServiceConfig {
+        queue_capacity: CAP,
+        cache_capacity: 1,
+        ..ServiceConfig::default()
+    };
+    let service = DetectionService::new(cfg, source, registry.clone());
+    let routes = normal_set(0);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (service, routes) = (&service, &routes);
+            s.spawn(move || {
+                for i in 0..CALLS {
+                    let request = DetectionRequest {
+                        id: (t * CALLS + i) as u64,
+                        key: ProfileKey::new(format!("synthetic-{t}-{i}"), "mr"),
+                        routes: routes.clone(),
+                        probe_ack_ratio: None,
+                        detector: None,
+                    };
+                    match service.serve(request, None) {
+                        Ok(resp) => assert!(resp.is_some(), "no request fails here"),
+                        Err(SubmitError::Rejected { queue_depth }) => {
+                            assert_eq!(queue_depth, CAP, "shed only at the bound");
+                        }
+                        Err(e) => panic!("unexpected serve error: {e}"),
+                    }
+                }
+            });
+        }
+    });
+    let most = most.load(Ordering::SeqCst);
+    assert!(most <= CAP, "{most} calls in compute at once, bound {CAP}");
+    assert_eq!(most, CAP, "contention must fill compute");
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("serve.submitted") + snap.counter("serve.rejected"),
+        (THREADS * CALLS) as u64,
+        "every call is admitted or shed"
+    );
+    assert_eq!(
+        snap.counter("serve.submitted"),
+        snap.counter("serve.completed") + snap.counter("serve.failed"),
+        "every admitted call ends completed or failed"
+    );
+    assert_eq!(service.queue_depth(), 0, "every request left compute");
 }
 
 #[test]
@@ -305,20 +364,25 @@ fn explicit_sam_is_byte_identical_to_the_unset_default() {
 
 #[test]
 fn unknown_detector_is_rejected_at_submission_with_a_typed_error() {
-    let service = DetectionService::start(
+    let registry = Arc::new(Registry::new());
+    let service = DetectionService::new(
         ServiceConfig::default(),
         synthetic_profiles(),
-        Arc::default(),
+        registry.clone(),
     );
     let mut req = request_mix(1).remove(0);
     req.detector = Some("oracle".to_string());
-    match service.submit(req, None) {
+    match service.serve(req, None) {
         Err(SubmitError::UnknownDetector { name }) => {
             assert_eq!(name, "oracle");
         }
         Err(other) => panic!("expected UnknownDetector, got {other:?}"),
-        Ok(_) => panic!("expected UnknownDetector, got an accepted request"),
+        Ok(_) => panic!("expected UnknownDetector, got a served request"),
     }
+    // Refused at the door: it was neither admitted nor shed.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.submitted"), 0);
+    assert_eq!(snap.counter("serve.rejected"), 0);
     // The error names the registry so a typo is self-correcting.
     let err = SubmitError::UnknownDetector {
         name: "oracle".to_string(),
@@ -327,28 +391,21 @@ fn unknown_detector_is_rejected_at_submission_with_a_typed_error() {
     for name in sam::DETECTOR_NAMES {
         assert!(msg.contains(name), "{msg:?} must list {name}");
     }
-    service.shutdown();
 }
 
 #[test]
 fn alternative_detectors_serve_verdicts_and_echo_their_name() {
     let cfg = ServiceConfig {
-        workers: 2,
         queue_capacity: 64,
-        max_batch: 4,
         cache_capacity: 8,
         explain: true,
         ..ServiceConfig::default()
     };
-    let service = DetectionService::start(cfg, synthetic_profiles(), Arc::default());
+    let service = DetectionService::new(cfg, synthetic_profiles(), Arc::default());
     for name in ["zscore", "ensemble"] {
         let mut req = request_mix(1).remove(0); // id 0: attacked worm_set
         req.detector = Some(name.to_string());
-        let resp = service
-            .submit(req, None)
-            .expect("known detector")
-            .wait()
-            .expect("served");
+        let resp = served(&service, &req);
         assert_eq!(resp.detector, name);
         assert!(
             resp.verdict.anomalous,
@@ -373,65 +430,18 @@ fn alternative_detectors_serve_verdicts_and_echo_their_name() {
     // A normal set stays clean under the ensemble.
     let mut normal = request_mix(2).remove(1);
     normal.detector = Some("ensemble".to_string());
-    let resp = service
-        .submit(normal, None)
-        .expect("known detector")
-        .wait()
-        .expect("served");
+    let resp = served(&service, &normal);
     assert!(!resp.verdict.anomalous, "{:?}", resp.verdict);
-    service.shutdown();
 }
 
 #[test]
-fn a_panicking_request_answers_none_and_costs_no_worker() {
-    // The source panics for synthetic-a (even ids of the mix) and trains
-    // synthetic-b (odd ids) as usual.
-    let synthetic = synthetic_profiles();
-    let source: ProfileSource = Arc::new(move |key: &ProfileKey| {
-        assert_ne!(key.topology, "synthetic-a", "profile source failed");
-        synthetic(key)
-    });
-    let registry = Arc::new(Registry::new());
-    let cfg = ServiceConfig {
-        workers: 2,
-        queue_capacity: 64,
-        max_batch: 4,
-        cache_capacity: 8,
-        ..ServiceConfig::default()
-    };
-    let service = DetectionService::start(cfg, source, registry.clone());
-    let requests = request_mix(16);
-
-    // Three panics: without isolation both workers would be dead by now,
-    // and the healthy submissions below would fail with `Closed`.
-    for req in requests.iter().filter(|r| r.id % 2 == 0).take(3) {
-        let pending = service.submit(req.clone(), None).expect("accepted");
-        assert!(pending.wait().is_none(), "request {} panicked", req.id);
-    }
-    for req in requests.iter().filter(|r| r.id % 2 == 1) {
-        let pending = service.submit(req.clone(), None).expect("accepted");
-        let resp = pending.wait().expect("the workers survive the panics");
-        assert_eq!(resp.id, req.id);
-    }
-    service.shutdown();
-
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("serve.submitted"), 11);
-    assert_eq!(snap.counter("serve.completed"), 8);
-    assert_eq!(snap.counter("serve.failed"), 3);
-    assert_eq!(
-        snap.counter("serve.submitted"),
-        snap.counter("serve.completed") + snap.counter("serve.failed"),
-        "every accepted request ends completed or failed"
-    );
-}
-
-#[test]
-fn serving_on_the_callers_thread_gives_the_pools_verdicts() {
+fn a_panicking_request_answers_none_and_fails_alone() {
     let requests = request_mix(60);
-    let pooled = serve_all(1, &requests);
+    let clean = serve_all(1, &requests);
+    // The source panics for synthetic-a (even ids of the mix) and trains
+    // synthetic-b (odd ids) as usual, so panics and healthy requests
+    // alternate on one calling thread.
     let synthetic = synthetic_profiles();
-    // synthetic-a (even ids) panics, to show the panic leaves compute.
     let source: ProfileSource = Arc::new(move |key: &ProfileKey| {
         assert_ne!(key.topology, "synthetic-a", "profile source failed");
         synthetic(key)
@@ -439,33 +449,31 @@ fn serving_on_the_callers_thread_gives_the_pools_verdicts() {
     let registry = Arc::new(Registry::new());
     let cfg = ServiceConfig {
         queue_capacity: 1,
-        cache_capacity: 8,
-        detector: SamConfig {
-            z_threshold: 1.5,
-            ..SamConfig::default()
-        },
-        ..ServiceConfig::default()
+        ..permissive()
     };
-    let service = DetectionService::inline(cfg, source, registry.clone());
+    let service = DetectionService::new(cfg, source, registry.clone());
     for req in &requests {
-        let served = service.serve(req.clone(), None).expect("admitted");
+        // With one place in compute, a panic that kept its place would
+        // shed every later request.
+        let answer = service.serve(req.clone(), None).expect("admitted");
         assert_eq!(service.queue_depth(), 0, "request {} left compute", req.id);
-        match served {
+        match answer {
             Some(resp) => {
-                assert_eq!(resp.verdict, pooled[&req.id], "request {}", req.id);
+                assert_eq!(resp.id, req.id);
+                assert_eq!(resp.verdict, clean[&req.id], "request {}", req.id);
                 assert_eq!(resp.timing.queue_wait_us, 0, "nothing queues");
             }
             None => assert_eq!(req.id % 2, 0, "only synthetic-a fails"),
         }
     }
-    assert_eq!(
-        service.submit(requests[0].clone(), None).err(),
-        Some(SubmitError::Closed),
-        "an inline service has no queue"
-    );
     let snap = registry.snapshot();
     assert_eq!(snap.counter("serve.submitted"), 60);
     assert_eq!(snap.counter("serve.completed"), 30);
     assert_eq!(snap.counter("serve.failed"), 30);
+    assert_eq!(
+        snap.counter("serve.submitted"),
+        snap.counter("serve.completed") + snap.counter("serve.failed"),
+        "every accepted request ends completed or failed"
+    );
     assert_eq!(snap.counter("serve.batches"), 60, "one batch per request");
 }

@@ -31,7 +31,7 @@ pub struct EventRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread; 0 for roots.
     pub parent: u64,
-    /// Span/event name (a phase like `discovery` or `serve.batch`).
+    /// Span/event name (a phase like `discovery` or `serve.process`).
     pub name: String,
     /// Start offset from collector creation, microseconds.
     pub start_us: u64,
