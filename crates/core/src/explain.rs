@@ -6,10 +6,12 @@
 //! quantifies each route's **leave-one-out contribution** to the
 //! statistics (how much `p_max`/`Δ` drop when the route is removed from
 //! the set — the principled answer to "which routes made the detector
-//! fire"). When a causal flight recording of the discovery exists, the
-//! per-hop provenance slots ([`HopProvenance`]) are filled with the
-//! trace's event/cause ids and tunnel markings, tying the statistical
-//! verdict all the way down to individual wormhole tunnel traversals.
+//! fire"). A route's hops are its `nodes`, so an explanation repeats
+//! no hop list of its own: `hops` stays empty unless a causal flight
+//! recording of the discovery backs the route, hop by hop, with
+//! [`HopProvenance`] (the trace's event/cause ids and tunnel markings),
+//! tying the statistical verdict all the way down to individual wormhole
+//! tunnel traversals.
 //!
 //! The explanation is detector-agnostic: `detector` names which detector
 //! produced the verdict and `evidence` carries that detector's
@@ -24,33 +26,25 @@ use crate::stats::LinkStats;
 use manet_routing::Route;
 use serde::{Deserialize, Serialize};
 
-/// One hop of a suspicious route, with optional causal-trace backing.
+/// One hop of a suspicious route as a flight recording reconstructed it:
+/// the delivery that carried it, its causal parent, and whether it rode
+/// a wormhole tunnel. This crate puts hops in an explanation only through
+/// [`Explanation::set_provenance`]; lines written by older builds also
+/// carry provenance-less hops (`tunneled` false, no ids), which still
+/// decode.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HopProvenance {
     /// Sending node id.
     pub from: u32,
     /// Receiving node id.
     pub to: u32,
-    /// Whether the hop rode a wormhole tunnel (known only when a flight
-    /// recording was consulted).
+    /// Whether the hop rode a wormhole tunnel.
     pub tunneled: bool,
-    /// The trace entry id evidencing this hop, when reconstructed.
+    /// The trace entry id evidencing this hop; `None` only on
+    /// provenance-less hops of older lines.
     pub event: Option<u64>,
     /// That entry's causal parent id.
     pub cause: Option<u64>,
-}
-
-impl HopProvenance {
-    /// A provenance-less hop (no flight recording available).
-    pub fn plain(from: u32, to: u32) -> Self {
-        HopProvenance {
-            from,
-            to,
-            tunneled: false,
-            event: None,
-            cause: None,
-        }
-    }
 }
 
 /// Why one route matters to the verdict.
@@ -58,7 +52,9 @@ impl HopProvenance {
 pub struct RouteExplanation {
     /// The route's node ids, source first.
     pub nodes: Vec<u32>,
-    /// Hop-by-hop provenance.
+    /// Hop-by-hop flight-recorder provenance, one entry per hop in
+    /// order; empty unless [`Explanation::set_provenance`] filled it.
+    /// Hop endpoints are read off `nodes`.
     pub hops: Vec<HopProvenance>,
     /// Tunnel crossings on the route's causal lineage.
     pub tunnel_hops: u64,
@@ -122,11 +118,12 @@ fn sam_detector() -> String {
 impl Explanation {
     /// Build the explanation of any detector's verdict over the route set
     /// it judged: list the routes crossing the suspect link with their
-    /// leave-one-out contributions, read off one tabulation of the set
-    /// (`LinkStats::leave_one_out`). The top-level z-scores are filled from
+    /// leave-one-out contributions, read off one tabulation of the set and
+    /// one ranking of its link counts (`LinkStats::leave_one_out`, then
+    /// O(hops) per listed route). The top-level z-scores are filled from
     /// SAM evidence when the verdict carries it (they are SAM statistics;
-    /// other detectors leave them 0). Hop provenance starts plain; callers
-    /// holding a flight recording fill it in with
+    /// other detectors leave them 0). Every route's `hops` is left empty;
+    /// callers holding a flight recording fill it in with
     /// [`Explanation::set_provenance`].
     pub fn from_verdict(routes: &[Route], verdict: &DetectorVerdict) -> Self {
         let (z_p_max, z_delta) = match &verdict.evidence {
@@ -136,19 +133,16 @@ impl Explanation {
             _ => (0.0, 0.0),
         };
         let suspect = verdict.suspect_link;
-        let mut stats = LinkStats::from_routes(routes);
+        let stats = LinkStats::from_routes(routes);
+        let leave_one_out = stats.leave_one_out();
         let explained = routes
             .iter()
             .filter(|route| suspect.is_some_and(|l| route.contains_link(l)))
             .map(|route| {
-                let (loo_p_max, loo_delta) = stats.leave_one_out(route);
+                let (loo_p_max, loo_delta) = leave_one_out(route);
                 RouteExplanation {
                     nodes: route.nodes().iter().map(|n| n.0).collect(),
-                    hops: route
-                        .nodes()
-                        .windows(2)
-                        .map(|w| HopProvenance::plain(w[0].0, w[1].0))
-                        .collect(),
+                    hops: Vec::new(),
                     tunnel_hops: 0,
                     lineage_depth: 0,
                     p_max_contribution: verdict.p_max - loo_p_max,
@@ -249,7 +243,7 @@ mod tests {
         assert!(ex.p_max > 0.0 && ex.delta > 0.0);
         for route in &ex.routes {
             assert!(route.nodes.windows(2).any(|w| w == [7, 8]));
-            assert_eq!(route.hops.len(), route.nodes.len() - 1);
+            assert!(route.hops.is_empty(), "no recording, no hop list");
             assert!(
                 route.p_max_contribution > 0.0,
                 "removing a suspect route must lower p_max: {route:?}"
@@ -321,12 +315,25 @@ mod tests {
         // route.
         let profile = NormalProfile::train(&normal_sets(), 20);
         let routes = vec![r(&[0, 7, 8, 9])];
-        let ex = sam_explanation(&routes, &profile);
+        let mut ex = sam_explanation(&routes, &profile);
         assert_eq!(ex.routes.len(), 1);
         let only = &ex.routes[0];
         assert_eq!(only.p_max_contribution, ex.p_max);
         assert_eq!(only.delta_contribution, ex.delta);
-        assert_eq!(only.hops.len(), 3);
+        assert!(only.hops.is_empty(), "no recording, no hop list");
+        let hops: Vec<HopProvenance> = only
+            .nodes
+            .windows(2)
+            .map(|w| HopProvenance {
+                from: w[0],
+                to: w[1],
+                tunneled: w == [7, 8],
+                event: Some(u64::from(w[1])),
+                cause: Some(u64::from(w[0])),
+            })
+            .collect();
+        ex.set_provenance(0, hops.clone(), 3);
+        assert_eq!(ex.routes[0].hops, hops, "the recording fills it");
     }
 
     #[test]

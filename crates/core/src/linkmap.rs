@@ -13,16 +13,12 @@
 //! The table starts at 256 slots and doubles before it is a quarter
 //! full, so probe runs stay short. `LinkMap::count_path` checks the
 //! capacity once per route, not once per link. Keys are never removed,
-//! which keeps linear probing trivially correct. Counts may be
-//! decremented, to zero at most, inside [`LinkStats`]'s leave-one-out,
-//! which restores them before it returns.
+//! which keeps linear probing trivially correct.
 //!
 //! Iteration runs in slot order, which depends on the table size and on
 //! the order keys arrived in. No output may depend on it: every reader
 //! either combines values exactly (integer sums, maxima with a link
 //! tie-break) or sorts by link first.
-//!
-//! [`LinkStats`]: crate::stats::LinkStats
 
 use manet_sim::{Link, NodeId};
 
@@ -112,18 +108,6 @@ impl<V: Copy + Default> LinkMap<V> {
         let key = pack(link);
         let i = self.probe(key);
         (self.keys[i] == key).then(|| self.vals[i])
-    }
-
-    /// Mutable access to the value stored for `link`, if any. Never
-    /// inserts, so the table never grows here.
-    #[inline]
-    pub(crate) fn get_mut(&mut self, link: Link) -> Option<&mut V> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let key = pack(link);
-        let i = self.probe(key);
-        (self.keys[i] == key).then_some(&mut self.vals[i])
     }
 
     /// Mutable access to the value for `link`, inserting `V::default()`
@@ -277,10 +261,6 @@ mod tests {
         *m.entry_or_default(link(1, 2)) += 1;
         assert_eq!(m.get(link(1, 2)), Some(1));
         assert_eq!(m.get(link(2, 3)), None);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get_mut(link(2, 3)), None);
-        *m.get_mut(link(1, 2)).unwrap() -= 1;
-        assert_eq!(m.get(link(1, 2)), Some(0), "a count at zero keeps its key");
         assert_eq!(m.len(), 1);
     }
 

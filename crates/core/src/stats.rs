@@ -116,17 +116,7 @@ impl LinkStats {
     /// The two largest counts `(n_max, n_2nd)`; zero-filled when there are
     /// fewer than two distinct links.
     pub fn top_two(&self) -> (u32, u32) {
-        let mut best = 0u32;
-        let mut second = 0u32;
-        for c in self.counts.values() {
-            if c > best {
-                second = best;
-                best = c;
-            } else if c > second {
-                second = c;
-            }
-        }
-        (best, second)
+        top_two_of(self.counts.values())
     }
 
     /// `p_max` (eq. 3). Zero for an empty route set.
@@ -149,37 +139,56 @@ impl LinkStats {
         f64::from(nmax - n2nd) / f64::from(nmax)
     }
 
-    /// `(p_max, Δ)` of the tabulated set with `route` left out: eq. 3
-    /// and eq. 7 over `R \ {route}`, without tabulating `R` again. The
-    /// route's links and hop count are taken out of the table,
-    /// [`LinkStats::p_max`] and [`LinkStats::delta`] read, and both put
-    /// back before returning, so the table is left as found. The pair
-    /// equals `LinkStats::from_routes` of the other routes to the bit:
-    /// the same integer counts reach the same two formulas, and a link
-    /// left at count 0 changes nothing, because [`LinkStats::top_two`]
-    /// starts from 0 and only takes larger counts.
+    /// The leave-one-out statistics: a function giving, for any tabulated
+    /// route, `(p_max, Δ)` of the set with that route left out (eq. 3 and
+    /// eq. 7 over `R \ {route}`), in O(hops) and without touching the
+    /// table. This call ranks the table's counts once, largest first. A
+    /// route is loop-free, so leaving it out lowers each of its links'
+    /// counts by one and no other count. The new `n_max` and `n_2nd` are
+    /// therefore the top two of those lowered counts and the two largest
+    /// counts off the route, which the ranking yields after skipping at
+    /// most `hops` entries. Each pair equals `LinkStats::from_routes` of
+    /// the other routes to the bit: the same integers reach the same two
+    /// formulas, and a count lowered to 0 changes nothing, because the top
+    /// two start from 0 and only take larger counts.
     ///
-    /// # Panics
-    ///
-    /// If `route` has a link the table holds no occurrence of, that is,
-    /// it is not one of the tabulated routes. The check runs before the
-    /// table is touched.
-    pub(crate) fn leave_one_out(&mut self, route: &Route) -> (f64, f64) {
-        assert!(
-            route.links().all(|l| self.count(l) > 0),
-            "leave_one_out: {route:?} is not a tabulated route"
-        );
-        let hops = route.hops() as u64;
-        for link in route.links() {
-            *self.counts.get_mut(link).expect("checked above") -= 1;
+    /// The returned function panics if its route has a link the table
+    /// holds no occurrence of, that is, it is not one of the tabulated
+    /// routes.
+    pub(crate) fn leave_one_out(&self) -> impl Fn(&Route) -> (f64, f64) + '_ {
+        let mut ranked: Vec<(u32, Link)> = self.counts.iter().map(|(l, c)| (c, l)).collect();
+        ranked.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
+        move |route| {
+            let lowered = route.links().map(|link| {
+                let count = self.count(link);
+                assert!(
+                    count > 0,
+                    "leave_one_out: {route:?} is not a tabulated route"
+                );
+                count - 1
+            });
+            let off_route = ranked
+                .iter()
+                .filter(|&&(_, link)| !route.contains_link(link))
+                .take(2)
+                .map(|&(count, _)| count);
+            let (nmax, n2nd) = top_two_of(lowered.chain(off_route));
+            let total = self.total - route.hops() as u64;
+            // The same divisions and zero cases as `p_max` and `delta`,
+            // written out: routing those two through shared helpers made
+            // traced zscore, geometric and ensemble detection 2–7% slower.
+            let p_max = if total == 0 {
+                0.0
+            } else {
+                f64::from(nmax) / total as f64
+            };
+            let delta = if nmax == 0 {
+                0.0
+            } else {
+                f64::from(nmax - n2nd) / f64::from(nmax)
+            };
+            (p_max, delta)
         }
-        self.total -= hops;
-        let left_out = (self.p_max(), self.delta());
-        for link in route.links() {
-            *self.counts.get_mut(link).expect("checked above") += 1;
-        }
-        self.total += hops;
-        left_out
     }
 
     /// The most frequent link — SAM's attacker localization ("the
@@ -261,6 +270,21 @@ impl LinkStats {
             suspect_link: self.suspect_link().map(|l| (l.lo().0, l.hi().0)),
         }
     }
+}
+
+/// The two largest of `counts`, duplicates included; zero-filled.
+fn top_two_of(counts: impl Iterator<Item = u32>) -> (u32, u32) {
+    let mut best = 0u32;
+    let mut second = 0u32;
+    for c in counts {
+        if c > best {
+            second = best;
+            best = c;
+        } else if c > second {
+            second = c;
+        }
+    }
+    (best, second)
 }
 
 /// The feature vector SAM extracts from one route discovery — what the SAM
@@ -420,43 +444,51 @@ mod tests {
     }
 
     #[test]
-    fn leave_one_out_leaves_the_table_as_found() {
-        // Links unique to one route drop to zero while it is out, and the
-        // tunnel link 7-8 ties with 8-5 once a tunneled route is out.
-        let routes = vec![
-            r(&[0, 7, 8, 5]),
-            r(&[0, 1, 7, 8, 5]),
-            r(&[0, 2, 7, 8, 5]),
-            r(&[0, 3, 7, 8, 4, 5]),
-            r(&[0, 5]),
+    fn leave_one_out_matches_a_fresh_tabulation_of_the_rest() {
+        let sets = [
+            // 7-8 (×4) and 8-5 (×3) lead; the first route holds both, so
+            // its top two come from lowered counts and the ranking's
+            // third place on. Links unique to one route drop to zero, and
+            // 7-8 ties with 8-5 once another tunneled route is out.
+            vec![
+                r(&[0, 7, 8, 5]),
+                r(&[0, 1, 7, 8, 5]),
+                r(&[0, 2, 7, 8, 5]),
+                r(&[0, 3, 7, 8, 4, 5]),
+                r(&[0, 5]),
+            ],
+            // The top counts tie: 7-8 and 11-12, both ×2.
+            vec![
+                r(&[0, 7, 8, 9]),
+                r(&[0, 1, 7, 8, 2, 9]),
+                r(&[0, 11, 12, 9]),
+                r(&[0, 3, 11, 12, 4, 9]),
+            ],
+            // One route: the rest is the empty set.
+            vec![r(&[0, 7, 8, 9])],
         ];
-        let fresh = LinkStats::from_routes(&routes);
-        let mut stats = LinkStats::from_routes(&routes);
-        for (i, route) in routes.iter().enumerate() {
-            let mut rest = routes.clone();
-            rest.remove(i);
-            let rest = LinkStats::from_routes(&rest);
-            assert_eq!(stats.leave_one_out(route), (rest.p_max(), rest.delta()));
+        let bits = |(p_max, delta): (f64, f64)| (p_max.to_bits(), delta.to_bits());
+        for routes in &sets {
+            let stats = LinkStats::from_routes(routes);
+            let leave_one_out = stats.leave_one_out();
+            for (i, route) in routes.iter().enumerate() {
+                let mut rest = routes.clone();
+                rest.remove(i);
+                let rest = LinkStats::from_routes(&rest);
+                assert_eq!(
+                    bits(leave_one_out(route)),
+                    bits((rest.p_max(), rest.delta())),
+                    "leaving out {route:?} of {routes:?}"
+                );
+            }
         }
-        // A route that was never tabulated is refused before the table is
-        // touched, though its first two links are in it.
+        // A route that was never tabulated is refused, though its first
+        // two links are in the table.
+        let stats = LinkStats::from_routes(&sets[0]);
+        let leave_one_out = stats.leave_one_out();
         let foreign = r(&[0, 7, 8, 9]);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stats.leave_one_out(&foreign)
-        }));
+        let refused = std::panic::catch_unwind(|| leave_one_out(&foreign));
         assert!(refused.is_err());
-
-        let sorted = |s: &LinkStats| {
-            let mut counts: Vec<(Link, u32)> = s.counts().collect();
-            counts.sort();
-            counts
-        };
-        assert_eq!(sorted(&stats), sorted(&fresh));
-        assert_eq!(stats.distinct_links(), fresh.distinct_links());
-        assert_eq!(stats.total_links(), fresh.total_links());
-        assert_eq!(stats.route_count(), fresh.route_count());
-        assert_eq!(stats.top_two(), fresh.top_two());
-        assert_eq!(stats.suspect_link(), fresh.suspect_link());
     }
 
     #[test]

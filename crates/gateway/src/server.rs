@@ -948,7 +948,7 @@ fn serve_request(
     if let (Some(t), Some(record)) = (&shared.tracer, record) {
         t.finish(record);
     }
-    write_encoded_line(writer, &encoded)
+    write_encoded_line(writer, encoded)
 }
 
 /// Synthesize the queue-wait and serialize stages as child spans of the
@@ -981,13 +981,53 @@ fn emit_stage_children(span: &SpanGuard, record: &AuditRecord, accepted_at: Inst
 /// Write one response line and flush (responses are latency-sensitive;
 /// the BufWriter only batches within one call).
 fn write_line(writer: &mut BufWriter<TcpStream>, response: &WireResponse) -> std::io::Result<()> {
-    write_encoded_line(writer, &response.encode())
+    write_encoded_line(writer, response.encode())
 }
 
-/// Write an already-encoded response line and flush (the served-request
-/// path encodes early to time the serialize stage).
-fn write_encoded_line(writer: &mut BufWriter<TcpStream>, encoded: &str) -> std::io::Result<()> {
-    writer.write_all(encoded.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Write an already-encoded response line and its newline in one
+/// `write_all`, then flush (the served-request path encodes early to time
+/// the serialize stage). A `BufWriter` hands a line at least as long as
+/// its buffer straight to the socket, so a newline written apart would
+/// follow in a second segment and wake the client twice.
+fn write_encoded_line<W: Write>(writer: &mut W, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call that reaches it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_reach_the_socket_in_one_write() {
+        // Shorter than, just under, equal to and past the 8 KiB buffer.
+        for len in [100, 8 * 1024 - 1, 8 * 1024, 10_202, 64 * 1024] {
+            let line = "x".repeat(len);
+            let mut writer = BufWriter::new(CountingWriter::default());
+            write_encoded_line(&mut writer, line.clone()).unwrap();
+            let sink = writer.get_ref();
+            assert_eq!(sink.writes, 1, "a {len}-byte line");
+            assert_eq!(sink.bytes, format!("{line}\n").into_bytes());
+        }
+    }
 }

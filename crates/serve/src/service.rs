@@ -63,9 +63,8 @@ pub struct ServiceConfig {
     /// Attach a verdict [`Explanation`](sam::Explanation) to every
     /// response (suspect link, per-route leave-one-out contributions),
     /// built from the verdict the procedure already computed. Off by
-    /// default: the leave-one-out statistics cost a scan of the link
-    /// table per suspect-crossing route, and explanations grow responses
-    /// considerably.
+    /// default: the leave-one-out statistics cost a ranking of the link
+    /// table per response, and explanations grow responses considerably.
     pub explain: bool,
 }
 

@@ -99,6 +99,10 @@ fn golden_lines() -> Vec<String> {
                 .expect("served");
             response.timing = StageTiming::default();
             response.profile_cache_hit = false;
+            // Served explanations carry no hop list: the route's `nodes`
+            // are its hops, and serving has no flight recording.
+            let explanation = response.explanation.as_ref().expect("explain is on");
+            assert!(explanation.routes.iter().all(|r| r.hops.is_empty()));
             let wire = WireResponse::ok(response.clone()).encode();
             let golden = GoldenLine {
                 id: response.id,

@@ -298,7 +298,13 @@ fn corpus() -> Vec<Shape> {
                             event: Some(19),
                             cause: Some(12),
                         },
-                        HopProvenance::plain(8, 11),
+                        HopProvenance {
+                            from: 8,
+                            to: 11,
+                            tunneled: false,
+                            event: None,
+                            cause: None,
+                        },
                     ],
                     tunnel_hops: 1,
                     lineage_depth: 4,

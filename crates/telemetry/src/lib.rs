@@ -5,9 +5,9 @@
 //! counters, and raw `Instant` + `println!` timing in the `reproduce`
 //! binary. This crate is the one substrate they all share:
 //!
-//! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and fixed-bucket
-//!   [`Histogram`]s (power-of-two or exact-linear) with CDF-walk
-//!   percentiles — all lock-free on the update path;
+//! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and power-of-two
+//!   [`Histogram`]s with CDF-walk percentiles — all lock-free on the
+//!   update path;
 //! * a span/event API: [`Telemetry::span`] returns an RAII [`SpanGuard`]
 //!   recording name, parent, wall-clock duration, and `key=value` fields
 //!   into a lock-free collector channel;

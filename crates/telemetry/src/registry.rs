@@ -69,45 +69,23 @@ impl Gauge {
     }
 }
 
-/// How a histogram maps values onto buckets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Scale {
-    /// Bucket `i` counts samples with `value < 2^i` (bit-length index);
-    /// percentiles are exact to within one power of two.
-    Pow2,
-    /// Bucket `i` counts samples equal to `i + 1`, exactly, up to `max`;
-    /// larger values collapse into the final bucket.
-    Linear { max: usize },
-}
-
 /// A fixed-bucket histogram with lock-free recording and CDF-walk
 /// percentiles (the scheme `sam-serve` has used for latencies since PR 1,
 /// generalized so every crate shares one implementation).
 #[derive(Debug)]
 pub struct Histogram {
-    scale: Scale,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
 }
 
 impl Histogram {
-    /// A power-of-two histogram (e.g. microsecond latencies).
+    /// A power-of-two histogram (e.g. microsecond latencies): bucket `i`
+    /// counts samples with `value < 2^i`, so percentiles are exact to
+    /// within one power of two.
     pub fn pow2() -> Self {
-        Self::with_scale(Scale::Pow2, POW2_BUCKETS)
-    }
-
-    /// An exact small-integer histogram covering `1..=max` (e.g. batch
-    /// sizes); values above `max` land in the `max` bucket.
-    pub fn linear(max: usize) -> Self {
-        assert!(max >= 1, "linear histogram needs max >= 1");
-        Self::with_scale(Scale::Linear { max }, max)
-    }
-
-    fn with_scale(scale: Scale, buckets: usize) -> Self {
         Histogram {
-            scale,
-            buckets: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..POW2_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
@@ -115,11 +93,8 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&self, value: u64) {
-        let idx = match self.scale {
-            // Bucket i holds samples with value < 2^i: index by bit length.
-            Scale::Pow2 => (64 - value.leading_zeros() as usize).min(POW2_BUCKETS - 1),
-            Scale::Linear { max } => (value.clamp(1, max as u64) - 1) as usize,
-        };
+        // Bucket i holds samples with value < 2^i: index by bit length.
+        let idx = (64 - value.leading_zeros() as usize).min(POW2_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -130,7 +105,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of raw recorded values (unclamped, even for linear scales).
+    /// Sum of raw recorded values.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -145,12 +120,9 @@ impl Histogram {
         }
     }
 
-    /// Upper edge of bucket `i` under this scale.
-    fn upper_edge(&self, i: usize) -> u64 {
-        match self.scale {
-            Scale::Pow2 => 1u64 << i,
-            Scale::Linear { .. } => i as u64 + 1,
-        }
+    /// Upper edge of bucket `i`.
+    fn upper_edge(i: usize) -> u64 {
+        1u64 << i
     }
 
     /// The `q`-quantile upper bound, by walking the cumulative
@@ -167,10 +139,10 @@ impl Histogram {
         for (i, c) in self.buckets.iter().enumerate() {
             seen += c.load(Ordering::Relaxed);
             if seen >= rank {
-                return self.upper_edge(i);
+                return Self::upper_edge(i);
             }
         }
-        self.upper_edge(self.buckets.len() - 1)
+        Self::upper_edge(self.buckets.len() - 1)
     }
 
     /// Sparse `(upper_edge, count)` pairs for non-empty buckets.
@@ -178,7 +150,7 @@ impl Histogram {
         self.buckets
             .iter()
             .enumerate()
-            .map(|(i, c)| (self.upper_edge(i), c.load(Ordering::Relaxed)))
+            .map(|(i, c)| (Self::upper_edge(i), c.load(Ordering::Relaxed)))
             .filter(|&(_, c)| c > 0)
             .collect()
     }
@@ -317,27 +289,12 @@ impl Registry {
     }
 
     /// The power-of-two histogram named `name`, created on first use.
-    ///
-    /// # Panics
-    /// If `name` was previously registered with a different scale.
     pub fn histogram_pow2(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, Histogram::pow2)
-    }
-
-    /// The exact linear histogram named `name` covering `1..=max`.
-    ///
-    /// # Panics
-    /// If `name` was previously registered with a different scale.
-    pub fn histogram_linear(&self, name: &str, max: usize) -> Arc<Histogram> {
-        self.histogram_with(name, || Histogram::linear(max))
-    }
-
-    fn histogram_with(&self, name: &str, make: impl FnOnce() -> Histogram) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
         if let Some(h) = map.get(name) {
             return h.clone();
         }
-        let h = Arc::new(make());
+        let h = Arc::new(Histogram::pow2());
         map.insert(name.to_string(), h.clone());
         h
     }
@@ -476,24 +433,7 @@ mod tests {
         let h = Histogram::pow2();
         assert_eq!(h.percentile(0.50), 0);
         assert_eq!(h.percentile(0.99), 0);
-        let l = Histogram::linear(64);
-        assert_eq!(l.percentile(0.50), 0);
-        assert_eq!(l.mean(), 0.0);
-    }
-
-    #[test]
-    fn linear_histogram_is_exact_and_clamps() {
-        let h = Histogram::linear(8);
-        h.record(1);
-        h.record(1);
-        h.record(7);
-        h.record(100); // clamps into the 8 bucket
-        assert_eq!(h.nonzero_buckets(), vec![(1, 2), (7, 1), (8, 1)]);
-        assert_eq!(h.count(), 4);
-        // Mean uses raw values, not clamped buckets.
-        assert!((h.mean() - (1.0 + 1.0 + 7.0 + 100.0) / 4.0).abs() < 1e-9);
-        assert_eq!(h.percentile(0.5), 1);
-        assert_eq!(h.percentile(1.0), 8);
+        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
