@@ -19,7 +19,7 @@
 //! * [`channel_loss`] — SAM under a lossy radio.
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_once_configured, train_normal_profile, RunRecord};
+use crate::runner::{mean_of, run_once_faulted, train_normal_profile, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
@@ -32,7 +32,7 @@ fn configured_series(
     worm: WormholeConfig,
 ) -> Vec<RunRecord> {
     (0..runs)
-        .map(|i| run_once_configured(spec, i, router, worm).0)
+        .map(|i| run_once_faulted(spec, i, router, worm, None).0)
         .collect()
 }
 
@@ -205,7 +205,7 @@ pub fn hidden_detection(runs: u64) -> Table {
     let rate = |detector: &SamDetector, spec: &ScenarioSpec, worm: WormholeConfig| -> f64 {
         let mut hits = 0;
         for i in 0..runs {
-            let (_, routes) = run_once_configured(spec, i, &cfg, worm);
+            let (_, routes) = run_once_faulted(spec, i, &cfg, worm, None);
             if detector.analyze(&routes, &profile).anomalous {
                 hits += 1;
             }

@@ -11,11 +11,10 @@
 //! *confirmed* false-positive rate.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, train_normal_profile};
-use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
-use manet_attacks::prelude::*;
-use manet_routing::prelude::*;
-use manet_sim::prelude::*;
+use crate::runner::{train_normal_profile, Trial};
+use crate::scenario::{ScenarioSpec, TopologyKind};
+use manet_attacks::WormholeConfig;
+use manet_routing::{ProtocolKind, RouterConfig};
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -37,38 +36,6 @@ pub struct DetectionQuality {
     /// Fraction of confirmed attacked runs whose reported suspects include
     /// a real attacker node.
     pub localization_accuracy: f64,
-}
-
-/// Run the full procedure over one discovery of `spec`, returning the
-/// outcome and the plan (for ground truth).
-fn procedure_run(
-    spec: &ScenarioSpec,
-    run: u64,
-    profile: &NormalProfile,
-    detector: &SamDetector,
-) -> (DetectionOutcome, NetworkPlan) {
-    let run_seed = derive_seed(spec.base_seed, run);
-    let plan = build_plan(spec, run);
-    let (src, dst) = draw_endpoints(&plan, run_seed);
-    let active: Vec<usize> = (0..spec.active_wormholes).collect();
-    let wiring = if active.is_empty() {
-        AttackWiring::none()
-    } else {
-        // The wormhole blackholes data once routes are captured — the
-        // configuration the probe test exists to expose.
-        AttackWiring::from_plan(&plan, &active, WormholeConfig::blackholing())
-    };
-    let mut session = attack_session(
-        &plan,
-        RouterConfig::new(spec.protocol),
-        &wiring,
-        LatencyModel::default(),
-        run_seed,
-    );
-    let discovery = session.discover(src, dst, DEFAULT_MAX_WAIT);
-    let procedure = Procedure::new(detector.clone(), ProcedureConfig::default());
-    let outcome = procedure.execute(&discovery.routes, profile, &mut session);
-    (outcome, plan)
 }
 
 fn lambda_of(outcome: &DetectionOutcome) -> f64 {
@@ -96,13 +63,31 @@ pub fn evaluate(
     // default under-fires; the calibrated 2.5σ keeps a wide margin above
     // normal traffic (z ≲ 1 here) while catching attacked sets
     // (z ≈ 2.8+).
-    let detector = SamDetector::new(SamConfig::calibrated());
+    let procedure = Procedure::new(
+        SamDetector::new(SamConfig::calibrated()),
+        ProcedureConfig::default(),
+    );
+    // The full procedure over run `run` of `spec`. The wormhole
+    // blackholes data once routes are captured — the configuration the
+    // probe test exists to expose.
+    let judge = |spec: &ScenarioSpec, run: u64| {
+        let mut trial = Trial::new(
+            spec,
+            run,
+            &RouterConfig::new(protocol),
+            WormholeConfig::blackholing(),
+            None,
+        );
+        let discovery = trial.discover();
+        let outcome = procedure.execute(&discovery.routes, &profile, &mut trial.session);
+        (outcome, trial.plan)
+    };
 
     let mut step1_fp = 0usize;
     let mut confirmed_fp = 0usize;
     let mut lambda_normal = 0.0;
     for i in 0..eval_runs {
-        let (outcome, _) = procedure_run(&normal, i, &profile, &detector);
+        let (outcome, _) = judge(&normal, i);
         lambda_normal += lambda_of(&outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}
@@ -119,7 +104,7 @@ pub fn evaluate(
     let mut localized = 0usize;
     let mut lambda_attacked = 0.0;
     for i in 0..eval_runs {
-        let (outcome, plan) = procedure_run(&attacked, i, &profile, &detector);
+        let (outcome, plan) = judge(&attacked, i);
         lambda_attacked += lambda_of(&outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}

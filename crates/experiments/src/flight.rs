@@ -2,12 +2,11 @@
 //! causal trace on, explain the verdict, and package everything as a
 //! [`FlightRecording`] for the `sam-trace` CLI.
 
-use crate::runner::{build_plan, train_normal_profile};
-use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
-use manet_attacks::prelude::*;
-use manet_routing::prelude::*;
-use manet_sim::prelude::*;
-use manet_sim::TraceChannel;
+use crate::runner::{train_normal_profile, Trial};
+use crate::scenario::ScenarioSpec;
+use manet_attacks::WormholeConfig;
+use manet_routing::RouterConfig;
+use manet_sim::{NodeId, TraceChannel};
 use sam::prelude::*;
 use sam_flight::{reconstruct_route, FlightMeta, FlightRecording};
 use sam_telemetry::Telemetry;
@@ -59,29 +58,17 @@ pub fn record_flight(
     let detector = SamDetector::new(SamConfig::calibrated());
 
     // The recorded run, trace on.
-    let run_seed = derive_seed(spec.base_seed, run);
-    let plan = build_plan(spec, run);
-    let (src, dst) = draw_endpoints(&plan, run_seed);
-    let active: Vec<usize> = (0..spec.active_wormholes).collect();
-    let wiring = if active.is_empty() {
-        AttackWiring::none()
-    } else {
-        AttackWiring::from_plan(&plan, &active, WormholeConfig::blackholing())
-    };
-    let mut session = attack_session(
-        &plan,
-        RouterConfig::new(spec.protocol),
-        &wiring,
-        LatencyModel::default(),
-        run_seed,
+    let mut trial = Trial::new(
+        spec,
+        run,
+        &RouterConfig::new(spec.protocol),
+        WormholeConfig::blackholing(),
+        opts.faults.as_ref(),
     );
-    session.network_mut().set_telemetry(Some(tel.clone()));
-    if let Some(fault_plan) = &opts.faults {
-        sam_faults::apply(fault_plan, session.network_mut()).expect("valid fault plan");
-    }
-    session.enable_trace(opts.trace_capacity);
-    let discovery = session.discover(src, dst, DEFAULT_MAX_WAIT);
-    let trace = session.take_trace().expect("tracing was enabled");
+    trial.session.network_mut().set_telemetry(Some(tel.clone()));
+    trial.session.enable_trace(opts.trace_capacity);
+    let discovery = trial.discover();
+    let trace = trial.session.take_trace().expect("tracing was enabled");
 
     // Explain the verdict, backing every suspicious route's hops with
     // the causal trace.
@@ -110,16 +97,13 @@ pub fn record_flight(
         }
     }
 
-    let mut meta = FlightMeta::new(&spec.topology.label(), spec.protocol.label(), run_seed);
-    meta.nodes = plan.topology.len() as u64;
-    meta.src = src.0;
-    meta.dst = dst.0;
-    meta.attacker_pairs = active
+    let mut meta = FlightMeta::new(&spec.topology.label(), spec.protocol.label(), trial.seed);
+    meta.nodes = trial.plan.topology.len() as u64;
+    meta.src = trial.src.0;
+    meta.dst = trial.dst.0;
+    meta.attacker_pairs = trial.plan.attacker_pairs[..spec.active_wormholes]
         .iter()
-        .map(|&i| {
-            let p = plan.attacker_pairs[i];
-            (p.a.0, p.b.0)
-        })
+        .map(|p| (p.a.0, p.b.0))
         .collect();
     meta.dropped = trace.dropped();
 
@@ -136,6 +120,7 @@ pub fn record_flight(
 mod tests {
     use super::*;
     use crate::scenario::TopologyKind;
+    use manet_routing::ProtocolKind;
 
     #[test]
     fn recorded_wormhole_run_explains_the_attack_link() {

@@ -5,6 +5,12 @@
 //! produces [`report::Table`]s that render as ASCII and serialize to JSON;
 //! the `reproduce` binary regenerates any or all of them.
 //!
+//! Every run of a [`ScenarioSpec`](scenario::ScenarioSpec) starts from
+//! one [`runner::Trial`], which builds the run's plan, endpoints and
+//! attacked session. [`runner::run_once_faulted`] measures the trial's
+//! route set; `detection`, `roc` and the [`flight`] recorder probe,
+//! score or trace its session.
+//!
 //! | id | paper artifact | module |
 //! |----|----------------|--------|
 //! | `table1` | Table I — % routes affected | [`table1`] |
@@ -110,8 +116,8 @@ pub mod prelude {
     pub use crate::robustness::{RobustnessPoint, RobustnessReport};
     pub use crate::roc::{RocCurve, RocHeadline, RocPoint, RocReport};
     pub use crate::runner::{
-        build_plan, default_jobs, mean_of, run_once, run_once_configured, run_once_faulted,
-        run_once_with_routes, run_series, run_series_jobs, set_global_jobs, RunRecord, PAPER_RUNS,
+        build_plan, default_jobs, mean_of, run_once, run_once_faulted, run_once_with_routes,
+        run_series, run_series_jobs, set_global_jobs, RunRecord, Trial, PAPER_RUNS,
     };
     pub use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
     pub use crate::series::{feature_table, PairedSeries};

@@ -248,11 +248,8 @@ pub fn tables(report: &RobustnessReport) -> Vec<Table> {
     for p in report
         .points
         .iter()
-        .filter(|p| p.churn != "none" || (p.variant == "paper" && p.loss == 0.0))
+        .filter(|p| p.variant == "paper" && p.loss == 0.0)
     {
-        if p.variant != "paper" || p.loss != 0.0 {
-            continue;
-        }
         churn_table.push_row(vec![
             Cell::Str(p.churn.clone()),
             Cell::Num(100.0 * p.detection_rate),

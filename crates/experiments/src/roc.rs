@@ -24,7 +24,7 @@
 //! abstaining.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_configured, train_normal_profile};
+use crate::runner::{train_normal_profile, Trial};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -141,16 +141,12 @@ fn score_run(
     worm_cfg: WormholeConfig,
     profile: &NormalProfile,
 ) -> Vec<Scored> {
-    let cfg = RouterConfig::new(spec.protocol);
-    let (_, routes) = run_once_configured(spec, run, &cfg, worm_cfg);
-    let plan = build_plan(spec, run);
+    let mut trial = Trial::new(spec, run, &RouterConfig::new(spec.protocol), worm_cfg, None);
+    let routes = trial.discover().routes;
+    let topology = &trial.plan.topology;
     let obs = TopologyObservations::new(
-        plan.topology
-            .positions()
-            .iter()
-            .map(|p| (p.x, p.y))
-            .collect(),
-        plan.topology.range(),
+        topology.positions().iter().map(|p| (p.x, p.y)).collect(),
+        topology.range(),
     );
     let input = DetectorInput::new(&routes, profile).with_topology(&obs);
     DETECTOR_NAMES

@@ -1,5 +1,8 @@
 //! Run executor: one simulated discovery per run, paired normal/attacked,
 //! parallel across runs.
+//!
+//! Every run of a [`ScenarioSpec`] starts from [`Trial::new`], which
+//! builds the run's plan, endpoints and attacked session once.
 
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
 use manet_attacks::prelude::*;
@@ -7,6 +10,8 @@ use manet_routing::prelude::*;
 use manet_sim::prelude::*;
 use parking_lot::Mutex;
 use sam::{LinkStats, NormalProfile, SamConfig};
+use sam_faults::FaultPlan;
+use sam_telemetry::SpanGuard;
 use serde::{Deserialize, Serialize};
 
 /// Everything measured in one run.
@@ -28,9 +33,6 @@ pub struct RunRecord {
     pub affected: f64,
     /// Total tx+rx at all nodes for this discovery (Table II).
     pub overhead: u64,
-    /// Whether SAM's suspect link is exactly an active tunnel link
-    /// (`None` for normal runs, where there is nothing to localize).
-    pub suspect_is_tunnel: Option<bool>,
 }
 
 /// Build the plan for a spec/run, growing extra wormhole pairs if the
@@ -69,97 +71,117 @@ pub fn build_plan(spec: &ScenarioSpec, run: u64) -> NetworkPlan {
     plan
 }
 
+/// One run of a spec, built and ready to discover: its plan, its drawn
+/// endpoints and the live session, with the spec's active wormhole pairs
+/// wired and the fault plan applied. Set the session up further (trace,
+/// telemetry) before [`discover`](Trial::discover); probe through it
+/// after. The run's `experiment.run` span lives as long as the trial.
+pub struct Trial {
+    /// The run's plan (see [`build_plan`]).
+    pub plan: NetworkPlan,
+    /// Drawn source.
+    pub src: NodeId,
+    /// Drawn destination.
+    pub dst: NodeId,
+    /// The run's seed: `derive_seed(spec.base_seed, run)`.
+    pub seed: u64,
+    /// The session over the plan's nodes.
+    pub session: Session<AttackNode>,
+    span: SpanGuard,
+}
+
+impl Trial {
+    /// Build run `run` of `spec`, with `worm_cfg` on each of the spec's
+    /// active wormhole pairs and `faults`, if any, composed onto the
+    /// network. A run is a pure function of these inputs.
+    pub fn new(
+        spec: &ScenarioSpec,
+        run: u64,
+        router_cfg: &RouterConfig,
+        worm_cfg: WormholeConfig,
+        faults: Option<&FaultPlan>,
+    ) -> Trial {
+        let seed = derive_seed(spec.base_seed, run);
+        let mut span = sam_telemetry::span("experiment.run");
+        span.field("scenario", spec.topology.label());
+        span.field("protocol", spec.protocol.label());
+        span.field("run", run);
+        span.field("seed", seed);
+        let plan = build_plan(spec, run);
+        let (src, dst) = draw_endpoints(&plan, seed);
+        let active: Vec<usize> = (0..spec.active_wormholes).collect();
+        let wiring = AttackWiring::from_plan(&plan, &active, worm_cfg);
+        let mut session = attack_session(
+            &plan,
+            router_cfg.clone(),
+            &wiring,
+            LatencyModel::default(),
+            seed,
+        );
+        if let Some(fault_plan) = faults {
+            sam_faults::apply(fault_plan, session.network_mut()).expect("valid fault plan");
+        }
+        Trial {
+            plan,
+            src,
+            dst,
+            seed,
+            session,
+            span,
+        }
+    }
+
+    /// The run's route discovery from `src` to `dst`. Panics if the
+    /// engine hits its event cap, which paper-scale runs never do.
+    pub fn discover(&mut self) -> DiscoveryOutcome {
+        let outcome = self.session.discover(self.src, self.dst, DEFAULT_MAX_WAIT);
+        assert!(
+            !outcome.truncated,
+            "engine event cap hit: {} seed {}",
+            self.plan.name, self.seed
+        );
+        self.span.field("routes", outcome.routes.len());
+        self.span.field("overhead", outcome.overhead);
+        outcome
+    }
+}
+
 /// Execute one run; returns the record and the collected route set (the
 /// latter feeds Fig. 5's PMFs and profile training).
 pub fn run_once_with_routes(spec: &ScenarioSpec, run: u64) -> (RunRecord, Vec<Route>) {
-    run_once_configured(
+    run_once_faulted(
         spec,
         run,
         &RouterConfig::new(spec.protocol),
         WormholeConfig::default(),
+        None,
     )
 }
 
-/// Execute one run with explicit router and wormhole configurations (the
-/// ablation benches sweep these).
-pub fn run_once_configured(
-    spec: &ScenarioSpec,
-    run: u64,
-    router_cfg: &RouterConfig,
-    worm_cfg: WormholeConfig,
-) -> (RunRecord, Vec<Route>) {
-    run_once_faulted(spec, run, router_cfg, worm_cfg, None)
-}
-
-/// Execute one run with an optional [`FaultPlan`](sam_faults::FaultPlan)
-/// composed onto the scenario (the robustness sweeps feed loss bursts,
-/// churn and jitter through here). `None` is byte-identical to
-/// [`run_once_configured`]. Every call simulates the run afresh: a run is
-/// a pure function of its inputs, so callers that replay one recompute
-/// it.
+/// Execute one [`Trial`] with explicit router and wormhole configurations
+/// (the ablations sweep these) and an optional [`FaultPlan`] (the
+/// robustness sweeps and `loadgen --faults` replay through here). Every
+/// call simulates the run afresh.
 pub fn run_once_faulted(
     spec: &ScenarioSpec,
     run: u64,
     router_cfg: &RouterConfig,
     worm_cfg: WormholeConfig,
-    faults: Option<&sam_faults::FaultPlan>,
+    faults: Option<&FaultPlan>,
 ) -> (RunRecord, Vec<Route>) {
-    let run_seed = derive_seed(spec.base_seed, run);
-    let mut span = sam_telemetry::span("experiment.run");
-    span.field("scenario", spec.topology.label());
-    span.field("protocol", spec.protocol.label());
-    span.field("run", run);
-    span.field("seed", run_seed);
-    let plan = build_plan(spec, run);
-    let (src, dst) = draw_endpoints(&plan, run_seed);
-
-    let active: Vec<usize> = (0..spec.active_wormholes).collect();
-    let wiring = if active.is_empty() {
-        AttackWiring::none()
-    } else {
-        AttackWiring::from_plan(&plan, &active, worm_cfg)
-    };
-    let mut session = attack_session(
-        &plan,
-        router_cfg.clone(),
-        &wiring,
-        LatencyModel::default(),
-        run_seed,
-    );
-    if let Some(fault_plan) = faults {
-        sam_faults::apply(fault_plan, session.network_mut()).expect("valid fault plan");
-    }
-    let outcome = session.discover(src, dst, DEFAULT_MAX_WAIT);
-    assert!(
-        !outcome.truncated,
-        "engine event cap hit for {spec:?} run {run}"
-    );
-
+    let mut trial = Trial::new(spec, run, router_cfg, worm_cfg, faults);
+    let outcome = trial.discover();
     let stats = LinkStats::from_routes(&outcome.routes);
-    let active_pairs: Vec<AttackerPair> = plan.attacker_pairs[..spec.active_wormholes].to_vec();
-    let affected = affected_fraction_any(&outcome.routes, &active_pairs);
-    let suspect_is_tunnel = if active_pairs.is_empty() {
-        None
-    } else {
-        // Localize the way the detector does: ignore endpoint-adjacent
-        // links and count success if the tunnel is among the links tied
-        // for the maximum (a shared capture prefix ties the whole chain).
-        let top = stats.top_links_excluding(&[src, dst]);
-        Some(active_pairs.iter().any(|&p| top.contains(&tunnel_link(p))))
-    };
-
-    span.field("routes", outcome.routes.len());
-    span.field("overhead", outcome.overhead);
+    let active = &trial.plan.attacker_pairs[..spec.active_wormholes];
     let record = RunRecord {
         run,
-        src,
-        dst,
+        src: trial.src,
+        dst: trial.dst,
         n_routes: outcome.routes.len(),
         p_max: stats.p_max(),
         delta: stats.delta(),
-        affected,
+        affected: affected_fraction_any(&outcome.routes, active),
         overhead: outcome.overhead,
-        suspect_is_tunnel,
     };
     (record, outcome.routes)
 }
@@ -167,22 +189,6 @@ pub fn run_once_faulted(
 /// Execute one run, discarding the route set.
 pub fn run_once(spec: &ScenarioSpec, run: u64) -> RunRecord {
     run_once_with_routes(spec, run).0
-}
-
-/// [`run_once_with_routes`] under an optional fault plan, with default
-/// router/wormhole configurations (what `loadgen --faults` replays).
-pub fn run_once_with_routes_faulted(
-    spec: &ScenarioSpec,
-    run: u64,
-    faults: Option<&sam_faults::FaultPlan>,
-) -> (RunRecord, Vec<Route>) {
-    run_once_faulted(
-        spec,
-        run,
-        &RouterConfig::new(spec.protocol),
-        WormholeConfig::default(),
-        faults,
-    )
 }
 
 /// Process-wide override for [`run_series`]'s worker count; 0 = auto
@@ -281,17 +287,14 @@ mod tests {
         let (ra, _) = run_once_with_routes(&attacked, 3);
         assert_eq!((rn.src, rn.dst), (ra.src, ra.dst));
         assert_eq!(rn.affected, 0.0);
-        assert!(rn.suspect_is_tunnel.is_none());
-        assert!(ra.suspect_is_tunnel.is_some());
     }
 
     #[test]
-    fn attacked_cluster_run_is_captured_and_localized() {
+    fn attacked_cluster_run_is_captured() {
         let spec = ScenarioSpec::attacked(TopologyKind::cluster1(), ProtocolKind::Mr);
         let rec = run_once(&spec, 0);
         assert!(rec.n_routes > 0);
         assert!(rec.affected > 0.9, "affected = {}", rec.affected);
-        assert_eq!(rec.suspect_is_tunnel, Some(true));
     }
 
     #[test]
@@ -336,10 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn faultless_run_matches_configured_run_exactly() {
+    fn inert_fault_plan_matches_no_plan_exactly() {
         let spec = ScenarioSpec::attacked(TopologyKind::cluster1(), ProtocolKind::Mr);
         let cfg = RouterConfig::new(spec.protocol);
-        let (plain, routes_plain) = run_once_configured(&spec, 1, &cfg, WormholeConfig::default());
+        let (plain, routes_plain) =
+            run_once_faulted(&spec, 1, &cfg, WormholeConfig::default(), None);
         let (inert, routes_inert) = run_once_faulted(
             &spec,
             1,

@@ -10,9 +10,10 @@
 //! server.
 
 pub use crate::runner::TRAIN_OFFSET;
-use crate::runner::{run_once_with_routes, run_once_with_routes_faulted};
+use crate::runner::{run_once_faulted, run_once_with_routes};
 use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
-use manet_routing::{ProtocolKind, Route};
+use manet_attacks::WormholeConfig;
+use manet_routing::{ProtocolKind, Route, RouterConfig};
 use sam::{NormalProfile, SamConfig};
 use std::sync::OnceLock;
 
@@ -137,8 +138,13 @@ pub fn replay_corpus(
                 } else {
                     &deployment.normal
                 };
-                let (_, routes) =
-                    run_once_with_routes_faulted(spec, derive_seed(r, 7) % 500, fault_plan);
+                let (_, routes) = run_once_faulted(
+                    spec,
+                    derive_seed(r, 7) % 500,
+                    &RouterConfig::new(spec.protocol),
+                    WormholeConfig::default(),
+                    fault_plan,
+                );
                 (deployment.clone(), attacked_slot, routes)
             })
         })

@@ -1,7 +1,7 @@
 //! Source routes and route-set utilities.
 
 use manet_sim::{Link, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Source};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -11,8 +11,16 @@ use std::fmt;
 /// Invariants enforced at construction: at least two nodes, and no node
 /// repeated (source routing is loop-free by definition — a RREQ is never
 /// forwarded by a node already on its path).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Route(Vec<NodeId>);
+
+/// A route decodes from its node list through [`Route::new`], so no
+/// input builds a route that construction refuses.
+impl Deserialize for Route {
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        Route::new(Vec::deserialize(src)?).map_err(DeError::msg)
+    }
+}
 
 /// Error building a [`Route`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -656,6 +656,26 @@ mod tests {
     }
 
     #[test]
+    fn detection_requests_decode_only_valid_routes() {
+        let line = |routes: &str| {
+            format!(
+                r#"{{"id":1,"key":{{"topology":"t","protocol":"mr"}},"routes":[[0,1,2],{routes}],"probe_ack_ratio":null,"detector":null}}"#
+            )
+        };
+        let ok: DetectionRequest = serde_json::from_str(&line("[2,3]")).unwrap();
+        assert_eq!(ok.routes.len(), 2);
+        assert_eq!(ok.routes[1].nodes(), &[NodeId(2), NodeId(3)]);
+        for (refused, why) in [
+            ("[1,2,1]", "twice"),
+            ("[1]", "fewer than two"),
+            ("[]", "fewer than two"),
+        ] {
+            let err = serde_json::from_str::<DetectionRequest>(&line(refused)).expect_err(refused);
+            assert!(err.to_string().contains(why), "{refused}: {err}");
+        }
+    }
+
+    #[test]
     fn commands_and_garbage_decode_as_typed_results() {
         match decode_line(b"{\"cmd\":\"drain\"}").unwrap() {
             WireLine::Command(c) => assert_eq!(c, WireCommand::bare("drain")),

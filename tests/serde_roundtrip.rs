@@ -50,6 +50,23 @@ fn routing_messages_round_trip() {
 }
 
 #[test]
+fn routes_decode_only_through_route_new() {
+    let back: Route = serde_json::from_str("[1,2,9]").unwrap();
+    assert_eq!(back, route(&[1, 2, 9]));
+    for (refused, why) in [
+        ("[1,2,1]", RouteError::Loop(NodeId(1))),
+        ("[1]", RouteError::TooShort),
+        ("[]", RouteError::TooShort),
+    ] {
+        let err = serde_json::from_str::<Route>(refused).expect_err(refused);
+        assert!(
+            err.to_string().contains(&why.to_string()),
+            "{refused}: {err}"
+        );
+    }
+}
+
+#[test]
 fn network_plan_round_trips_with_connectivity() {
     let plan = two_cluster(1);
     let json = serde_json::to_string(&plan).unwrap();
