@@ -542,22 +542,32 @@ impl<'de> Source<'de> for Parser<'de> {
     }
 
     /// One pass over a run of plain integers, as `next_element` and
-    /// `token` would read them. At anything else (an error included) it
-    /// steps back before the element's separator and leaves the element
-    /// to them.
+    /// `token` would read them, in one loop over a local position. At
+    /// anything else (an error included) it steps back before the
+    /// element's separator and leaves the element to them. Digits
+    /// accumulate with wrapping arithmetic, exact up to 19 digits; a
+    /// longer number goes to `parse_number` too.
     fn uint_run(&mut self, max: u64, mut push: impl FnMut(u64)) -> bool {
+        let bytes = self.bytes;
+        let mut pos = self.pos;
+        let skip_ws = |pos: &mut usize| {
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
+                *pos += 1;
+            }
+        };
         let mut first = true;
         loop {
-            let at = self.pos;
-            self.skip_ws();
-            match self.peek() {
+            let at = pos;
+            skip_ws(&mut pos);
+            match bytes.get(pos) {
                 Some(b']') => {
+                    self.pos = pos;
                     self.close();
                     return true;
                 }
                 Some(b',') if !first => {
-                    self.pos += 1;
-                    self.skip_ws();
+                    pos += 1;
+                    skip_ws(&mut pos);
                 }
                 _ if first => {}
                 _ => {
@@ -565,23 +575,19 @@ impl<'de> Source<'de> for Parser<'de> {
                     return false;
                 }
             }
-            let start = self.pos;
-            let mut n = Some(0u64);
-            while let Some(&b @ b'0'..=b'9') = self.bytes.get(self.pos) {
-                n = n
-                    .and_then(|n| n.checked_mul(10))
-                    .and_then(|n| n.checked_add(u64::from(b - b'0')));
-                self.pos += 1;
+            let start = pos;
+            let mut n = 0u64;
+            while let Some(&b @ b'0'..=b'9') = bytes.get(pos) {
+                n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                pos += 1;
             }
             // Where `parse_number` would read on, or make no `UInt`.
-            let longer = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
-            match n {
-                Some(n) if self.pos > start && !longer && n <= max => push(n),
-                _ => {
-                    self.pos = at;
-                    return false;
-                }
+            let longer = matches!(bytes.get(pos), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+            if !(1..=19).contains(&(pos - start)) || longer || n > max {
+                self.pos = at;
+                return false;
             }
+            push(n);
             first = false;
         }
     }

@@ -38,7 +38,7 @@ use manet_routing::{select_disjoint, ProbeOutcome, Route};
 use manet_sim::{Link, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Node positions plus the radio range — the side information the
 /// [`GeometricDetector`] checks claimed links against. Kept as plain
@@ -70,15 +70,17 @@ impl TopologyObservations {
 }
 
 /// Everything a detector may consume for one decision.
-#[derive(Clone, Copy)]
+///
+/// The input also carries the route set's link table, tabulated on the
+/// first [`DetectorInput::stats`] call. Every detector reading one input
+/// (an ensemble's members included) and the explainer of its verdict
+/// share that one tabulation.
+#[derive(Clone)]
 pub struct DetectorInput<'a> {
-    /// The route set of one multi-path discovery.
-    pub routes: &'a [Route],
-    /// The trained normal-condition profile.
-    pub profile: &'a NormalProfile,
-    /// Topology observations, when the deployment has them. Wire
-    /// requests carry none; detectors that need them abstain.
-    pub topology: Option<&'a TopologyObservations>,
+    routes: &'a [Route],
+    profile: &'a NormalProfile,
+    topology: Option<&'a TopologyObservations>,
+    stats: OnceLock<LinkStats>,
 }
 
 impl<'a> DetectorInput<'a> {
@@ -88,6 +90,7 @@ impl<'a> DetectorInput<'a> {
             routes,
             profile,
             topology: None,
+            stats: OnceLock::new(),
         }
     }
 
@@ -95,6 +98,29 @@ impl<'a> DetectorInput<'a> {
     pub fn with_topology(mut self, topology: &'a TopologyObservations) -> Self {
         self.topology = Some(topology);
         self
+    }
+
+    /// The route set of one multi-path discovery.
+    pub fn routes(&self) -> &'a [Route] {
+        self.routes
+    }
+
+    /// The trained normal-condition profile.
+    pub fn profile(&self) -> &'a NormalProfile {
+        self.profile
+    }
+
+    /// Topology observations, when the deployment has them. Wire
+    /// requests carry none; detectors that need them abstain.
+    pub fn topology(&self) -> Option<&'a TopologyObservations> {
+        self.topology
+    }
+
+    /// The link table of [`DetectorInput::routes`], tabulated on first
+    /// use.
+    pub fn stats(&self) -> &LinkStats {
+        self.stats
+            .get_or_init(|| LinkStats::from_routes(self.routes))
     }
 }
 
@@ -233,7 +259,7 @@ impl Detector for SamDetector {
     }
 
     fn detect(&self, input: &DetectorInput) -> DetectorVerdict {
-        let analysis = self.analyze(input.routes, input.profile);
+        let analysis = self.analyze_with(input.routes, input.stats(), input.profile);
         verdict_from_sam(self.config(), &analysis)
     }
 }
@@ -332,8 +358,10 @@ impl Detector for ZScoreNeighborDetector {
     }
 
     fn detect(&self, input: &DetectorInput) -> DetectorVerdict {
-        let stats = LinkStats::from_routes(input.routes);
-        let features = stats.summary();
+        let stats = input.stats();
+        let (src, dst) = common_endpoints(input.routes);
+        let exclude: Vec<NodeId> = src.into_iter().chain(dst).collect();
+        let (features, suspect) = stats.summary_excluding(&exclude);
         let abstain = |reason: String| DetectorVerdict {
             detector: "zscore".to_string(),
             anomalous: false,
@@ -359,12 +387,10 @@ impl Detector for ZScoreNeighborDetector {
             ));
         }
 
-        let (src, dst) = common_endpoints(input.routes);
-        let exclude: Vec<NodeId> = src.into_iter().chain(dst).collect();
         let excluded = |n: NodeId| exclude.contains(&n);
 
         // Signal 1: within-set z of each non-endpoint link's count.
-        let (mean, std) = count_mean_std(&stats);
+        let (mean, std) = count_mean_std(stats);
         let mut max_link_z = 0.0f64;
         if std > 1e-9 {
             for (link, c) in stats.counts() {
@@ -409,7 +435,7 @@ impl Detector for ZScoreNeighborDetector {
             p_max: features.p_max,
             delta: features.delta,
             // Localize like SAM: the most frequent non-endpoint link.
-            suspect_link: stats.suspect_link_excluding(&exclude),
+            suspect_link: suspect,
             evidence: DetectorEvidence::NeighborZ {
                 max_link_z,
                 max_degree_z,
@@ -470,7 +496,7 @@ impl Detector for GeometricDetector {
     }
 
     fn detect(&self, input: &DetectorInput) -> DetectorVerdict {
-        let stats = LinkStats::from_routes(input.routes);
+        let stats = input.stats();
         let features = stats.summary();
         let Some(obs) = input.topology else {
             return DetectorVerdict {
@@ -762,21 +788,22 @@ impl DetectorRegistry {
 /// Outcome of [`run_procedure`]: the step-1 verdict plus what steps 2–3
 /// concluded from it. [`DetectionOutcome`](crate::procedure::DetectionOutcome)
 /// is the same outcome seen through SAM's analysis.
+///
+/// The outcome holds no routes for the source: a served response carries
+/// only the verdict, so the procedure picks none. A caller that feeds
+/// routes back picks them on demand with
+/// [`DetectorOutcome::select_routes`].
 #[derive(Clone, Debug)]
 pub enum DetectorOutcome {
-    /// No anomaly; these routes go back to the source.
+    /// No anomaly.
     Normal {
         /// Step-1 verdict.
         verdict: DetectorVerdict,
-        /// Maximally disjoint routes selected for use.
-        selected_routes: Vec<Route>,
     },
     /// Anomalous but neither probes nor statistics confirm.
     SuspiciousUnconfirmed {
         /// Step-1 verdict.
         verdict: DetectorVerdict,
-        /// Routes avoiding the suspect link, if any.
-        selected_routes: Vec<Route>,
     },
     /// Attack confirmed; alert raised.
     Confirmed {
@@ -801,13 +828,41 @@ impl DetectorOutcome {
             | DetectorOutcome::Confirmed { verdict, .. } => verdict,
         }
     }
+
+    /// The routes to feed back to the source, picked from `routes` (the
+    /// set the procedure judged) by [`select_disjoint`], up to
+    /// `cfg.routes_to_source`: from every route when the outcome is
+    /// normal, from the routes avoiding the suspect link when it is
+    /// suspicious but unconfirmed, and none once an attack is confirmed.
+    pub fn select_routes(&self, routes: &[Route], cfg: &ProcedureConfig) -> Vec<Route> {
+        match self {
+            DetectorOutcome::Normal { .. } => select_disjoint(routes, cfg.routes_to_source),
+            DetectorOutcome::SuspiciousUnconfirmed { verdict } => {
+                let safe: Vec<Route> = routes
+                    .iter()
+                    .filter(|r| !crosses_suspect(verdict, r))
+                    .cloned()
+                    .collect();
+                select_disjoint(&safe, cfg.routes_to_source)
+            }
+            DetectorOutcome::Confirmed { .. } => Vec::new(),
+        }
+    }
+}
+
+/// Whether `route` crosses the suspect link of `verdict`, if it names one.
+fn crosses_suspect(verdict: &DetectorVerdict, route: &Route) -> bool {
+    verdict.suspect_link.is_some_and(|l| route.contains_link(l))
 }
 
 /// The three-step procedure (paper Fig. 3) over any [`Detector`]: step 1
 /// is `detector.detect`, steps 2–3 are the shared `conclude`. This is the
 /// one procedure; [`Procedure::execute`](crate::procedure::Procedure) is
 /// SAM's step 1 followed by the same `conclude`, for callers that need
-/// the SAM analysis.
+/// the SAM analysis. It selects no routes for the source (see
+/// [`DetectorOutcome::select_routes`]), so a served request costs one
+/// tabulation of its routes (on `input`, shared with an explainer) and
+/// one scan of the link table per detector.
 pub fn run_procedure<T: ProbeTransport>(
     detector: &dyn Detector,
     input: &DetectorInput,
@@ -818,9 +873,8 @@ pub fn run_procedure<T: ProbeTransport>(
 }
 
 /// Steps 2–3 of the procedure on a step-1 `verdict` over `routes`: probe
-/// the paths crossing the suspect link, confirm on failed probes or
-/// conclusive λ, and otherwise select routes for the source, avoiding the
-/// suspect link when the verdict is anomalous.
+/// the paths crossing the suspect link, and confirm on failed probes or
+/// conclusive λ.
 pub(crate) fn conclude<T: ProbeTransport>(
     verdict: DetectorVerdict,
     routes: &[Route],
@@ -828,17 +882,13 @@ pub(crate) fn conclude<T: ProbeTransport>(
     transport: &mut T,
 ) -> DetectorOutcome {
     if !verdict.anomalous {
-        return DetectorOutcome::Normal {
-            verdict,
-            selected_routes: select_disjoint(routes, cfg.routes_to_source),
-        };
+        return DetectorOutcome::Normal { verdict };
     }
-    let crosses_suspect = |r: &Route| verdict.suspect_link.is_some_and(|l| r.contains_link(l));
 
     // Step 2: probe the suspicious paths (those crossing the suspect).
     let tested: Vec<ProbeOutcome> = routes
         .iter()
-        .filter(|r| crosses_suspect(r))
+        .filter(|r| crosses_suspect(&verdict, r))
         .take(cfg.max_paths_tested)
         .map(|route| transport.probe(route, cfg.probes_per_path))
         .collect();
@@ -869,17 +919,7 @@ pub(crate) fn conclude<T: ProbeTransport>(
         // Anomalous with no localizable link: report as unconfirmed
         // rather than fabricate a suspect.
     }
-
-    // Anomalous but unconfirmed: steer traffic around the suspect.
-    let safe: Vec<Route> = routes
-        .iter()
-        .filter(|r| !crosses_suspect(r))
-        .cloned()
-        .collect();
-    DetectorOutcome::SuspiciousUnconfirmed {
-        verdict,
-        selected_routes: select_disjoint(&safe, cfg.routes_to_source),
-    }
+    DetectorOutcome::SuspiciousUnconfirmed { verdict }
 }
 
 #[cfg(test)]
@@ -1277,10 +1317,11 @@ mod tests {
         }
     }
 
-    /// `Procedure::execute` is SAM's step 1 plus the shared steps 2–3, so
-    /// this pins its view: the same outcome class and report as
-    /// `run_procedure`, with the analysis behind the verdict on the
-    /// anomalous variants.
+    /// `Procedure::execute` is SAM's step 1 plus the shared steps 2–3 and
+    /// the on-demand route selection, so this pins its view: the same
+    /// outcome class and report as `run_procedure`, the routes
+    /// `select_routes` picks for `run_procedure`'s outcome, and the
+    /// analysis behind the verdict on the anomalous variants.
     #[test]
     fn run_procedure_with_sam_matches_concrete_procedure() {
         let profile = NormalProfile::train(&normal_sets(), 20);
@@ -1307,24 +1348,19 @@ mod tests {
                 let mut t = transport(blackhole);
                 run_procedure(&sam, &DetectorInput::new(&routes, &profile), &cfg, &mut t)
             };
+            let selected = traited.select_routes(&routes, &cfg);
             match (&concrete, &traited) {
-                (
-                    DetectionOutcome::Normal { selected_routes: a },
-                    DetectorOutcome::Normal {
-                        selected_routes: b, ..
-                    },
-                ) => assert_eq!(a, b),
+                (DetectionOutcome::Normal { selected_routes }, DetectorOutcome::Normal { .. }) => {
+                    assert_eq!(*selected_routes, selected)
+                }
                 (
                     DetectionOutcome::SuspiciousUnconfirmed {
                         analysis,
-                        selected_routes: a,
+                        selected_routes,
                     },
-                    DetectorOutcome::SuspiciousUnconfirmed {
-                        verdict,
-                        selected_routes: b,
-                    },
+                    DetectorOutcome::SuspiciousUnconfirmed { verdict },
                 ) => {
-                    assert_eq!(a, b);
+                    assert_eq!(*selected_routes, selected);
                     assert_eq!(verdict_from_sam(sam.config(), analysis), *verdict);
                 }
                 (
@@ -1344,8 +1380,107 @@ mod tests {
                     assert_eq!(a.paths_tested, b.paths_tested);
                     assert_eq!(a.isolate, b.isolate);
                     assert_eq!(verdict_from_sam(sam.config(), analysis), *verdict);
+                    assert!(selected.is_empty(), "a confirmed attack selects nothing");
                 }
                 (c, t) => panic!("outcomes diverge: {c:?} vs {t:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn select_routes_picks_per_outcome_class() {
+        let cfg = ProcedureConfig::default();
+        let routes = attacked_set();
+        let verdict = |anomalous: bool, suspect: Option<Link>| DetectorVerdict {
+            detector: "stub".to_string(),
+            anomalous,
+            score: 0.0,
+            lambda: 1.0,
+            p_max: 0.0,
+            delta: 0.0,
+            suspect_link: suspect,
+            evidence: DetectorEvidence::Abstained {
+                reason: "stub".to_string(),
+            },
+        };
+        let normal = DetectorOutcome::Normal {
+            verdict: verdict(false, None),
+        };
+        assert_eq!(
+            normal.select_routes(&routes, &cfg),
+            select_disjoint(&routes, cfg.routes_to_source)
+        );
+        // Unconfirmed: only routes avoiding the suspect are candidates.
+        let suspect = Link::new(NodeId(0), NodeId(7));
+        let unconfirmed = DetectorOutcome::SuspiciousUnconfirmed {
+            verdict: verdict(true, Some(suspect)),
+        };
+        let safe: Vec<Route> = routes[1..].to_vec();
+        assert_eq!(
+            unconfirmed.select_routes(&routes, &cfg),
+            select_disjoint(&safe, cfg.routes_to_source)
+        );
+        // No suspect link: every route is a candidate.
+        let unlocalized = DetectorOutcome::SuspiciousUnconfirmed {
+            verdict: verdict(true, None),
+        };
+        assert_eq!(
+            unlocalized.select_routes(&routes, &cfg),
+            select_disjoint(&routes, cfg.routes_to_source)
+        );
+        let confirmed = DetectorOutcome::Confirmed {
+            verdict: verdict(true, Some(suspect)),
+            report: AttackReport {
+                suspect_link: (NodeId(0), NodeId(7)),
+                lambda: 0.0,
+                p_max: 0.0,
+                delta: 0.0,
+                probe_ack_ratio: 0.0,
+                paths_tested: 1,
+                isolate: vec![NodeId(0), NodeId(7)],
+            },
+        };
+        assert!(confirmed.select_routes(&routes, &cfg).is_empty());
+    }
+
+    #[test]
+    fn a_judged_and_explained_input_is_tabulated_once() {
+        // The service's path: one input per request, the procedure over
+        // the named detector, then the explainer over the input's table.
+        // Whichever detector judges, with or without topology, the routes
+        // are tabulated once, and each verdict equals a fresh input's.
+        use crate::explain::Explanation;
+        use crate::stats::TABULATIONS;
+        let tabulations = || TABULATIONS.with(|n| n.get());
+        let profile = NormalProfile::train(&normal_sets(), 20);
+        let obs = observations();
+        let cfg = ProcedureConfig::default();
+        let reg = DetectorRegistry::calibrated();
+        for routes in [attacked_set(), normal_live()] {
+            for name in DETECTOR_NAMES {
+                let d = reg.get(name).unwrap();
+                for topology in [None, Some(&obs)] {
+                    let new_input = || {
+                        let input = DetectorInput::new(&routes, &profile);
+                        match topology {
+                            Some(obs) => input.with_topology(obs),
+                            None => input,
+                        }
+                    };
+                    let before = tabulations();
+                    let input = new_input();
+                    let mut t = crate::procedure::all_ack_transport();
+                    let outcome = run_procedure(d.as_ref(), &input, &cfg, &mut t);
+                    let explanation =
+                        Explanation::from_verdict_with(&routes, input.stats(), outcome.verdict());
+                    assert_eq!(tabulations() - before, 1, "{name}, {topology:?}");
+                    let fresh = new_input();
+                    assert_eq!(*outcome.verdict(), d.detect(&fresh), "{name}");
+                    assert_eq!(
+                        explanation,
+                        Explanation::from_verdict(&routes, outcome.verdict())
+                    );
+                }
             }
         }
     }

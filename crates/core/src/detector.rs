@@ -124,13 +124,24 @@ impl SamDetector {
 
     /// Analyze one route set against a trained profile.
     pub fn analyze(&self, routes: &[Route], profile: &NormalProfile) -> SamAnalysis {
-        let stats = LinkStats::from_routes(routes);
-        let features = stats.summary();
+        self.analyze_with(routes, &LinkStats::from_routes(routes), profile)
+    }
+
+    /// [`SamDetector::analyze`] over `stats`, the link table of `routes`
+    /// (`LinkStats::from_routes(routes)`) that the caller already holds.
+    /// One pass over the table gives the features and the suspect link.
+    pub fn analyze_with(
+        &self,
+        routes: &[Route],
+        stats: &LinkStats,
+        profile: &NormalProfile,
+    ) -> SamAnalysis {
+        debug_assert_eq!(stats.route_count(), routes.len(), "the table of `routes`");
         // Localize while ignoring endpoint-adjacent links (trivially
         // frequent; see `LinkStats::suspect_link_excluding`).
         let (src, dst) = crate::stats::common_endpoints(routes);
         let exclude: Vec<_> = src.into_iter().chain(dst).collect();
-        let suspect_link = stats.suspect_link_excluding(&exclude);
+        let (features, suspect_link) = stats.summary_excluding(&exclude);
 
         if !profile.is_trained() || routes.len() < self.cfg.min_routes {
             return SamAnalysis {
@@ -166,7 +177,10 @@ impl SamDetector {
         let lambda = self.lambda_of_z(z);
 
         let pmf_verdict = if self.cfg.use_pmf && profile.pmf.sample_count() > 0 {
-            let live = Pmf::from_samples(profile.pmf.bin_count(), &stats.relative_frequencies());
+            let mut live = Pmf::new(profile.pmf.bin_count());
+            for f in stats.frequencies() {
+                live.add_sample(f);
+            }
             Some(PmfProfile::new(profile.pmf.clone()).check(&live))
         } else {
             None

@@ -126,6 +126,19 @@ impl Explanation {
     /// callers holding a flight recording fill it in with
     /// [`Explanation::set_provenance`].
     pub fn from_verdict(routes: &[Route], verdict: &DetectorVerdict) -> Self {
+        Explanation::from_verdict_with(routes, &LinkStats::from_routes(routes), verdict)
+    }
+
+    /// [`Explanation::from_verdict`] over `stats`, the link table of
+    /// `routes` (`LinkStats::from_routes(routes)`) that the caller
+    /// already holds, such as the one the detector read
+    /// ([`DetectorInput::stats`](crate::detect::DetectorInput::stats)).
+    pub fn from_verdict_with(
+        routes: &[Route],
+        stats: &LinkStats,
+        verdict: &DetectorVerdict,
+    ) -> Self {
+        debug_assert_eq!(stats.route_count(), routes.len(), "the table of `routes`");
         let (z_p_max, z_delta) = match &verdict.evidence {
             DetectorEvidence::Sam {
                 z_p_max, z_delta, ..
@@ -133,7 +146,6 @@ impl Explanation {
             _ => (0.0, 0.0),
         };
         let suspect = verdict.suspect_link;
-        let stats = LinkStats::from_routes(routes);
         let leave_one_out = stats.leave_one_out();
         let explained = routes
             .iter()

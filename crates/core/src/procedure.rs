@@ -164,9 +164,10 @@ impl Procedure {
     /// Execute the procedure over the route set of one discovery: SAM's
     /// analysis as step 1, then the steps 2–3
     /// [`run_procedure`](crate::detect::run_procedure) runs for every
-    /// detector. The outcome keeps the analysis on the anomalous
-    /// variants. An anomalous analysis with no suspect link is reported
-    /// unconfirmed.
+    /// detector, then the routes for the source
+    /// ([`DetectorOutcome::select_routes`]). The outcome keeps the
+    /// analysis on the anomalous variants. An anomalous analysis with no
+    /// suspect link is reported unconfirmed.
     pub fn execute<T: ProbeTransport>(
         &self,
         routes: &[Route],
@@ -175,16 +176,16 @@ impl Procedure {
     ) -> DetectionOutcome {
         let analysis = self.detector.analyze(routes, profile);
         let verdict = verdict_from_sam(self.detector.config(), &analysis);
-        match conclude(verdict, routes, &self.cfg, transport) {
-            DetectorOutcome::Normal {
-                selected_routes, ..
-            } => DetectionOutcome::Normal { selected_routes },
-            DetectorOutcome::SuspiciousUnconfirmed {
-                selected_routes, ..
-            } => DetectionOutcome::SuspiciousUnconfirmed {
-                analysis,
-                selected_routes,
-            },
+        let outcome = conclude(verdict, routes, &self.cfg, transport);
+        let selected_routes = outcome.select_routes(routes, &self.cfg);
+        match outcome {
+            DetectorOutcome::Normal { .. } => DetectionOutcome::Normal { selected_routes },
+            DetectorOutcome::SuspiciousUnconfirmed { .. } => {
+                DetectionOutcome::SuspiciousUnconfirmed {
+                    analysis,
+                    selected_routes,
+                }
+            }
             DetectorOutcome::Confirmed { report, .. } => {
                 DetectionOutcome::Confirmed { report, analysis }
             }

@@ -122,8 +122,9 @@ impl NormalProfile {
         let mut stats = LinkStats::default();
         for set in route_sets {
             stats.tabulate(set.iter().map(Route::nodes));
-            pmaxes.push(stats.p_max());
-            deltas.push(stats.delta());
+            let (p_max, delta) = stats.p_max_delta();
+            pmaxes.push(p_max);
+            deltas.push(delta);
             hops.push(stats.mean_hops());
             for f in stats.frequencies() {
                 pmf.add_sample(f);

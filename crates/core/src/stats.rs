@@ -34,6 +34,12 @@ pub fn common_endpoints(routes: &[Route]) -> (Option<NodeId>, Option<NodeId>) {
     )
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Tabulations run on this thread, for tests that count them.
+    pub(crate) static TABULATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Link-frequency table of one route set.
 ///
 /// Tabulation runs on the compact [`LinkMap`] (packed `u32` endpoint
@@ -59,6 +65,8 @@ impl LinkStats {
     /// Replace the table with the tally of `paths`, one route's node
     /// sequence each, keeping the table's allocation.
     pub(crate) fn tabulate<'a>(&mut self, paths: impl Iterator<Item = &'a [NodeId]>) {
+        #[cfg(test)]
+        TABULATIONS.with(|n| n.set(n.get() + 1));
         self.counts.clear();
         self.total = 0;
         self.routes = 0;
@@ -121,10 +129,7 @@ impl LinkStats {
 
     /// `p_max` (eq. 3). Zero for an empty route set.
     pub fn p_max(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        f64::from(self.top_two().0) / self.total as f64
+        p_max_of(self.top_two().0, self.total)
     }
 
     /// `Δ = (n_max − n_2nd)/n_max` (eq. 7). Zero when the top two counts
@@ -133,10 +138,55 @@ impl LinkStats {
     /// zero for an empty set.
     pub fn delta(&self) -> f64 {
         let (nmax, n2nd) = self.top_two();
-        if nmax == 0 {
-            return 0.0;
+        delta_of(nmax, n2nd)
+    }
+
+    /// `(p_max, Δ)` from one [`LinkStats::top_two`] pass, the same bits
+    /// as [`LinkStats::p_max`] and [`LinkStats::delta`] give.
+    pub(crate) fn p_max_delta(&self) -> (f64, f64) {
+        let (nmax, n2nd) = self.top_two();
+        (p_max_of(nmax, self.total), delta_of(nmax, n2nd))
+    }
+
+    /// The feature vector and the suspect link SAM localizes, in one pass
+    /// over the table: what [`LinkStats::top_two`],
+    /// [`LinkStats::suspect_link`] and, for the second value,
+    /// [`LinkStats::suspect_link_excluding`] of `exclude` each walk it
+    /// for. Ties go to the lowest link, as there.
+    pub(crate) fn summary_excluding(&self, exclude: &[NodeId]) -> (RouteSetFeatures, Option<Link>) {
+        // Whether `(count, link)` outranks `best`: more occurrences,
+        // then the lower link.
+        let beats = |count: u32, link: Link, best: Option<(u32, Link)>| {
+            best.is_none_or(|(c, l)| count > c || (count == c && link < l))
+        };
+        let (mut n_max, mut n_2nd) = (0u32, 0u32);
+        let mut top: Option<(u32, Link)> = None;
+        let mut interior: Option<(u32, Link)> = None;
+        for (link, count) in self.counts.iter() {
+            if count > n_max {
+                n_2nd = n_max;
+                n_max = count;
+            } else if count > n_2nd {
+                n_2nd = count;
+            }
+            if beats(count, link, top) {
+                top = Some((count, link));
+            }
+            if beats(count, link, interior) && !exclude.iter().any(|&n| link.touches(n)) {
+                interior = Some((count, link));
+            }
         }
-        f64::from(nmax - n2nd) / f64::from(nmax)
+        let suspect_link = top.map(|(_, l)| l);
+        let features = RouteSetFeatures {
+            routes: self.routes,
+            distinct_links: self.distinct_links(),
+            total_links: self.total,
+            p_max: p_max_of(n_max, self.total),
+            delta: delta_of(n_max, n_2nd),
+            mean_hops: self.mean_hops(),
+            suspect_link: suspect_link.map(|l| (l.lo().0, l.hi().0)),
+        };
+        (features, interior.map(|(_, l)| l).or(suspect_link))
     }
 
     /// The leave-one-out statistics: a function giving, for any tabulated
@@ -258,18 +308,27 @@ impl LinkStats {
         self.total as f64 / self.routes as f64
     }
 
-    /// Summarize into the serializable feature vector.
+    /// Summarize into the serializable feature vector, in one pass over
+    /// the table.
     pub fn summary(&self) -> RouteSetFeatures {
-        RouteSetFeatures {
-            routes: self.routes,
-            distinct_links: self.distinct_links(),
-            total_links: self.total,
-            p_max: self.p_max(),
-            delta: self.delta(),
-            mean_hops: self.mean_hops(),
-            suspect_link: self.suspect_link().map(|l| (l.lo().0, l.hi().0)),
-        }
+        self.summary_excluding(&[]).0
     }
+}
+
+/// `p_max` (eq. 3) from `n_max` and `N`; zero for an empty set.
+fn p_max_of(n_max: u32, total: u64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    f64::from(n_max) / total as f64
+}
+
+/// `Δ` (eq. 7) from the top two counts; zero for an empty set.
+fn delta_of(n_max: u32, n_2nd: u32) -> f64 {
+    if n_max == 0 {
+        return 0.0;
+    }
+    f64::from(n_max - n_2nd) / f64::from(n_max)
 }
 
 /// The two largest of `counts`, duplicates included; zero-filled.

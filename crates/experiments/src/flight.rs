@@ -70,11 +70,12 @@ pub fn record_flight(
     let discovery = trial.discover();
     let trace = trial.session.take_trace().expect("tracing was enabled");
 
-    // Explain the verdict, backing every suspicious route's hops with
-    // the causal trace.
-    let analysis = detector.analyze(&discovery.routes, &profile);
+    // Explain the verdict from the table the analysis read, backing
+    // every suspicious route's hops with the causal trace.
+    let stats = LinkStats::from_routes(&discovery.routes);
+    let analysis = detector.analyze_with(&discovery.routes, &stats, &profile);
     let verdict = verdict_from_sam(detector.config(), &analysis);
-    let mut explanation = Explanation::from_verdict(&discovery.routes, &verdict);
+    let mut explanation = Explanation::from_verdict_with(&discovery.routes, &stats, &verdict);
     for i in 0..explanation.routes.len() {
         let nodes: Vec<NodeId> = explanation.routes[i]
             .nodes

@@ -141,20 +141,34 @@ impl Route {
     }
 }
 
-/// Longest route [`first_repeat`] checks by scanning; past it the scan's
-/// quadratic cost would matter (a 1 MiB wire line can carry ~10⁵ nodes).
-const SCAN_MAX: usize = 64;
+/// Node ids below this bound [`first_repeat`] marks in a bitset on the
+/// stack. Every catalogue deployment numbers its nodes below 120.
+const BITSET_IDS: usize = 256;
 
 /// The node whose second visit comes earliest in `nodes`, if any node
-/// repeats. Routes are short, so a scan of each node's prefix beats
-/// hashing; a long one sorts `(node, position)` pairs instead, where the
-/// second position of each repeated node sits right after its first.
+/// repeats, in time linear in the route's length while its ids stay
+/// below [`BITSET_IDS`]: the walk marks each node and stops at the first
+/// already marked. At a larger id it sorts `(node, position)` pairs
+/// instead, where the second position of each repeated node sits right
+/// after its first (a 1 MiB wire line can carry ~10⁵ nodes).
 fn first_repeat(nodes: &[NodeId]) -> Option<NodeId> {
-    if nodes.len() <= SCAN_MAX {
-        return (1..nodes.len())
-            .find(|&j| nodes[..j].contains(&nodes[j]))
-            .map(|j| nodes[j]);
+    let mut seen = [0u64; BITSET_IDS / 64];
+    for &n in nodes {
+        let id = n.0 as usize;
+        if id >= BITSET_IDS {
+            return first_repeat_sorted(nodes);
+        }
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        if seen[word] & bit != 0 {
+            return Some(n);
+        }
+        seen[word] |= bit;
     }
+    None
+}
+
+/// [`first_repeat`] for any ids, in O(n log n).
+fn first_repeat_sorted(nodes: &[NodeId]) -> Option<NodeId> {
     let mut visits: Vec<(NodeId, usize)> = nodes.iter().copied().zip(0..).collect();
     visits.sort_unstable();
     visits
@@ -202,6 +216,11 @@ impl fmt::Display for Route {
 /// corpus (~166 routes and ~1,410 link occurrences per set, `k = 3`) the
 /// pick takes 7–11 µs per set, against 59–73 µs when every round
 /// rescanned every route (2-vCPU x86-64 VM).
+///
+/// The detection service does not run it: a served response carries a
+/// verdict, not routes. Route replies (SMR-style RREP generation) and
+/// `sam`'s `DetectorOutcome::select_routes`, which the concrete SAM
+/// procedure and the IDS agent use, still do.
 pub fn select_disjoint(routes: &[Route], k: usize) -> Vec<Route> {
     if routes.is_empty() || k == 0 {
         return Vec::new();
@@ -260,9 +279,10 @@ mod tests {
 
     #[test]
     fn long_routes_report_the_same_repeat_as_the_scan() {
-        // Past SCAN_MAX the check sorts; it must name the node a scan
-        // would. Node 110 is visited first (at 10) but revisited last (at
-        // 190); node 160 is revisited first (at 160).
+        // Ids from 100 to 299 cross BITSET_IDS, so the check sorts; it
+        // must name the node a prefix scan would. Node 110 is visited
+        // first (at 10) but revisited last (at 190); node 160 is
+        // revisited first (at 160).
         let mut ids: Vec<u32> = (100..300).collect();
         ids[190] = ids[10];
         ids[160] = ids[60];
@@ -271,6 +291,7 @@ mod tests {
         assert_eq!(scan, Some(160));
         assert_eq!(Route::new(nodes), Err(RouteError::Loop(NodeId(160))));
         assert!(Route::new((0..200).map(NodeId).collect()).is_ok());
+        assert!(Route::new((0..400).map(NodeId).collect()).is_ok());
     }
 
     #[test]

@@ -242,9 +242,10 @@ impl DetectionService {
         } else {
             step1.score
         };
+        // The explainer reads the link table the detector tabulated.
         let explanation = self
             .explain
-            .then(|| sam::Explanation::from_verdict(&request.routes, step1));
+            .then(|| sam::Explanation::from_verdict_with(&request.routes, input.stats(), step1));
         let verdict = Verdict::from_detector_outcome(&outcome);
 
         // Count before answering, so a metrics snapshot taken the instant

@@ -277,18 +277,21 @@ pub struct WireRequest {
 
 impl WireRequest {
     /// Validate into a service request. Every route must satisfy the
-    /// [`Route`] invariants — wire input never bypasses them.
+    /// [`Route`] invariants — wire input never bypasses them. The routes
+    /// are converted in place: each route keeps its id list's allocation
+    /// and the route set its list's.
     pub fn into_request(self) -> Result<DetectionRequest, WireError> {
-        let mut routes = Vec::with_capacity(self.routes.len());
-        for (index, ids) in self.routes.into_iter().enumerate() {
-            let route = Route::new(ids.into_iter().map(NodeId).collect()).map_err(|e| {
-                WireError::Route {
+        let routes = self
+            .routes
+            .into_iter()
+            .enumerate()
+            .map(|(index, ids)| {
+                Route::new(ids.into_iter().map(NodeId).collect()).map_err(|e| WireError::Route {
                     index,
                     reason: e.to_string(),
-                }
-            })?;
-            routes.push(route);
-        }
+                })
+            })
+            .collect::<Result<Vec<Route>, _>>()?;
         Ok(DetectionRequest {
             id: self.id,
             key: ProfileKey::new(self.topology, self.protocol),

@@ -149,6 +149,26 @@ fn lines() -> Vec<String> {
         lines.push(unknown_nested(levels));
     }
     lines.push(routes_nested(129));
+    // Integer runs inside a route, where a one-pass reader of plain
+    // integers must hand over to the per-element path exactly as it
+    // would: zero padding (a 20-digit id included), the `u32` maximum
+    // and one past `u64`, floats and strings, whitespace, and broken
+    // separators.
+    let runs: &[&str] = &[
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[00,1]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,00000000000000000001]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,4294967295]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,18446744073709551616]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,1.5]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,1e2]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,"1"]]}"#,
+        "{\"id\":1,\"topology\":\"t\",\"protocol\":\"p\",\"routes\":[ [ 0 ,\n 1 ,\t2\r\n] ,\n[\n3\n,\n4\n]\n]}",
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,1,]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,,1]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0 1]]}"#,
+        r#"{"id":1,"topology":"t","protocol":"p","routes":[[0,1]"#,
+    ];
+    lines.extend(runs.iter().map(|s| s.to_string()));
     lines
 }
 

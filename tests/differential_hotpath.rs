@@ -378,8 +378,10 @@ fn random_disc_selective_wormhole_matches_under_faults() {
 /// `run_procedure` runs for every detector; this pins its SAM-typed view
 /// on the exact routes the seed cluster-1 scenarios produce. Against
 /// `run_procedure` driving a [`SamDetector`] as a `&dyn Detector`: the
-/// same outcome class, selected routes and confirmed report, and on the
-/// anomalous variants the analysis the verdict was built from.
+/// same outcome class and confirmed report, the routes
+/// `DetectorOutcome::select_routes` picks for its outcome equal to
+/// `Procedure::execute`'s selection, and on the anomalous variants the
+/// analysis the verdict was built from.
 #[test]
 fn trait_object_sam_path_matches_concrete_procedure() {
     use sam::prelude::*;
@@ -440,34 +442,29 @@ fn trait_object_sam_path_matches_concrete_procedure() {
             };
 
             let ctx = format!("{:?} run {run}", spec.topology);
+            let selected = trait_path.select_routes(&routes, &proc_cfg);
             match (&concrete, &trait_path) {
                 (
-                    DetectionOutcome::Normal { selected_routes: a },
-                    DetectorOutcome::Normal {
-                        verdict,
-                        selected_routes: b,
-                    },
+                    DetectionOutcome::Normal { selected_routes },
+                    DetectorOutcome::Normal { verdict },
                 ) => {
                     normal_runs += 1;
                     assert!(!verdict.anomalous, "{ctx}: verdict class");
-                    assert_eq!(a, b, "{ctx}: selected routes");
+                    assert_eq!(*selected_routes, selected, "{ctx}: selected routes");
                 }
                 (
                     DetectionOutcome::SuspiciousUnconfirmed {
                         analysis,
-                        selected_routes: a,
+                        selected_routes,
                     },
-                    DetectorOutcome::SuspiciousUnconfirmed {
-                        verdict,
-                        selected_routes: b,
-                    },
+                    DetectorOutcome::SuspiciousUnconfirmed { verdict },
                 ) => {
                     assert_eq!(
                         verdict_from_sam(&sam_cfg, analysis),
                         *verdict,
                         "{ctx}: analysis"
                     );
-                    assert_eq!(a, b, "{ctx}: selected routes");
+                    assert_eq!(*selected_routes, selected, "{ctx}: selected routes");
                 }
                 (
                     DetectionOutcome::Confirmed {
@@ -486,6 +483,7 @@ fn trait_object_sam_path_matches_concrete_procedure() {
                         "{ctx}: analysis"
                     );
                     assert_eq!(ra, rb, "{ctx}: confirmed report");
+                    assert!(selected.is_empty(), "{ctx}: confirmed selects nothing");
                 }
                 (a, b) => {
                     panic!("{ctx}: outcome classes diverge:\n  concrete: {a:?}\n  trait: {b:?}")

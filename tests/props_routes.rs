@@ -1,5 +1,6 @@
-//! Property-based tests for routes, links, and the disjoint-route
-//! selection used by SMR-style RREP generation and SAM's step-1 feedback.
+//! Property-based tests for routes, links, route validation, and the
+//! disjoint-route selection used by SMR-style RREP generation and SAM's
+//! step-1 feedback.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -60,6 +61,48 @@ fn select_disjoint_oracle(routes: &[Route], k: usize) -> Vec<Route> {
     picked
 }
 
+/// The definition `Route::new`'s loop check must match, in its quadratic
+/// form: the node at the first position whose prefix already holds it.
+fn first_repeat_oracle(nodes: &[NodeId]) -> Option<NodeId> {
+    (1..nodes.len())
+        .find(|&j| nodes[..j].contains(&nodes[j]))
+        .map(|j| nodes[j])
+}
+
+/// What `Route::new` must make of `nodes`, by definition.
+fn route_new_oracle(nodes: &[NodeId]) -> Result<(), RouteError> {
+    if nodes.len() < 2 {
+        return Err(RouteError::TooShort);
+    }
+    match first_repeat_oracle(nodes) {
+        Some(n) => Err(RouteError::Loop(n)),
+        None => Ok(()),
+    }
+}
+
+/// Strategy: node lists of 0 to 200 ids from 0 to 300, so the lists run
+/// past any short-route special case and their ids fall on both sides of
+/// any bitset bound. Each list is a loop-free shuffle with up to three
+/// earlier ids copied in at random places; `low` drops ids from 256 on
+/// first, so a whole list may stay below the bound.
+fn arb_node_list() -> impl Strategy<Value = Vec<NodeId>> {
+    let ids =
+        proptest::sample::subsequence((0..=300).collect::<Vec<u32>>(), 0..=200).prop_shuffle();
+    let repeats = proptest::collection::vec((0usize..1000, 0usize..1000), 0..=3);
+    (ids, repeats, any::<bool>()).prop_map(|(mut ids, repeats, low)| {
+        if low {
+            ids.retain(|&id| id < 256);
+        }
+        for (from, to) in repeats {
+            if !ids.is_empty() {
+                let copy = ids[from % ids.len()];
+                ids.insert(to % (ids.len() + 1), copy);
+            }
+        }
+        ids.into_iter().map(NodeId).collect()
+    })
+}
+
 /// The replay corpus's route sets, in discovery order and reversed, give
 /// the same picks, in the same order, as the definition for `k < 8`.
 #[test]
@@ -79,6 +122,18 @@ fn select_disjoint_matches_the_definition_on_the_replay_corpus() {
 }
 
 proptest! {
+    #[test]
+    fn route_new_matches_the_quadratic_scan(lists in proptest::collection::vec(arb_node_list(), 1..=8)) {
+        for nodes in lists {
+            let expected = route_new_oracle(&nodes);
+            let built = Route::new(nodes.clone());
+            prop_assert_eq!(built.clone().map(|_| ()), expected, "{:?}", nodes);
+            if let Ok(route) = built {
+                prop_assert_eq!(route.nodes(), &nodes[..]);
+            }
+        }
+    }
+
     #[test]
     fn route_construction_rejects_loops(mut ids in proptest::collection::vec(0u32..20, 3..8)) {
         // Force a duplicate.

@@ -95,6 +95,75 @@ fn assert_contributions_match_the_definition(routes: &[Route]) {
     }
 }
 
+/// Strategy: route sets where link counts tie often. Up to 30 routes
+/// run from node 0 to node 1 through at most three of five relays (none
+/// gives the one-hop route), so links repeat and tie at the top, and a set
+/// whose every link touches an endpoint leaves localization nothing but
+/// its fallback. With `mixed`, every other route starts at node 2
+/// instead, so the routes share no source.
+fn arb_tied_set() -> impl Strategy<Value = Vec<Route>> {
+    let relays = proptest::sample::subsequence((3..8).collect::<Vec<u32>>(), 0..=3).prop_shuffle();
+    let set = proptest::collection::vec(relays, 1..=30);
+    (set, any::<bool>()).prop_map(|(drawn, mixed)| {
+        drawn
+            .into_iter()
+            .enumerate()
+            .map(|(i, relays)| {
+                let src = if mixed && i % 2 == 1 { 2 } else { 0 };
+                let nodes = std::iter::once(src)
+                    .chain(relays)
+                    .chain(std::iter::once(1))
+                    .map(NodeId)
+                    .collect();
+                Route::new(nodes).expect("relays exclude both ends")
+            })
+            .collect()
+    })
+}
+
+/// The one-pass table scan against the separate walks it replaces:
+/// `summary()` against `top_two` (through `p_max` and `delta`) and
+/// `suspect_link`, and the suspect SAM and the z-score detector localize
+/// against `suspect_link_excluding` of the set's common endpoints.
+/// Answers whether the set's top two counts tie.
+fn assert_one_pass_matches_the_walks(routes: &[Route]) -> bool {
+    let stats = LinkStats::from_routes(routes);
+    let features = stats.summary();
+    assert_eq!(features.p_max.to_bits(), stats.p_max().to_bits());
+    assert_eq!(features.delta.to_bits(), stats.delta().to_bits());
+    assert_eq!(
+        features.suspect_link,
+        stats.suspect_link().map(|l| (l.lo().0, l.hi().0))
+    );
+    let (src, dst) = common_endpoints(routes);
+    let exclude: Vec<NodeId> = src.into_iter().chain(dst).collect();
+    let localized = stats.suspect_link_excluding(&exclude);
+    let profile = NormalProfile::train(&[], 20);
+    let analysis = SamDetector::default().analyze(routes, &profile);
+    assert_eq!(analysis.suspect_link, localized, "{routes:?}");
+    assert_eq!(analysis.features, features);
+    let zscore = ZScoreNeighborDetector::default().detect(&DetectorInput::new(routes, &profile));
+    if !zscore.abstained() {
+        assert_eq!(zscore.suspect_link, localized, "{routes:?}");
+    }
+    assert_eq!(zscore.p_max.to_bits(), features.p_max.to_bits());
+    assert_eq!(zscore.delta.to_bits(), features.delta.to_bits());
+    let (n_max, n_2nd) = stats.top_two();
+    n_max == n_2nd
+}
+
+#[test]
+fn one_pass_scan_matches_the_walks_on_tied_sets() {
+    // The strategy's own seeds, counted: the property must meet ties.
+    let mut ties = 0;
+    for case in 0..256 {
+        let mut rng = proptest::strategy::fresh_rng(case);
+        let routes = arb_tied_set().generate(&mut rng);
+        ties += usize::from(assert_one_pass_matches_the_walks(&routes));
+    }
+    assert!(ties >= 64, "only {ties} of 256 sets tie at the top");
+}
+
 #[test]
 fn leave_one_out_contributions_match_the_definition_on_tunnel_corner_cases() {
     // A one-route set, a set whose every route crosses the tunnel, and a
@@ -191,6 +260,16 @@ proptest! {
         prop_assert!((single.p_max() - double.p_max()).abs() < 1e-12);
         prop_assert!((single.delta() - double.delta()).abs() < 1e-12);
         prop_assert_eq!(double.total_links(), 2 * single.total_links());
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_walks(routes in arb_route_set(20)) {
+        assert_one_pass_matches_the_walks(&routes);
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_walks_under_a_tunnel(routes in arb_tunneled_set(40)) {
+        assert_one_pass_matches_the_walks(&routes);
     }
 
     #[test]
