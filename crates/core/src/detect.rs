@@ -23,17 +23,18 @@
 //! observations) and returns a unified [`DetectorVerdict`] with a
 //! *normalized* anomaly score: `1.0` is the decision boundary for every
 //! detector, so ROC sweeps and ensemble voting compare like with like.
-//! [`EnsembleDetector`] combines members under configurable
-//! [`Voting`]; [`DetectorRegistry`] names the standard detectors for the
-//! serving tier and the experiments, and is the **single calibration
-//! path**: the small-sample `z = 2.5` threshold lives in
+//! [`EnsembleDetector`] fires when any voting member fires;
+//! [`DetectorRegistry`] names the standard detectors for the serving
+//! tier and the experiments, and is the **single calibration path**: the
+//! small-sample `z = 2.5` threshold is [`CALIBRATED_Z_THRESHOLD`], which
 //! [`SamConfig::calibrated`](crate::detector::SamConfig::calibrated) and
-//! nowhere else.
+//! the z-score detector read. The alternative detectors' other
+//! thresholds are constants beside the code that reads them.
 
-use crate::detector::{SamAnalysis, SamConfig, SamDetector};
+use crate::detector::{SamAnalysis, SamConfig, SamDetector, CALIBRATED_Z_THRESHOLD};
 use crate::procedure::{AttackReport, ProbeTransport, ProcedureConfig};
 use crate::profile::NormalProfile;
-use crate::stats::{common_endpoints, LinkStats};
+use crate::stats::{common_endpoint_array, LinkStats};
 use manet_routing::{select_disjoint, ProbeOutcome, Route};
 use manet_sim::{Link, NodeId};
 use serde::{Deserialize, Serialize};
@@ -133,7 +134,7 @@ pub struct DetectorVote {
     pub anomalous: bool,
     /// The member's normalized score.
     pub score: f64,
-    /// Effective voting weight (0 when the member abstained).
+    /// Weight in the vote: 1 for a voter, 0 for a member that abstained.
     pub weight: f64,
 }
 
@@ -297,30 +298,13 @@ fn lambda_of(signal: f64, threshold: f64, steepness: f64) -> f64 {
     1.0 / (1.0 + (steepness * (signal - threshold)).exp())
 }
 
-/// [`ZScoreNeighborDetector`] configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct ZScoreConfig {
-    /// Z-score above which the set is anomalous.
-    pub z_threshold: f64,
-    /// Steepness of the z → λ logistic map.
-    pub lambda_steepness: f64,
-    /// Below this many routes the detector abstains.
-    pub min_routes: usize,
-    /// Below this many distinct links the within-set distribution is
-    /// meaningless and the detector abstains.
-    pub min_links: usize,
-}
-
-impl Default for ZScoreConfig {
-    fn default() -> Self {
-        ZScoreConfig {
-            z_threshold: SamConfig::calibrated().z_threshold,
-            lambda_steepness: 1.5,
-            min_routes: 3,
-            min_links: 4,
-        }
-    }
-}
+/// Steepness of the z-score detector's z → λ logistic map.
+const ZSCORE_LAMBDA_STEEPNESS: f64 = 1.5;
+/// Below this many routes the z-score detector abstains.
+const ZSCORE_MIN_ROUTES: usize = 3;
+/// Below this many distinct links the within-set distribution is
+/// meaningless and the z-score detector abstains.
+const ZSCORE_MIN_LINKS: usize = 4;
 
 /// Per-node neighbor-table deltas plus z-scored link counts.
 ///
@@ -334,23 +318,10 @@ impl Default for ZScoreConfig {
 ///   endpoint pairs with a different entry/exit node on nearly every
 ///   route, so its table balloons.
 ///
-/// The score is the larger z divided by the threshold.
+/// The score is the larger z divided by the threshold,
+/// [`CALIBRATED_Z_THRESHOLD`].
 #[derive(Clone, Debug, Default)]
-pub struct ZScoreNeighborDetector {
-    cfg: ZScoreConfig,
-}
-
-impl ZScoreNeighborDetector {
-    /// Detector with explicit configuration.
-    pub fn new(cfg: ZScoreConfig) -> Self {
-        ZScoreNeighborDetector { cfg }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ZScoreConfig {
-        &self.cfg
-    }
-}
+pub struct ZScoreNeighborDetector;
 
 impl Detector for ZScoreNeighborDetector {
     fn name(&self) -> &str {
@@ -359,9 +330,9 @@ impl Detector for ZScoreNeighborDetector {
 
     fn detect(&self, input: &DetectorInput) -> DetectorVerdict {
         let stats = input.stats();
-        let (src, dst) = common_endpoints(input.routes);
-        let exclude: Vec<NodeId> = src.into_iter().chain(dst).collect();
-        let (features, suspect) = stats.summary_excluding(&exclude);
+        let (ends, n_ends) = common_endpoint_array(input.routes);
+        let exclude = &ends[..n_ends];
+        let (features, suspect) = stats.summary_excluding(exclude);
         let abstain = |reason: String| DetectorVerdict {
             detector: "zscore".to_string(),
             anomalous: false,
@@ -372,18 +343,16 @@ impl Detector for ZScoreNeighborDetector {
             suspect_link: None,
             evidence: DetectorEvidence::Abstained { reason },
         };
-        if input.routes.len() < self.cfg.min_routes {
+        if input.routes.len() < ZSCORE_MIN_ROUTES {
             return abstain(format!(
-                "{} routes < min_routes {}",
-                input.routes.len(),
-                self.cfg.min_routes
+                "{} routes < min_routes {ZSCORE_MIN_ROUTES}",
+                input.routes.len()
             ));
         }
-        if stats.distinct_links() < self.cfg.min_links {
+        if stats.distinct_links() < ZSCORE_MIN_LINKS {
             return abstain(format!(
-                "{} distinct links < min_links {}",
-                stats.distinct_links(),
-                self.cfg.min_links
+                "{} distinct links < min_links {ZSCORE_MIN_LINKS}",
+                stats.distinct_links()
             ));
         }
 
@@ -426,12 +395,11 @@ impl Detector for ZScoreNeighborDetector {
         }
 
         let z = max_link_z.max(max_degree_z);
-        let anomalous = z > self.cfg.z_threshold;
         DetectorVerdict {
             detector: "zscore".to_string(),
-            anomalous,
-            score: z / self.cfg.z_threshold,
-            lambda: lambda_of(z, self.cfg.z_threshold, self.cfg.lambda_steepness),
+            anomalous: z > CALIBRATED_Z_THRESHOLD,
+            score: z / CALIBRATED_Z_THRESHOLD,
+            lambda: lambda_of(z, CALIBRATED_Z_THRESHOLD, ZSCORE_LAMBDA_STEEPNESS),
             p_max: features.p_max,
             delta: features.delta,
             // Localize like SAM: the most frequent non-endpoint link.
@@ -446,24 +414,11 @@ impl Detector for ZScoreNeighborDetector {
     }
 }
 
-/// [`GeometricDetector`] configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct GeometricConfig {
-    /// A claimed link longer than `range × stretch_tolerance` is a
-    /// violation (the slack absorbs position measurement error).
-    pub stretch_tolerance: f64,
-    /// Steepness of the stretch → λ logistic map.
-    pub lambda_steepness: f64,
-}
-
-impl Default for GeometricConfig {
-    fn default() -> Self {
-        GeometricConfig {
-            stretch_tolerance: 1.25,
-            lambda_steepness: 4.0,
-        }
-    }
-}
+/// A claimed link longer than `range × STRETCH_TOLERANCE` is a violation
+/// (the slack absorbs position measurement error).
+const STRETCH_TOLERANCE: f64 = 1.25;
+/// Steepness of the geometric detector's stretch → λ logistic map.
+const GEOMETRIC_LAMBDA_STEEPNESS: f64 = 4.0;
 
 /// Claimed-link length vs. radio range.
 ///
@@ -472,23 +427,10 @@ impl Default for GeometricConfig {
 /// range cannot be genuine neighbors, so such a claim is a tunnel —
 /// *regardless of how rarely the attacker uses it*. This is the signal
 /// that survives `Selective` tunneling: one tunneled route in the set is
-/// enough. Without topology observations the detector abstains.
+/// enough. Without topology observations the detector abstains. The
+/// score is the longest link's stretch over the tolerance, 1.25.
 #[derive(Clone, Debug, Default)]
-pub struct GeometricDetector {
-    cfg: GeometricConfig,
-}
-
-impl GeometricDetector {
-    /// Detector with explicit configuration.
-    pub fn new(cfg: GeometricConfig) -> Self {
-        GeometricDetector { cfg }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &GeometricConfig {
-        &self.cfg
-    }
-}
+pub struct GeometricDetector;
 
 impl Detector for GeometricDetector {
     fn name(&self) -> &str {
@@ -525,7 +467,7 @@ impl Detector for GeometricDetector {
             };
             checked += 1;
             let stretch = if obs.range > 0.0 { d / obs.range } else { 0.0 };
-            if stretch > self.cfg.stretch_tolerance {
+            if stretch > STRETCH_TOLERANCE {
                 violations += 1;
             }
             let replace = match worst {
@@ -545,16 +487,8 @@ impl Detector for GeometricDetector {
         DetectorVerdict {
             detector: "geometric".to_string(),
             anomalous,
-            score: if self.cfg.stretch_tolerance > 0.0 {
-                max_stretch / self.cfg.stretch_tolerance
-            } else {
-                max_stretch
-            },
-            lambda: lambda_of(
-                max_stretch,
-                self.cfg.stretch_tolerance,
-                self.cfg.lambda_steepness,
-            ),
+            score: max_stretch / STRETCH_TOLERANCE,
+            lambda: lambda_of(max_stretch, STRETCH_TOLERANCE, GEOMETRIC_LAMBDA_STEEPNESS),
             p_max: features.p_max,
             delta: features.delta,
             // The suspect is the longest claimed link — only meaningful
@@ -573,55 +507,22 @@ impl Detector for GeometricDetector {
     }
 }
 
-/// How an [`EnsembleDetector`] combines member decisions. Abstaining
-/// members never vote: they are excluded from the denominator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Voting {
-    /// Anomalous if any voting member is anomalous.
-    Any,
-    /// Anomalous if a strict majority of voting members are anomalous.
-    Majority,
-    /// Anomalous if the anomalous members' weight *strictly* exceeds
-    /// half the voting weight — an exact tie is **not** anomalous.
-    /// Weights are per-member, in member order; missing entries count 1.
-    Weighted(Vec<f64>),
-}
-
-/// Combines member detectors under a [`Voting`] rule.
+/// Combines member detectors by an any-vote: the ensemble is anomalous
+/// when any voting member is. A member that abstains does not vote: its
+/// vote carries weight 0, and its decision, score and λ count for
+/// nothing.
 ///
-/// The ensemble score is voting-consistent for `Any` (max member score)
-/// and `Majority` (the k-th largest member score, k the strict-majority
-/// count): `score > 1.0` iff the vote passes. For `Weighted` the score
-/// is the weighted mean of member scores — a smooth surrogate; the
-/// decision itself always comes from the weight rule.
+/// The score is the largest voter score (0 when no member votes), λ the
+/// smallest voter λ (1 when none votes), and `p_max` and `Δ` the first
+/// voter's.
 pub struct EnsembleDetector {
     members: Vec<Arc<dyn Detector>>,
-    voting: Voting,
 }
 
 impl EnsembleDetector {
-    /// Ensemble over explicit members.
-    pub fn new(members: Vec<Arc<dyn Detector>>, voting: Voting) -> Self {
-        EnsembleDetector { members, voting }
-    }
-
-    /// The standard ensemble: calibrated SAM + z-score + geometric under
-    /// `Any` voting (the detectors are independent signals, so one
-    /// firing is evidence; the roc experiment quantifies the FPR cost).
-    pub fn standard() -> Self {
-        EnsembleDetector::new(
-            vec![
-                Arc::new(SamDetector::new(SamConfig::calibrated())),
-                Arc::new(ZScoreNeighborDetector::default()),
-                Arc::new(GeometricDetector::default()),
-            ],
-            Voting::Any,
-        )
-    }
-
-    /// The voting rule in effect.
-    pub fn voting(&self) -> &Voting {
-        &self.voting
+    /// Ensemble over explicit members, in vote order.
+    pub fn new(members: Vec<Arc<dyn Detector>>) -> Self {
+        EnsembleDetector { members }
     }
 }
 
@@ -632,52 +533,18 @@ impl Detector for EnsembleDetector {
 
     fn detect(&self, input: &DetectorInput) -> DetectorVerdict {
         let verdicts: Vec<DetectorVerdict> = self.members.iter().map(|m| m.detect(input)).collect();
-        let weight_of = |i: usize| match &self.voting {
-            Voting::Weighted(w) => w.get(i).copied().unwrap_or(1.0),
-            _ => 1.0,
-        };
         let votes: Vec<DetectorVote> = verdicts
             .iter()
-            .enumerate()
-            .map(|(i, v)| DetectorVote {
+            .map(|v| DetectorVote {
                 detector: v.detector.clone(),
                 anomalous: v.anomalous,
                 score: v.score,
-                weight: if v.abstained() { 0.0 } else { weight_of(i) },
+                weight: if v.abstained() { 0.0 } else { 1.0 },
             })
             .collect();
         let voters: Vec<&DetectorVerdict> = verdicts.iter().filter(|v| !v.abstained()).collect();
-
-        let anomalous = match &self.voting {
-            Voting::Any => voters.iter().any(|v| v.anomalous),
-            Voting::Majority => {
-                let yes = voters.iter().filter(|v| v.anomalous).count();
-                yes * 2 > voters.len()
-            }
-            Voting::Weighted(_) => {
-                let total: f64 = votes.iter().map(|v| v.weight).sum();
-                let yes: f64 = votes.iter().filter(|v| v.anomalous).map(|v| v.weight).sum();
-                yes * 2.0 > total
-            }
-        };
-
-        let score = match &self.voting {
-            Voting::Any => voters.iter().map(|v| v.score).fold(0.0, f64::max),
-            Voting::Majority => {
-                let mut scores: Vec<f64> = voters.iter().map(|v| v.score).collect();
-                scores.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-                let k = voters.len() / 2; // k-th largest, 0-indexed
-                scores.get(k).copied().unwrap_or(0.0)
-            }
-            Voting::Weighted(_) => {
-                let total: f64 = votes.iter().map(|v| v.weight).sum();
-                if total > 0.0 {
-                    votes.iter().map(|v| v.weight * v.score).sum::<f64>() / total
-                } else {
-                    0.0
-                }
-            }
-        };
+        let anomalous = voters.iter().any(|v| v.anomalous);
+        let score = voters.iter().map(|v| v.score).fold(0.0, f64::max);
 
         // Suspect: the highest-scoring anomalous voter's pick, falling
         // back to the highest-scoring voter. Member order breaks ties
@@ -745,12 +612,13 @@ impl DetectorRegistry {
     /// ensemble member shares it).
     pub fn with_sam(sam_cfg: SamConfig) -> Self {
         let sam: Arc<dyn Detector> = Arc::new(SamDetector::new(sam_cfg));
-        let zscore: Arc<dyn Detector> = Arc::new(ZScoreNeighborDetector::default());
-        let geometric: Arc<dyn Detector> = Arc::new(GeometricDetector::default());
-        let ensemble: Arc<dyn Detector> = Arc::new(EnsembleDetector::new(
-            vec![sam.clone(), zscore.clone(), geometric.clone()],
-            Voting::Any,
-        ));
+        let zscore: Arc<dyn Detector> = Arc::new(ZScoreNeighborDetector);
+        let geometric: Arc<dyn Detector> = Arc::new(GeometricDetector);
+        let ensemble: Arc<dyn Detector> = Arc::new(EnsembleDetector::new(vec![
+            sam.clone(),
+            zscore.clone(),
+            geometric.clone(),
+        ]));
         DetectorRegistry {
             entries: vec![
                 ("sam", sam),
@@ -1014,7 +882,7 @@ mod tests {
     #[test]
     fn zscore_flags_the_attacked_set_and_passes_normal() {
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = ZScoreNeighborDetector::default();
+        let d = ZScoreNeighborDetector;
         let routes = attacked_set();
         let v = d.detect(&DetectorInput::new(&routes, &profile));
         assert!(v.anomalous, "{v:?}");
@@ -1033,7 +901,7 @@ mod tests {
     #[test]
     fn zscore_needs_no_trained_profile() {
         let untrained = NormalProfile::train(&[], 20);
-        let d = ZScoreNeighborDetector::default();
+        let d = ZScoreNeighborDetector;
         let routes = attacked_set();
         let v = d.detect(&DetectorInput::new(&routes, &untrained));
         assert!(v.anomalous, "within-set statistics need no profile: {v:?}");
@@ -1042,7 +910,7 @@ mod tests {
     #[test]
     fn zscore_abstains_on_tiny_sets() {
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = ZScoreNeighborDetector::default();
+        let d = ZScoreNeighborDetector;
         let routes = vec![r(&[0, 7, 8, 9])];
         let v = d.detect(&DetectorInput::new(&routes, &profile));
         assert!(v.abstained());
@@ -1054,7 +922,7 @@ mod tests {
     fn geometric_flags_the_impossible_link() {
         let profile = NormalProfile::train(&normal_sets(), 20);
         let obs = observations();
-        let d = GeometricDetector::default();
+        let d = GeometricDetector;
         let routes = attacked_set();
         let v = d.detect(&DetectorInput::new(&routes, &profile).with_topology(&obs));
         assert!(v.anomalous, "{v:?}");
@@ -1084,7 +952,7 @@ mod tests {
         let sam = SamDetector::new(SamConfig::calibrated());
         let vs = Detector::detect(&sam, &DetectorInput::new(&routes, &profile));
         assert!(!vs.anomalous, "frequency alone must miss this: {vs:?}");
-        let geo = GeometricDetector::default();
+        let geo = GeometricDetector;
         let vg = geo.detect(&DetectorInput::new(&routes, &profile).with_topology(&obs));
         assert!(vg.anomalous, "{vg:?}");
         assert_eq!(vg.suspect_link, Some(Link::new(NodeId(7), NodeId(8))));
@@ -1093,7 +961,7 @@ mod tests {
     #[test]
     fn geometric_abstains_without_observations() {
         let profile = NormalProfile::train(&normal_sets(), 20);
-        let d = GeometricDetector::default();
+        let d = GeometricDetector;
         let routes = attacked_set();
         let v = d.detect(&DetectorInput::new(&routes, &profile));
         assert!(v.abstained());
@@ -1105,13 +973,13 @@ mod tests {
     fn geometric_passes_in_range_links() {
         let profile = NormalProfile::train(&normal_sets(), 20);
         let obs = TopologyObservations::new(vec![(0.0, 0.0); 14], 2.0);
-        let d = GeometricDetector::default();
+        let d = GeometricDetector;
         let routes = attacked_set();
         let v = d.detect(&DetectorInput::new(&routes, &profile).with_topology(&obs));
         assert!(!v.anomalous, "all distances 0: {v:?}");
     }
 
-    /// A stub member with a fixed decision, for voting-rule tests.
+    /// A stub member with a fixed decision, for vote tests.
     struct Fixed {
         name: &'static str,
         anomalous: bool,
@@ -1129,11 +997,12 @@ mod tests {
             })
         }
 
+        /// An abstainer whose verdict would fire if it counted.
         fn abstain(name: &'static str) -> Arc<dyn Detector> {
             Arc::new(Fixed {
                 name,
-                anomalous: false,
-                score: 0.0,
+                anomalous: true,
+                score: 5.0,
                 abstain: true,
             })
         }
@@ -1169,94 +1038,42 @@ mod tests {
         }
     }
 
-    fn ensemble_on(members: Vec<Arc<dyn Detector>>, voting: Voting) -> DetectorVerdict {
+    fn ensemble_on(members: Vec<Arc<dyn Detector>>) -> DetectorVerdict {
         let profile = NormalProfile::train(&[], 20);
         let routes = normal_live();
-        EnsembleDetector::new(members, voting).detect(&DetectorInput::new(&routes, &profile))
+        EnsembleDetector::new(members).detect(&DetectorInput::new(&routes, &profile))
     }
 
     #[test]
     fn ensemble_unanimous_negative_is_negative() {
-        for voting in [
-            Voting::Any,
-            Voting::Majority,
-            Voting::Weighted(vec![1.0; 3]),
-        ] {
-            let v = ensemble_on(
-                vec![
-                    Fixed::vote("a", false, 0.2),
-                    Fixed::vote("b", false, 0.4),
-                    Fixed::vote("c", false, 0.1),
-                ],
-                voting.clone(),
-            );
-            assert!(!v.anomalous, "{voting:?}: {v:?}");
-            assert!(v.score < 1.0, "{voting:?}: {v:?}");
-        }
+        let v = ensemble_on(vec![
+            Fixed::vote("a", false, 0.2),
+            Fixed::vote("b", false, 0.4),
+            Fixed::vote("c", false, 0.1),
+        ]);
+        assert!(!v.anomalous, "{v:?}");
+        assert!(v.score < 1.0, "{v:?}");
     }
 
     #[test]
-    fn one_of_three_fires_any_but_not_majority() {
-        let members = || {
-            vec![
-                Fixed::vote("a", true, 1.8),
-                Fixed::vote("b", false, 0.3),
-                Fixed::vote("c", false, 0.2),
-            ]
-        };
-        let any = ensemble_on(members(), Voting::Any);
-        assert!(any.anomalous, "{any:?}");
-        assert!(any.score > 1.0, "any score is the max: {any:?}");
-        let majority = ensemble_on(members(), Voting::Majority);
-        assert!(
-            !majority.anomalous,
-            "1 of 3 is not a majority: {majority:?}"
-        );
-        assert!(
-            majority.score < 1.0,
-            "majority score is the 2nd largest: {majority:?}"
-        );
-    }
-
-    #[test]
-    fn two_of_three_carry_a_majority() {
-        let v = ensemble_on(
-            vec![
-                Fixed::vote("a", true, 1.8),
-                Fixed::vote("b", true, 1.2),
-                Fixed::vote("c", false, 0.2),
-            ],
-            Voting::Majority,
-        );
+    fn one_of_three_fires_the_vote() {
+        let v = ensemble_on(vec![
+            Fixed::vote("a", true, 1.8),
+            Fixed::vote("b", false, 0.3),
+            Fixed::vote("c", false, 0.2),
+        ]);
         assert!(v.anomalous, "{v:?}");
-        assert!(v.score > 1.0, "{v:?}");
+        assert_eq!(v.score, 1.8, "the score is the max: {v:?}");
     }
 
     #[test]
-    fn weighted_tie_is_not_anomalous() {
-        // 1.0 anomalous vs 1.0 total-half: an exact tie must lose.
-        let v = ensemble_on(
-            vec![Fixed::vote("a", true, 2.0), Fixed::vote("b", false, 0.1)],
-            Voting::Weighted(vec![1.0, 1.0]),
-        );
-        assert!(!v.anomalous, "exact weight tie must not fire: {v:?}");
-        // Tip the weight past half and it fires.
-        let v2 = ensemble_on(
-            vec![Fixed::vote("a", true, 2.0), Fixed::vote("b", false, 0.1)],
-            Voting::Weighted(vec![1.01, 1.0]),
-        );
-        assert!(v2.anomalous, "{v2:?}");
-    }
-
-    #[test]
-    fn abstaining_members_leave_the_denominator() {
-        // One abstainer + one anomalous voter: a majority of the *voting*
-        // members (1 of 1), so the ensemble fires.
-        let v = ensemble_on(
-            vec![Fixed::abstain("geo"), Fixed::vote("a", true, 1.5)],
-            Voting::Majority,
-        );
-        assert!(v.anomalous, "{v:?}");
+    fn abstaining_members_do_not_vote() {
+        // The abstainer's verdict would fire, and it outscores the voter,
+        // but it never fires the vote, never sets the score, λ or suspect,
+        // and its vote carries weight 0.
+        let v = ensemble_on(vec![Fixed::abstain("geo"), Fixed::vote("a", false, 0.5)]);
+        assert!(!v.anomalous, "{v:?}");
+        assert_eq!((v.score, v.lambda, v.suspect_link), (0.5, 0.9, None));
         match &v.evidence {
             DetectorEvidence::Ensemble { votes } => {
                 assert_eq!(votes.len(), 2, "abstainers still appear in evidence");
@@ -1265,6 +1082,10 @@ mod tests {
             }
             other => panic!("wrong evidence kind: {other:?}"),
         }
+        // With no voter at all, nothing fires.
+        let none = ensemble_on(vec![Fixed::abstain("geo")]);
+        assert!(!none.anomalous, "{none:?}");
+        assert_eq!((none.score, none.lambda), (0.0, 1.0));
     }
 
     #[test]
@@ -1275,9 +1096,9 @@ mod tests {
         let mut routes = normal_live();
         routes.push(r(&[0, 7, 8, 9]));
         let input = DetectorInput::new(&routes, &profile).with_topology(&obs);
-        let sam = SamDetector::new(SamConfig::calibrated());
-        assert!(!Detector::detect(&sam, &input).anomalous);
-        let v = EnsembleDetector::standard().detect(&input);
+        let reg = DetectorRegistry::calibrated();
+        assert!(!reg.get("sam").unwrap().detect(&input).anomalous);
+        let v = reg.get("ensemble").unwrap().detect(&input);
         assert!(v.anomalous, "{v:?}");
         assert_eq!(v.suspect_link, Some(Link::new(NodeId(7), NodeId(8))));
     }

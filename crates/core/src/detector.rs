@@ -8,7 +8,7 @@
 
 use crate::pmf::{Pmf, PmfProfile, PmfVerdict};
 use crate::profile::NormalProfile;
-use crate::stats::{LinkStats, RouteSetFeatures};
+use crate::stats::{common_endpoint_array, LinkStats, RouteSetFeatures};
 use manet_routing::Route;
 use manet_sim::Link;
 use serde::{Deserialize, Serialize};
@@ -139,9 +139,8 @@ impl SamDetector {
         debug_assert_eq!(stats.route_count(), routes.len(), "the table of `routes`");
         // Localize while ignoring endpoint-adjacent links (trivially
         // frequent; see `LinkStats::suspect_link_excluding`).
-        let (src, dst) = crate::stats::common_endpoints(routes);
-        let exclude: Vec<_> = src.into_iter().chain(dst).collect();
-        let (features, suspect_link) = stats.summary_excluding(&exclude);
+        let (ends, n_ends) = common_endpoint_array(routes);
+        let (features, suspect_link) = stats.summary_excluding(&ends[..n_ends]);
 
         if !profile.is_trained() || routes.len() < self.cfg.min_routes {
             return SamAnalysis {
@@ -181,7 +180,7 @@ impl SamDetector {
             for f in stats.frequencies() {
                 live.add_sample(f);
             }
-            Some(PmfProfile::new(profile.pmf.clone()).check(&live))
+            Some(PmfProfile::new(&profile.pmf).check(&live))
         } else {
             None
         };

@@ -390,8 +390,7 @@ mod tests {
         use crate::detect::{Detector, DetectorInput, ZScoreNeighborDetector};
         let profile = NormalProfile::train(&normal_sets(), 20);
         let routes = attacked_set();
-        let verdict =
-            ZScoreNeighborDetector::default().detect(&DetectorInput::new(&routes, &profile));
+        let verdict = ZScoreNeighborDetector.detect(&DetectorInput::new(&routes, &profile));
         let ex = Explanation::from_verdict(&routes, &verdict);
         assert_eq!(ex.detector, "zscore");
         assert_eq!(ex.z_p_max, 0.0);

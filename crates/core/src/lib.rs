@@ -75,8 +75,7 @@ pub mod prelude {
     pub use crate::detect::{
         run_procedure, verdict_from_sam, Detector, DetectorEvidence, DetectorInput,
         DetectorOutcome, DetectorRegistry, DetectorVerdict, DetectorVote, EnsembleDetector,
-        GeometricConfig, GeometricDetector, TopologyObservations, Voting, ZScoreConfig,
-        ZScoreNeighborDetector, DETECTOR_NAMES,
+        GeometricDetector, TopologyObservations, ZScoreNeighborDetector, DETECTOR_NAMES,
     };
     pub use crate::detector::{SamAnalysis, SamConfig, SamDetector, CALIBRATED_Z_THRESHOLD};
     pub use crate::explain::{Explanation, HopProvenance, RouteExplanation};

@@ -6,10 +6,10 @@
 //! obtained using real-time samples will be compared with the profile."
 //!
 //! We histogram the link relative frequencies into fixed-width bins over
-//! `[0, 1]` and compare live histograms to a trained profile by total
-//! variation distance. The tail mass above the profile's maximum observed
-//! frequency — the "isolated outlier far apart from other links" the paper
-//! highlights in Fig. 5 — is exposed separately.
+//! `[0, 1]` and compare live histograms to a trained profile. The tail
+//! mass above the profile's maximum observed frequency — the "isolated
+//! outlier far apart from other links" the paper highlights in Fig. 5 —
+//! decides; the total variation distance is reported beside it.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,61 +131,38 @@ impl Pmf {
     }
 }
 
-/// PMF-based anomaly check: a live PMF is anomalous relative to a trained
-/// profile if it puts mass beyond the profile's support (an isolated
-/// high-frequency link) or diverges in total variation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PmfProfile {
-    profile: Pmf,
-    /// Extra head-room over the trained support before the tail rule
-    /// fires (one bin by default).
-    slack_bins: usize,
-    /// Total-variation distance above which the distribution-shape rule
-    /// fires.
-    tv_threshold: f64,
+/// Head-room over the trained support, in bins, before the tail rule
+/// fires.
+const SLACK_BINS: usize = 1;
+
+/// PMF-based anomaly check against a borrowed, trained normal-condition
+/// PMF: a live PMF is anomalous if it puts mass beyond the profile's
+/// support plus one bin (an isolated high-frequency link).
+///
+/// Total variation distance is evidence only. Between small-sample
+/// histograms it is dominated by how many routes a discovery happened to
+/// return, not by attacks; the paper's Fig. 5 signature is the isolated
+/// outlier, which the tail rule captures.
+#[derive(Clone, Copy, Debug)]
+pub struct PmfProfile<'a> {
+    profile: &'a Pmf,
 }
 
-impl PmfProfile {
-    /// Wrap a trained normal-condition PMF.
-    ///
-    /// By default only the outlier-tail rule is active (`tv_threshold`
-    /// just above 1 can never fire): raw total-variation distance between
-    /// small-sample histograms is dominated by how many routes a discovery
-    /// happened to return, not by attacks. The paper's Fig. 5 signature is
-    /// the isolated high-frequency outlier, which the tail rule captures.
-    /// Use [`PmfProfile::with_thresholds`] to opt into the TV rule.
-    pub fn new(profile: Pmf) -> Self {
-        PmfProfile {
-            profile,
-            slack_bins: 1,
-            tv_threshold: 1.01,
-        }
-    }
-
-    /// Override thresholds.
-    pub fn with_thresholds(profile: Pmf, slack_bins: usize, tv_threshold: f64) -> Self {
-        PmfProfile {
-            profile,
-            slack_bins,
-            tv_threshold,
-        }
-    }
-
-    /// The trained PMF.
-    pub fn profile(&self) -> &Pmf {
-        &self.profile
+impl<'a> PmfProfile<'a> {
+    /// Check against a trained normal-condition PMF.
+    pub fn new(profile: &'a Pmf) -> Self {
+        PmfProfile { profile }
     }
 
     /// Check a live PMF; returns the evidence.
     pub fn check(&self, live: &Pmf) -> PmfVerdict {
         let support = self.profile.support_max();
-        let slack = self.slack_bins as f64 / self.profile.bin_count() as f64;
+        let slack = SLACK_BINS as f64 / self.profile.bin_count() as f64;
         let beyond = live.tail_mass((support + slack).min(1.0));
-        let tv = self.profile.total_variation(live);
         PmfVerdict {
             outlier_mass: beyond,
-            total_variation: tv,
-            anomalous: beyond > 0.0 || tv > self.tv_threshold,
+            total_variation: self.profile.total_variation(live),
+            anomalous: beyond > 0.0,
         }
     }
 }
@@ -195,9 +172,10 @@ impl PmfProfile {
 pub struct PmfVerdict {
     /// Live mass beyond the trained support (plus slack).
     pub outlier_mass: f64,
-    /// Total variation distance to the profile.
+    /// Total variation distance to the profile (evidence; it does not
+    /// decide).
     pub total_variation: f64,
-    /// Whether either rule fired.
+    /// Whether the tail rule fired: `outlier_mass > 0`.
     pub anomalous: bool,
 }
 
@@ -254,7 +232,7 @@ mod tests {
     fn profile_flags_outlier_links() {
         // Normal: frequencies spread below 0.10 (Fig. 5 normal system).
         let normal = Pmf::from_samples(20, &[0.02, 0.04, 0.05, 0.06, 0.09, 0.07, 0.03]);
-        let profile = PmfProfile::new(normal);
+        let profile = PmfProfile::new(&normal);
         // Attacked: one link at 0.16+ (Fig. 5 under attack).
         let attacked = Pmf::from_samples(20, &[0.02, 0.04, 0.05, 0.06, 0.17, 0.03]);
         let v = profile.check(&attacked);

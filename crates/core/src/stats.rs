@@ -34,6 +34,17 @@ pub fn common_endpoints(routes: &[Route]) -> (Option<NodeId>, Option<NodeId>) {
     )
 }
 
+/// [`common_endpoints`] as an exclusion list without an allocation: the
+/// common source and then the common destination, whichever exist, are
+/// `ends[..n]` of the returned `(ends, n)`.
+pub(crate) fn common_endpoint_array(routes: &[Route]) -> ([NodeId; 2], usize) {
+    match common_endpoints(routes) {
+        (Some(src), Some(dst)) => ([src, dst], 2),
+        (Some(end), None) | (None, Some(end)) => ([end, end], 1),
+        (None, None) => ([NodeId(0); 2], 0),
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Tabulations run on this thread, for tests that count them.

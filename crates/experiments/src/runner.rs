@@ -11,7 +11,7 @@ use manet_sim::prelude::*;
 use parking_lot::Mutex;
 use sam::{LinkStats, NormalProfile, SamConfig};
 use sam_faults::FaultPlan;
-use sam_telemetry::SpanGuard;
+use sam_telemetry::{SpanGuard, SpanParent};
 use serde::{Deserialize, Serialize};
 
 /// Everything measured in one run.
@@ -225,19 +225,23 @@ pub fn default_jobs() -> usize {
 ///
 /// Each run is an independent simulation with its own derived seed, so the
 /// records are identical whatever `jobs` is — only wall-clock changes.
+/// Each run's span is a child of the span open where this is called.
 pub fn run_series_jobs(spec: &ScenarioSpec, n: u64, jobs: usize) -> Vec<RunRecord> {
     let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; n as usize]);
     let threads = jobs.min(n as usize).max(1);
+    let parent = SpanParent::current();
     std::thread::scope(|s| {
         for t in 0..threads {
             let results = &results;
             s.spawn(move || {
-                let mut run = t as u64;
-                while run < n {
-                    let rec = run_once(spec, run);
-                    results.lock()[run as usize] = Some(rec);
-                    run += threads as u64;
-                }
+                parent.enter(|| {
+                    let mut run = t as u64;
+                    while run < n {
+                        let rec = run_once(spec, run);
+                        results.lock()[run as usize] = Some(rec);
+                        run += threads as u64;
+                    }
+                })
             });
         }
     });

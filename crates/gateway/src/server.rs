@@ -648,12 +648,9 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, tx: Sender<TcpStream>
 }
 
 /// Tell an over-backlog client it was shed, then close.
-fn reject_connection(stream: TcpStream, backlog: usize) {
+fn reject_connection(mut stream: TcpStream, backlog: usize) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut stream = stream;
-    let line = WireResponse::shed(0, backlog).encode();
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = write_encoded_line(&mut stream, WireResponse::shed(0, backlog).encode());
 }
 
 /// One connection worker: handle accepted sockets until the acceptor

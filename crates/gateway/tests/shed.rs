@@ -1,7 +1,9 @@
-//! Request-level shed over the wire: a shard admits at most
+//! Shed over the wire. Request level: a shard admits at most
 //! `queue_capacity` requests into compute at once, and answers the next
-//! ones `"shed"` with the count they collided with. Every wait is
-//! bounded, so a gateway that never answers fails instead of hanging.
+//! ones `"shed"` with the count they collided with. Connection level: a
+//! connection accepted while the backlog is full gets one `"shed"` line
+//! and is closed. Every wait is bounded, so a gateway that never answers
+//! fails instead of hanging.
 
 mod common;
 
@@ -70,5 +72,41 @@ fn a_full_shard_sheds_with_its_depth_and_serves_what_it_admitted() {
         "{:?}",
         stats.shards
     );
+    drop(gateway.drain());
+}
+
+#[test]
+fn a_connection_past_a_full_backlog_gets_one_shed_line_and_eof() {
+    let mut cfg = test_config(1);
+    cfg.max_conns = 1;
+    cfg.backlog = 1;
+    let gateway =
+        Gateway::bind("127.0.0.1:0", cfg, synthetic_profiles()).expect("bind ephemeral port");
+    let connect = || Client::connect_with_timeout(gateway.local_addr(), READ_BOUND).unwrap();
+    let counter = |name: &str| gateway.registry().snapshot().counter(name);
+
+    // A holds the one connection worker (its ping is answered there), and
+    // B waits in the one-place backlog once the acceptor has taken it.
+    let mut held = connect();
+    held.send_raw("{\"cmd\":\"ping\"}").unwrap();
+    assert_eq!(held.recv().expect("pong").status, STATUS_OK);
+    let queued = connect();
+    let deadline = Instant::now() + READ_BOUND;
+    while counter("gateway.accepted") < 2 {
+        assert!(Instant::now() < deadline, "B never accepted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // The acceptor queued B before accepting again, so a third
+    // connection finds the backlog full: one shed line, then EOF.
+    let mut shed = connect();
+    let resp = shed.recv().expect("shed line");
+    assert_eq!(
+        (resp.id, resp.status.as_str(), resp.queue_depth),
+        (0, STATUS_SHED, Some(1))
+    );
+    assert!(shed.recv().is_none(), "the shed connection closes");
+    assert_eq!(counter("gateway.conn_shed"), 1);
+    drop((held, queued));
     drop(gateway.drain());
 }

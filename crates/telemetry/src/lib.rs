@@ -50,7 +50,7 @@ pub mod window;
 
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use report::TelemetryReport;
-pub use span::{EventRecord, SpanGuard};
+pub use span::{EventRecord, SpanGuard, SpanParent};
 pub use trace::{TraceContext, TraceId, TraceIdGen};
 pub use window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};
 
@@ -213,7 +213,7 @@ pub mod prelude {
         Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
     };
     pub use crate::report::{write_jsonl, TelemetryReport};
-    pub use crate::span::{EventRecord, SpanGuard};
+    pub use crate::span::{EventRecord, SpanGuard, SpanParent};
     pub use crate::trace::{TraceContext, TraceId, TraceIdGen};
     pub use crate::window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};
     pub use crate::{enabled, global, install, span, uninstall, Telemetry};
@@ -249,10 +249,31 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].name, "global-phase");
 
-        // Uninstalled again: back to zero-cost.
+        // A parent handed to a worker thread: the worker's span is its
+        // child and untraced; a worker that enters no parent opens a root.
+        install(tel.clone());
+        assert_eq!(SpanParent::current(), SpanParent::default(), "none open");
+        let series = span("series");
+        let parent = SpanParent::current();
+        std::thread::scope(|s| {
+            s.spawn(|| parent.enter(|| drop(span("run"))));
+            s.spawn(|| drop(span("orphan")));
+        });
+        drop(series);
+        let records = uninstall().expect("was installed").drain();
+        let by_name = |n: &str| records.iter().find(|r| r.name == n).unwrap().clone();
+        let (series, run) = (by_name("series"), by_name("run"));
+        assert_eq!(run.parent, series.id);
+        assert_eq!(run.trace, None);
+        assert_eq!(by_name("orphan").parent, 0);
+
+        // Uninstalled again: back to zero-cost, and no parent to hand over.
         assert!(!enabled());
         assert!(global().is_none());
         assert!(!span("after").is_recording());
+        let open = Telemetry::new();
+        let _local = open.span("local");
+        assert_eq!(SpanParent::current(), SpanParent::default());
         assert!(tel.drain().is_empty(), "drained handle saw everything");
     }
 

@@ -4,9 +4,10 @@
 //! creation and, on drop, sends one [`EventRecord`] (name, parent span,
 //! start offset, duration, `key=value` fields) into the owning
 //! collector's lock-free channel. Parentage is tracked per thread with a
-//! span stack, so nested guards on one thread link up automatically and
-//! spans on worker threads are roots — exactly the shape a parallel
-//! experiment run produces.
+//! span stack, so nested guards on one thread link up automatically. A
+//! span opened on another thread is a root unless its parent is handed
+//! over: a [`SpanParent`] for untraced work such as a parallel experiment
+//! series, a [`TraceContext`] for a traced request.
 //!
 //! Guards are cheap when disabled: a guard detached from any collector
 //! only records an `Instant`, so callers can still read
@@ -65,6 +66,60 @@ thread_local! {
     /// Stack of open spans on this thread (innermost last): id plus the
     /// trace it runs under, so nested spans inherit both.
     static SPAN_STACK: RefCell<Vec<(u64, Option<TraceId>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Remove span `id` from this thread's stack. Guards are scope-bound so
+/// drops are LIFO in practice; the position scan keeps a stray
+/// out-of-order drop from corrupting ancestry.
+fn leave(id: u64) {
+    SPAN_STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        if let Some(pos) = s.iter().rposition(|&(open, _)| open == id) {
+            s.remove(pos);
+        }
+    });
+}
+
+/// The innermost span open on one thread, handed to another thread so
+/// that the spans it opens there are children: take
+/// [`SpanParent::current`] on the opening thread and run the work inside
+/// [`SpanParent::enter`] on the other.
+///
+/// Only the parent crosses, never a trace: spans opened under it are
+/// untraced. Traced work crosses threads with a [`TraceContext`] and
+/// [`Telemetry::span_in`](crate::Telemetry::span_in).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpanParent(u64);
+
+impl SpanParent {
+    /// The calling thread's innermost open span; no parent when none is
+    /// open or no global telemetry is installed, which costs one atomic
+    /// load.
+    pub fn current() -> SpanParent {
+        if !crate::enabled() {
+            return SpanParent(0);
+        }
+        SpanParent(SPAN_STACK.with(|s| s.borrow().last().map_or(0, |&(id, _)| id)))
+    }
+
+    /// Run `f` with this parent re-entered on the calling thread, so the
+    /// spans `f` opens here without a parent of their own have it as
+    /// their parent.
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        /// Leaves the re-entered parent when `f` returns or unwinds.
+        struct Reentered(u64);
+        impl Drop for Reentered {
+            fn drop(&mut self) {
+                leave(self.0);
+            }
+        }
+        if self.0 == 0 {
+            return f();
+        }
+        SPAN_STACK.with(|s| s.borrow_mut().push((self.0, None)));
+        let _reentered = Reentered(self.0);
+        f()
+    }
 }
 
 /// An RAII span. Created through `Telemetry::span` (recording) or
@@ -170,15 +225,7 @@ impl Drop for SpanGuard {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Guards are scope-bound so drops are LIFO in practice; the
-            // position scan keeps a stray out-of-order drop from
-            // corrupting ancestry.
-            if let Some(pos) = s.iter().rposition(|&(id, _)| id == inner.id) {
-                s.remove(pos);
-            }
-        });
+        leave(inner.id);
         let record = EventRecord {
             kind: "span".to_string(),
             id: inner.id,

@@ -142,7 +142,7 @@ fn assert_one_pass_matches_the_walks(routes: &[Route]) -> bool {
     let analysis = SamDetector::default().analyze(routes, &profile);
     assert_eq!(analysis.suspect_link, localized, "{routes:?}");
     assert_eq!(analysis.features, features);
-    let zscore = ZScoreNeighborDetector::default().detect(&DetectorInput::new(routes, &profile));
+    let zscore = ZScoreNeighborDetector.detect(&DetectorInput::new(routes, &profile));
     if !zscore.abstained() {
         assert_eq!(zscore.suspect_link, localized, "{routes:?}");
     }
@@ -190,7 +190,108 @@ fn leave_one_out_contributions_match_the_definition_on_tunnel_corner_cases() {
     }
 }
 
+/// Strategy: topology observations for `arb_route`'s node pool and the
+/// planted tunnel's ends: every position on a 10 × 10 field and a radio
+/// range of 2..15, so honest and tunnel links alike may be in range or
+/// not.
+fn arb_observations() -> impl Strategy<Value = TopologyObservations> {
+    let field = (0.0f64..10.0, 0.0f64..10.0);
+    let positions = proptest::collection::vec(field, 26);
+    (positions, 2.0f64..15.0).prop_map(|(drawn, range)| {
+        let mut positions = vec![(0.0, 0.0); TUNNEL[1] as usize + 1];
+        positions[..24].copy_from_slice(&drawn[..24]);
+        positions[TUNNEL[0] as usize] = drawn[24];
+        positions[TUNNEL[1] as usize] = drawn[25];
+        TopologyObservations::new(positions, range)
+    })
+}
+
+/// The registry ensemble's verdict on `input` against the any-vote of its
+/// three members' verdicts: anomalous iff a voter is, the largest voter
+/// score (0 with no voter), the smallest voter λ (1 with no voter), and
+/// one vote per member in registry order, weighing 1 for a voter and 0
+/// for an abstainer. Answers whether the ensemble fired and whether the
+/// geometric member abstained.
+fn assert_ensemble_is_the_any_vote(reg: &DetectorRegistry, input: &DetectorInput) -> (bool, bool) {
+    let members: Vec<DetectorVerdict> = ["sam", "zscore", "geometric"]
+        .iter()
+        .map(|name| reg.get(name).expect("registered").detect(input))
+        .collect();
+    let ensemble = reg.get("ensemble").expect("registered").detect(input);
+    let voters: Vec<&DetectorVerdict> = members.iter().filter(|v| !v.abstained()).collect();
+    assert_eq!(ensemble.anomalous, voters.iter().any(|v| v.anomalous));
+    let score = voters.iter().map(|v| v.score).fold(0.0, f64::max);
+    assert_eq!(ensemble.score.to_bits(), score.to_bits());
+    let lambda = voters.iter().map(|v| v.lambda).fold(1.0, f64::min);
+    assert_eq!(ensemble.lambda.to_bits(), lambda.to_bits());
+    let DetectorEvidence::Ensemble { votes } = &ensemble.evidence else {
+        panic!("ensemble evidence: {:?}", ensemble.evidence);
+    };
+    assert_eq!(votes.len(), members.len());
+    for (vote, member) in votes.iter().zip(&members) {
+        assert_eq!(vote.detector, member.detector);
+        assert_eq!(vote.anomalous, member.anomalous);
+        assert_eq!(vote.score.to_bits(), member.score.to_bits());
+        assert_eq!(vote.weight, if member.abstained() { 0.0 } else { 1.0 });
+    }
+    (ensemble.anomalous, members[2].abstained())
+}
+
+#[test]
+fn registry_ensemble_is_the_any_vote_of_its_members() {
+    // Random and tunnel-built sets, against a profile trained on 0 to 4
+    // random sets (0 leaves SAM untrained), each judged without and with
+    // observations. The strategy's own seeds, counted: the property must
+    // meet the vote firing and not, and the geometric member voting.
+    let (mut fired, mut quiet, mut geometric_votes) = (0, 0, 0);
+    let reg = DetectorRegistry::calibrated();
+    for case in 0..128 {
+        let mut rng = proptest::strategy::fresh_rng(case);
+        let random = arb_route_set(20).generate(&mut rng);
+        let tunneled = arb_tunneled_set(40).generate(&mut rng);
+        let training = proptest::collection::vec(arb_route_set(10), 0..=4).generate(&mut rng);
+        let obs = arb_observations().generate(&mut rng);
+        let profile = NormalProfile::train(&training, 20);
+        for routes in [&random, &tunneled] {
+            let bare = DetectorInput::new(routes, &profile);
+            for input in [bare.clone(), bare.with_topology(&obs)] {
+                let (anomalous, geometric_abstained) =
+                    assert_ensemble_is_the_any_vote(&reg, &input);
+                if anomalous {
+                    fired += 1;
+                } else {
+                    quiet += 1;
+                }
+                geometric_votes += usize::from(!geometric_abstained);
+            }
+        }
+    }
+    assert!(
+        fired >= 64 && quiet >= 32 && geometric_votes >= 128,
+        "{fired} fired, {quiet} quiet, {geometric_votes} geometric votes of 512"
+    );
+}
+
 proptest! {
+    #[test]
+    fn pmf_total_variation_never_exceeds_one(
+        a in proptest::collection::vec(-0.5f64..1.5, 0..100),
+        b in proptest::collection::vec(-0.5f64..1.5, 0..100),
+        bins in 2usize..64,
+        shift in 0.0f64..2.0,
+    ) {
+        // Shifting `b` pushes its mass into the top bin, towards support
+        // disjoint from `a`'s, where the distance reaches 1. The bound is
+        // why `PmfProfile::check` lets total variation decide nothing: a
+        // threshold above 1 could never fire. 1e-12 absorbs rounding in
+        // the masses.
+        let shifted: Vec<f64> = b.iter().map(|x| x + shift).collect();
+        let pa = Pmf::from_samples(bins, &a);
+        let pb = Pmf::from_samples(bins, &shifted);
+        let tv = pa.total_variation(&pb);
+        prop_assert!((0.0..=1.0 + 1e-12).contains(&tv), "tv = {tv}");
+    }
+
     #[test]
     fn relative_frequencies_form_a_distribution(routes in arb_route_set(20)) {
         let stats = LinkStats::from_routes(&routes);
