@@ -19,7 +19,7 @@
 //! * [`channel_loss`] — SAM under a lossy radio.
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_once_faulted, train_normal_profile, RunRecord};
+use crate::runner::{map_runs, mean_of, run_once_faulted, train_normal_profile, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
@@ -31,9 +31,9 @@ fn configured_series(
     router: &RouterConfig,
     worm: WormholeConfig,
 ) -> Vec<RunRecord> {
-    (0..runs)
-        .map(|i| run_once_faulted(spec, i, router, worm, None).0)
-        .collect()
+    map_runs(0..runs, |run| {
+        run_once_faulted(spec, run, router, worm, None).0
+    })
 }
 
 /// Sweep the destination's collection window.
@@ -202,25 +202,29 @@ pub fn hidden_detection(runs: u64) -> Table {
         ],
     );
     let cfg = RouterConfig::new(ProtocolKind::Mr);
-    let rate = |detector: &SamDetector, spec: &ScenarioSpec, worm: WormholeConfig| -> f64 {
-        let mut hits = 0;
-        for i in 0..runs {
-            let (_, routes) = run_once_faulted(spec, i, &cfg, worm, None);
-            if detector.analyze(&routes, &profile).anomalous {
-                hits += 1;
-            }
-        }
-        100.0 * hits as f64 / runs as f64
-    };
-    for (label, det) in [
+    let detectors = [
         ("paper (p_max, Δ)", &paper),
         ("with hop extension", &extended),
-    ] {
+    ];
+    // Each series is simulated once; every detector judges its route sets.
+    let verdicts = |spec: &ScenarioSpec, worm: WormholeConfig| {
+        map_runs(0..runs, |run| {
+            let (_, routes) = run_once_faulted(spec, run, &cfg, worm, None);
+            detectors.map(|(_, detector)| detector.analyze(&routes, &profile).anomalous)
+        })
+    };
+    let hidden = verdicts(&attacked, WormholeConfig::hidden());
+    let participation = verdicts(&attacked, WormholeConfig::default());
+    let clean = verdicts(&normal, WormholeConfig::default());
+    for (d, (label, _)) in detectors.into_iter().enumerate() {
+        let rate = |judged: &[[bool; 2]]| {
+            100.0 * judged.iter().filter(|v| v[d]).count() as f64 / runs as f64
+        };
         table.push_row(vec![
             Cell::from(label),
-            Cell::Num(rate(det, &attacked, WormholeConfig::hidden())),
-            Cell::Num(rate(det, &attacked, WormholeConfig::default())),
-            Cell::Num(rate(det, &normal, WormholeConfig::default())),
+            Cell::Num(rate(&hidden)),
+            Cell::Num(rate(&participation)),
+            Cell::Num(rate(&clean)),
         ]);
     }
     table.note("finding: verbatim-replay wormholes dilute the link signature across neighbour pairs and evade the paper's features; route-length statistics close the gap");
@@ -258,31 +262,30 @@ pub fn mobility(runs: u64) -> Table {
         ],
     );
     for radius in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
-        let mut detect = 0u64;
-        let mut alarm = 0u64;
-        let mut p_n = 0.0;
-        let mut p_a = 0.0;
-        for i in 0..runs {
-            let seed = derive_seed(0xD21F7, i);
+        let analyses = map_runs(0..runs, |run| {
+            let seed = derive_seed(0xD21F7, run);
             let plan = base
                 .perturbed(radius, seed)
                 .expect("cluster stays connected at these radii");
             let (src, dst) = draw_endpoints(&plan, seed);
-            for (attacked, hit, p_acc) in
-                [(false, &mut alarm, &mut p_n), (true, &mut detect, &mut p_a)]
-            {
-                let wiring = if attacked {
-                    AttackWiring::all_pairs(&plan, WormholeConfig::default())
-                } else {
-                    AttackWiring::none()
-                };
+            [
+                AttackWiring::none(),
+                AttackWiring::all_pairs(&plan, WormholeConfig::default()),
+            ]
+            .map(|wiring| {
                 let out = run_attacked_discovery(&plan, ProtocolKind::Mr, &wiring, src, dst, seed);
-                let a = detector.analyze(&out.routes, &profile);
-                *p_acc += a.features.p_max;
-                if a.anomalous {
-                    *hit += 1;
-                }
-            }
+                detector.analyze(&out.routes, &profile)
+            })
+        });
+        let mut detect = 0u64;
+        let mut alarm = 0u64;
+        let mut p_n = 0.0;
+        let mut p_a = 0.0;
+        for [normal, attacked] in &analyses {
+            p_n += normal.features.p_max;
+            alarm += u64::from(normal.anomalous);
+            p_a += attacked.features.p_max;
+            detect += u64::from(attacked.anomalous);
         }
         table.push_row(vec![
             Cell::Num(radius),
@@ -327,11 +330,9 @@ pub fn rushing(runs: u64) -> Table {
     for scale in [1.0f64, 0.5, 0.2, 0.05] {
         let mut row = vec![Cell::Num(scale)];
         for protocol in [ProtocolKind::Mr, ProtocolKind::Dsr] {
-            let mut share = 0.0;
-            let mut p = 0.0;
-            for i in 0..runs {
-                let seed = derive_seed(0x0815, i);
-                let (src, dst) = draw_endpoints(&plan, seed.wrapping_add(i));
+            let measured = map_runs(0..runs, |run| {
+                let seed = derive_seed(0x0815, run);
+                let (src, dst) = draw_endpoints(&plan, seed.wrapping_add(run));
                 let wiring = if (scale - 1.0).abs() < f64::EPSILON {
                     AttackWiring::none()
                 } else {
@@ -339,8 +340,16 @@ pub fn rushing(runs: u64) -> Table {
                 };
                 let out = run_attacked_discovery(&plan, protocol, &wiring, src, dst, seed);
                 let through = out.routes.iter().filter(|r| r.contains(rusher)).count();
-                share += through as f64 / out.routes.len().max(1) as f64;
-                p += LinkStats::from_routes(&out.routes).p_max();
+                (
+                    through as f64 / out.routes.len().max(1) as f64,
+                    LinkStats::from_routes(&out.routes).p_max(),
+                )
+            });
+            let mut share = 0.0;
+            let mut p = 0.0;
+            for (run_share, run_p) in measured {
+                share += run_share;
+                p += run_p;
             }
             row.push(Cell::Num(100.0 * share / runs as f64));
             row.push(Cell::Num(p / runs as f64));
@@ -371,12 +380,8 @@ pub fn threshold_sweep(runs: u64) -> Table {
             .z(stats.p_max())
             .max(profile.delta.z(stats.delta()))
     };
-    let normal_z: Vec<f64> = (0..runs)
-        .map(|i| z_of(&run_once_with_routes(&normal, i).1))
-        .collect();
-    let attacked_z: Vec<f64> = (0..runs)
-        .map(|i| z_of(&run_once_with_routes(&attacked, i).1))
-        .collect();
+    let normal_z = map_runs(0..runs, |run| z_of(&run_once_with_routes(&normal, run).1));
+    let attacked_z = map_runs(0..runs, |run| z_of(&run_once_with_routes(&attacked, run).1));
 
     let mut table = Table::new(
         "ablation_threshold",
@@ -422,19 +427,14 @@ pub fn channel_loss(runs: u64) -> Table {
         ],
     );
     for loss in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
-        let mut routes_a = 0.0;
-        let mut affected = 0.0;
-        let mut p_n = 0.0;
-        let mut p_a = 0.0;
-        for i in 0..runs {
-            let seed = derive_seed(0x1055, i);
+        let discovered = map_runs(0..runs, |run| {
+            let seed = derive_seed(0x1055, run);
             let (src, dst) = draw_endpoints(&plan, seed);
-            for attacked in [false, true] {
-                let wiring = if attacked {
-                    AttackWiring::all_pairs(&plan, WormholeConfig::default())
-                } else {
-                    AttackWiring::none()
-                };
+            [
+                AttackWiring::none(),
+                AttackWiring::all_pairs(&plan, WormholeConfig::default()),
+            ]
+            .map(|wiring| {
                 let mut session = attack_session(
                     &plan,
                     manet_routing::RouterConfig::new(ProtocolKind::Mr),
@@ -447,16 +447,20 @@ pub fn channel_loss(runs: u64) -> Table {
                     session.network_mut(),
                 )
                 .expect("valid loss probability");
-                let out = session.discover(src, dst, manet_routing::DEFAULT_MAX_WAIT);
-                let stats = LinkStats::from_routes(&out.routes);
-                if attacked {
-                    routes_a += out.routes.len() as f64;
-                    affected += affected_fraction(&out.routes, plan.attacker_pairs[0]);
-                    p_a += stats.p_max();
-                } else {
-                    p_n += stats.p_max();
-                }
-            }
+                session
+                    .discover(src, dst, manet_routing::DEFAULT_MAX_WAIT)
+                    .routes
+            })
+        });
+        let mut routes_a = 0.0;
+        let mut affected = 0.0;
+        let mut p_n = 0.0;
+        let mut p_a = 0.0;
+        for [normal, attacked] in &discovered {
+            p_n += LinkStats::from_routes(normal).p_max();
+            routes_a += attacked.len() as f64;
+            affected += affected_fraction(attacked, plan.attacker_pairs[0]);
+            p_a += LinkStats::from_routes(attacked).p_max();
         }
         table.push_row(vec![
             Cell::Num(loss),

@@ -65,8 +65,8 @@ fn parse_args() -> Parsed {
                     return Parsed::Error("--runs needs a value".into());
                 };
                 match v.parse() {
-                    Ok(n) => runs = n,
-                    Err(_) => return Parsed::Error(format!("bad --runs value: {v}")),
+                    Ok(n) if n >= 1 => runs = n,
+                    _ => return Parsed::Error(format!("bad --runs value: {v} (need >= 1)")),
                 }
             }
             "--jobs" => {

@@ -11,10 +11,11 @@
 //! *confirmed* false-positive rate.
 
 use crate::report::{Cell, Table};
-use crate::runner::{train_normal_profile, Trial};
+use crate::runner::{map_runs, train_normal_profile, Trial};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
+use manet_sim::NetworkPlan;
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +47,37 @@ fn lambda_of(outcome: &DetectionOutcome) -> f64 {
     }
 }
 
+/// Judge run `run` of `spec` as [`evaluate`] does: the full three-step
+/// procedure (calibrated SAM detector, default probe configuration)
+/// against `profile`, with a wormhole that blackholes data once routes
+/// are captured — the configuration the probe test exists to expose.
+/// Returns the outcome and the run's plan.
+pub fn judge(
+    spec: &ScenarioSpec,
+    run: u64,
+    profile: &NormalProfile,
+) -> (DetectionOutcome, NetworkPlan) {
+    // At this training scale (≈10 sets, the paper's series length) the
+    // profile σ is a noisy small-sample estimate, so the library's 3σ
+    // default under-fires; the calibrated 2.5σ keeps a wide margin above
+    // normal traffic (z ≲ 1 here) while catching attacked sets
+    // (z ≈ 2.8+).
+    let procedure = Procedure::new(
+        SamDetector::new(SamConfig::calibrated()),
+        ProcedureConfig::default(),
+    );
+    let mut trial = Trial::new(
+        spec,
+        run,
+        &RouterConfig::new(spec.protocol),
+        WormholeConfig::blackholing(),
+        None,
+    );
+    let discovery = trial.discover();
+    let outcome = procedure.execute(&discovery.routes, profile, &mut trial.session);
+    (outcome, trial.plan)
+}
+
 /// Evaluate one topology/protocol configuration.
 pub fn evaluate(
     topology: TopologyKind,
@@ -58,36 +90,12 @@ pub fn evaluate(
 
     // Train on normal discoveries with disjoint run indices.
     let profile = train_normal_profile(&normal, train_runs);
-    // At this training scale (≈10 sets, the paper's series length) the
-    // profile σ is a noisy small-sample estimate, so the library's 3σ
-    // default under-fires; the calibrated 2.5σ keeps a wide margin above
-    // normal traffic (z ≲ 1 here) while catching attacked sets
-    // (z ≈ 2.8+).
-    let procedure = Procedure::new(
-        SamDetector::new(SamConfig::calibrated()),
-        ProcedureConfig::default(),
-    );
-    // The full procedure over run `run` of `spec`. The wormhole
-    // blackholes data once routes are captured — the configuration the
-    // probe test exists to expose.
-    let judge = |spec: &ScenarioSpec, run: u64| {
-        let mut trial = Trial::new(
-            spec,
-            run,
-            &RouterConfig::new(protocol),
-            WormholeConfig::blackholing(),
-            None,
-        );
-        let discovery = trial.discover();
-        let outcome = procedure.execute(&discovery.routes, &profile, &mut trial.session);
-        (outcome, trial.plan)
-    };
+    let judged = |spec: &ScenarioSpec| map_runs(0..eval_runs, |run| judge(spec, run, &profile));
 
     let mut step1_fp = 0usize;
     let mut confirmed_fp = 0usize;
     let mut lambda_normal = 0.0;
-    for i in 0..eval_runs {
-        let (outcome, _) = judge(&normal, i);
+    for (outcome, _) in judged(&normal) {
         lambda_normal += lambda_of(&outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}
@@ -103,8 +111,7 @@ pub fn evaluate(
     let mut confirmed = 0usize;
     let mut localized = 0usize;
     let mut lambda_attacked = 0.0;
-    for i in 0..eval_runs {
-        let (outcome, plan) = judge(&attacked, i);
+    for (outcome, plan) in judged(&attacked) {
         lambda_attacked += lambda_of(&outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}

@@ -6,7 +6,7 @@ use crate::runner::{train_normal_profile, Trial};
 use crate::scenario::ScenarioSpec;
 use manet_attacks::WormholeConfig;
 use manet_routing::RouterConfig;
-use manet_sim::{NodeId, TraceChannel};
+use manet_sim::{Channel, NodeId};
 use sam::prelude::*;
 use sam_flight::{reconstruct_route, FlightMeta, FlightRecording};
 use sam_telemetry::Telemetry;
@@ -89,7 +89,7 @@ pub fn record_flight(
                 .map(|e| HopProvenance {
                     from: e.from().expect("hop entries are deliveries").0,
                     to: e.node.0,
-                    tunneled: e.channel() == Some(TraceChannel::Tunnel),
+                    tunneled: e.channel() == Some(Channel::Tunnel),
                     event: Some(e.id),
                     cause: e.cause,
                 })

@@ -9,7 +9,9 @@
 //! one [`runner::Trial`], which builds the run's plan, endpoints and
 //! attacked session. [`runner::run_once_faulted`] measures the trial's
 //! route set; `detection`, `roc` and the [`flight`] recorder probe,
-//! score or trace its session.
+//! score or trace its session. Every series maps its runs, profile
+//! training included, through [`runner::map_runs`] on the `--jobs`
+//! worker pool.
 //!
 //! | id | paper artifact | module |
 //! |----|----------------|--------|
@@ -116,8 +118,8 @@ pub mod prelude {
     pub use crate::robustness::{RobustnessPoint, RobustnessReport};
     pub use crate::roc::{RocCurve, RocHeadline, RocPoint, RocReport};
     pub use crate::runner::{
-        build_plan, default_jobs, mean_of, run_once, run_once_faulted, run_once_with_routes,
-        run_series, run_series_jobs, set_global_jobs, RunRecord, Trial, PAPER_RUNS,
+        build_plan, map_runs, map_runs_jobs, mean_of, run_once, run_once_faulted,
+        run_once_with_routes, run_series, set_global_jobs, RunRecord, Trial, PAPER_RUNS,
     };
     pub use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
     pub use crate::series::{feature_table, PairedSeries};

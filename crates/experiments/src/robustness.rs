@@ -23,7 +23,7 @@
 //! (`BENCH_robustness.json`) for CI trend tracking.
 
 use crate::report::{Cell, Table};
-use crate::runner::{run_once_faulted, train_normal_profile};
+use crate::runner::{map_runs, run_once_faulted, train_normal_profile};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -101,44 +101,6 @@ fn churn_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![("crash", crash), ("crash+recover", crash_recover)]
 }
 
-/// Measure one operating point: `runs` attacked + `runs` normal
-/// discoveries under `plan`, scored by step-1 analysis against
-/// `profile`.
-fn measure_point(
-    normal: &ScenarioSpec,
-    attacked: &ScenarioSpec,
-    worm_cfg: WormholeConfig,
-    plan: &FaultPlan,
-    profile: &NormalProfile,
-    detector: &SamDetector,
-    runs: u64,
-) -> (f64, f64, f64, f64) {
-    let cfg = RouterConfig::new(attacked.protocol);
-    let faults = (!plan.is_inert()).then_some(plan);
-    let mut detected = 0u64;
-    let mut false_pos = 0u64;
-    let mut routes_attacked = 0.0;
-    let mut routes_normal = 0.0;
-    for run in 0..runs {
-        let (_, routes) = run_once_faulted(attacked, run, &cfg, worm_cfg, faults);
-        routes_attacked += routes.len() as f64;
-        if detector.analyze(&routes, profile).anomalous {
-            detected += 1;
-        }
-        let (_, routes) = run_once_faulted(normal, run, &cfg, worm_cfg, faults);
-        routes_normal += routes.len() as f64;
-        if detector.analyze(&routes, profile).anomalous {
-            false_pos += 1;
-        }
-    }
-    (
-        detected as f64 / runs as f64,
-        false_pos as f64 / runs as f64,
-        routes_attacked / runs as f64,
-        routes_normal / runs as f64,
-    )
-}
-
 /// Run the full sweep: loss levels × attacker variants, then churn
 /// scenarios. The profile is trained once, on clean normal runs — the
 /// detector never sees faulted data at training time, exactly the
@@ -154,44 +116,58 @@ pub fn compute(runs: u64) -> RobustnessReport {
     // experiment: the calibrated 2.5σ clears normal traffic with margin
     // at ten-run training scale.
     let detector = SamDetector::new(SamConfig::calibrated());
+    // One series: `runs` discoveries of `spec` under `plan`, scored by
+    // step 1. Returns the fraction flagged and the mean route-set size.
+    let series = |spec: &ScenarioSpec, worm_cfg: WormholeConfig, plan: &FaultPlan| {
+        let cfg = RouterConfig::new(spec.protocol);
+        let faults = (!plan.is_inert()).then_some(plan);
+        let mut flagged = 0u64;
+        let mut routes_total = 0.0;
+        for (anomalous, routes) in map_runs(0..runs, |run| {
+            let (_, routes) = run_once_faulted(spec, run, &cfg, worm_cfg, faults);
+            (detector.analyze(&routes, &profile).anomalous, routes.len())
+        }) {
+            flagged += u64::from(anomalous);
+            routes_total += routes as f64;
+        }
+        (flagged as f64 / runs as f64, routes_total / runs as f64)
+    };
+    // A point from its attacked and normal series' (rate, mean routes).
+    let point = |variant: &str, loss, churn: &str, (det, ra), (fp, rn)| RobustnessPoint {
+        variant: variant.to_string(),
+        loss,
+        churn: churn.to_string(),
+        detection_rate: det,
+        false_positive_rate: fp,
+        mean_routes_attacked: ra,
+        mean_routes_normal: rn,
+    };
 
+    // No wormhole is active in a normal run, so the attacker variant
+    // cannot change it: one normal series per loss level serves every
+    // variant.
+    let normal_by_loss: Vec<(f64, f64)> = LOSS_LEVELS
+        .iter()
+        .map(|&loss| {
+            series(
+                &normal,
+                WormholeConfig::default(),
+                &FaultPlan::constant_loss(loss),
+            )
+        })
+        .collect();
     let mut points = Vec::new();
     for (variant, worm_cfg) in variants() {
-        for &loss in LOSS_LEVELS {
-            let plan = FaultPlan::constant_loss(loss);
-            let (det, fp, ra, rn) = measure_point(
-                &normal, &attacked, worm_cfg, &plan, &profile, &detector, runs,
-            );
-            points.push(RobustnessPoint {
-                variant: variant.to_string(),
-                loss,
-                churn: "none".to_string(),
-                detection_rate: det,
-                false_positive_rate: fp,
-                mean_routes_attacked: ra,
-                mean_routes_normal: rn,
-            });
+        for (&loss, &normal_series) in LOSS_LEVELS.iter().zip(&normal_by_loss) {
+            let attacked_series = series(&attacked, worm_cfg, &FaultPlan::constant_loss(loss));
+            points.push(point(variant, loss, "none", attacked_series, normal_series));
         }
     }
     for (label, plan) in churn_plans() {
-        let (det, fp, ra, rn) = measure_point(
-            &normal,
-            &attacked,
-            WormholeConfig::default(),
-            &plan,
-            &profile,
-            &detector,
-            runs,
-        );
-        points.push(RobustnessPoint {
-            variant: "paper".to_string(),
-            loss: 0.0,
-            churn: label.to_string(),
-            detection_rate: det,
-            false_positive_rate: fp,
-            mean_routes_attacked: ra,
-            mean_routes_normal: rn,
-        });
+        let worm_cfg = WormholeConfig::default();
+        let attacked_series = series(&attacked, worm_cfg, &plan);
+        let normal_series = series(&normal, worm_cfg, &plan);
+        points.push(point("paper", 0.0, label, attacked_series, normal_series));
     }
     RobustnessReport {
         kind: "robustness".to_string(),

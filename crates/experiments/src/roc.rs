@@ -24,7 +24,7 @@
 //! abstaining.
 
 use crate::report::{Cell, Table};
-use crate::runner::{train_normal_profile, Trial};
+use crate::runner::{map_runs, train_normal_profile, Trial};
 use crate::scenario::{ScenarioSpec, TopologyKind};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
@@ -225,16 +225,16 @@ pub fn compute(runs: u64) -> RocReport {
     let registry = DetectorRegistry::calibrated();
 
     // Normal runs once: per run, one score per detector.
-    let neg_by_run: Vec<Vec<Scored>> = (0..runs)
-        .map(|run| score_run(&registry, &normal, run, WormholeConfig::default(), &profile))
-        .collect();
+    let neg_by_run = map_runs(0..runs, |run| {
+        score_run(&registry, &normal, run, WormholeConfig::default(), &profile)
+    });
     let neg_of = |d: usize| -> Vec<Scored> { neg_by_run.iter().map(|s| s[d]).collect() };
 
     let mut curves = Vec::new();
     for (variant, worm_cfg) in variants() {
-        let pos_by_run: Vec<Vec<Scored>> = (0..runs)
-            .map(|run| score_run(&registry, &attacked, run, worm_cfg, &profile))
-            .collect();
+        let pos_by_run = map_runs(0..runs, |run| {
+            score_run(&registry, &attacked, run, worm_cfg, &profile)
+        });
         // SAM's operating FPR on this variant is the matched budget for
         // every detector's comparison column.
         let sam_idx = 0; // DETECTOR_NAMES[0] is "sam"

@@ -8,11 +8,12 @@ use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
-use parking_lot::Mutex;
 use sam::{LinkStats, NormalProfile, SamConfig};
 use sam_faults::FaultPlan;
 use sam_telemetry::{SpanGuard, SpanParent};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Everything measured in one run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -191,65 +192,79 @@ pub fn run_once(spec: &ScenarioSpec, run: u64) -> RunRecord {
     run_once_with_routes(spec, run).0
 }
 
-/// Process-wide override for [`run_series`]'s worker count; 0 = auto
-/// (available parallelism). Set from the `reproduce` binary's `--jobs`.
-static GLOBAL_JOBS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// Process-wide worker count for [`map_runs`]; 0 = auto (available
+/// parallelism). Set from the `reproduce` binary's `--jobs`.
+static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Set the worker-thread count every subsequent [`run_series`] call uses
+/// Set the worker-thread count every subsequent [`map_runs`] call uses
 /// (`0` restores the default of one thread per available core).
 pub fn set_global_jobs(jobs: usize) {
-    GLOBAL_JOBS.store(jobs, std::sync::atomic::Ordering::Relaxed);
+    GLOBAL_JOBS.store(jobs, Ordering::Relaxed);
 }
 
 /// Execute runs `0..n` in parallel (one independent simulation each) and
-/// return the records in run order. Thread count comes from
-/// [`set_global_jobs`], defaulting to one per available core.
+/// return the records in run order.
 pub fn run_series(spec: &ScenarioSpec, n: u64) -> Vec<RunRecord> {
-    let jobs = match GLOBAL_JOBS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => default_jobs(),
+    map_runs(0..n, |run| run_once(spec, run))
+}
+
+/// Apply `f` to every run index in `runs` on the worker count set by
+/// [`set_global_jobs`] (one per available core by default, or 4 when the
+/// core count is unknown) and return the results in run order. See
+/// [`map_runs_jobs`].
+pub fn map_runs<T: Send>(runs: Range<u64>, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let jobs = match GLOBAL_JOBS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(4, |p| p.get()),
         n => n,
     };
-    run_series_jobs(spec, n, jobs)
+    map_runs_jobs(runs, jobs, f)
 }
 
-/// The default worker count for [`run_series_jobs`]: available
-/// parallelism, or 4 when it cannot be determined.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-}
-
-/// Execute runs `0..n` on exactly `jobs` worker threads (clamped to
-/// `1..=n`) and return the records in run order.
+/// Apply `f` to every run index in `runs` on exactly `jobs` worker
+/// threads (at most one per run, at least one) and return the results in
+/// run order.
 ///
-/// Each run is an independent simulation with its own derived seed, so the
-/// records are identical whatever `jobs` is — only wall-clock changes.
-/// Each run's span is a child of the span open where this is called.
-pub fn run_series_jobs(spec: &ScenarioSpec, n: u64, jobs: usize) -> Vec<RunRecord> {
-    let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; n as usize]);
-    let threads = jobs.min(n as usize).max(1);
+/// Each worker claims the next unclaimed run until none is left, so one
+/// slow run holds up no other. When `f` is a pure function of the run
+/// index, as every run of a [`ScenarioSpec`] is, the results are
+/// identical whatever `jobs` is — only wall-clock changes — and a caller
+/// that folds them in order gets the bits a sequential loop gets. Spans
+/// `f` opens are children of the span open where this is called; a
+/// panic in `f` resumes on the calling thread.
+pub fn map_runs_jobs<T: Send>(
+    runs: Range<u64>,
+    jobs: usize,
+    f: impl Fn(u64) -> T + Sync,
+) -> Vec<T> {
+    let n = runs.clone().count();
+    let threads = jobs.min(n).max(1);
     let parent = SpanParent::current();
+    let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+    let (f, claim) = (&f, &claim);
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let results = &results;
-            s.spawn(move || {
-                parent.enter(|| {
-                    let mut run = t as u64;
-                    while run < n {
-                        let rec = run_once(spec, run);
-                        results.lock()[run as usize] = Some(rec);
-                        run += threads as u64;
-                    }
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    parent.enter(|| {
+                        std::iter::from_fn(claim)
+                            .map(|i| (i, f(runs.start + i as u64)))
+                            .collect::<Vec<_>>()
+                    })
                 })
-            });
+            })
+            .collect();
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        for w in workers {
+            for (i, r) in w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
+                results[i] = Some(r);
+            }
         }
-    });
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("all runs executed"))
-        .collect()
+        results
+            .into_iter()
+            .map(|r| r.expect("every run executed"))
+            .collect()
+    })
 }
 
 /// Mean of a field over a series.
@@ -271,9 +286,9 @@ pub const TRAIN_OFFSET: u64 = 1000;
 /// its runs `TRAIN_OFFSET..TRAIN_OFFSET + runs`, with default router and
 /// wormhole configurations and no faults.
 pub fn train_normal_profile(normal: &ScenarioSpec, runs: u64) -> NormalProfile {
-    let sets: Vec<Vec<Route>> = (0..runs)
-        .map(|i| run_once_with_routes(normal, TRAIN_OFFSET + i).1)
-        .collect();
+    let sets = map_runs(TRAIN_OFFSET..TRAIN_OFFSET + runs, |run| {
+        run_once_with_routes(normal, run).1
+    });
     NormalProfile::train(&sets, SamConfig::default().pmf_bins)
 }
 
@@ -317,9 +332,10 @@ mod tests {
     #[test]
     fn series_records_are_invariant_in_job_count() {
         let spec = ScenarioSpec::attacked(TopologyKind::uniform6x6(), ProtocolKind::Mr);
-        let one = run_series_jobs(&spec, 5, 1);
+        let series = |jobs| map_runs_jobs(0..5, jobs, |run| run_once(&spec, run));
+        let one = series(1);
         for jobs in [2, 8] {
-            let many = run_series_jobs(&spec, 5, jobs);
+            let many = series(jobs);
             for (x, y) in one.iter().zip(&many) {
                 assert_eq!(x.run, y.run);
                 assert_eq!(x.p_max, y.p_max);
@@ -327,6 +343,14 @@ mod tests {
                 assert_eq!(x.overhead, y.overhead);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "run 1002 failed")]
+    fn a_panicking_run_resumes_its_panic_on_the_caller() {
+        map_runs_jobs(TRAIN_OFFSET..TRAIN_OFFSET + 4, 2, |run| {
+            assert_ne!(run, TRAIN_OFFSET + 2, "run {run} failed");
+        });
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `reproduce` treats a stdout whose reader went away
 //! (`reproduce --list | head -1`) as a normal end of its printed output:
 //! it neither panics nor fails, and still writes every file under `--out`.
+//! It refuses `--runs 0` before it writes anything.
 
 use std::path::Path;
 use std::process::{Command, ExitStatus, Stdio};
@@ -52,4 +53,27 @@ fn a_run_with_a_closed_stdout_still_writes_its_files() {
             .len();
         assert!(len > 0, "{file} is empty");
     }
+}
+
+#[test]
+fn zero_runs_is_refused_before_any_file_is_written() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("reproduce-zero-runs");
+    let _ = std::fs::remove_dir_all(&out);
+    let run = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args([
+            "--runs",
+            "0",
+            "--out",
+            out.to_str().expect("utf-8 path"),
+            "detection",
+        ])
+        .output()
+        .expect("run reproduce");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "--runs 0 must fail: {stderr}");
+    assert!(stderr.contains("--runs"), "{stderr}");
+    let written: Vec<_> = std::fs::read_dir(&out)
+        .map(|dir| dir.map(|e| e.expect("dir entry").path()).collect())
+        .unwrap_or_default();
+    assert!(written.is_empty(), "{written:?}");
 }

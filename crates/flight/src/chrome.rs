@@ -13,7 +13,7 @@
 //!   exactly which reception spawned it.
 
 use crate::record::FlightRecording;
-use manet_sim::{FaultKind, TraceChannel, TraceEntry, TraceKind};
+use manet_sim::{Channel, FaultKind, TraceEntry, TraceKind};
 use sam_telemetry::chrome::{event_to_chrome, obj, process_name, trace_document};
 use serde_json::Value;
 
@@ -21,9 +21,9 @@ use serde_json::Value;
 fn entry_name(e: &TraceEntry) -> &'static str {
     match e.kind {
         TraceKind::Deliver { channel, .. } => match channel {
-            TraceChannel::Broadcast => "deliver.broadcast",
-            TraceChannel::Unicast => "deliver.unicast",
-            TraceChannel::Tunnel => "deliver.tunnel",
+            Channel::Broadcast => "deliver.broadcast",
+            Channel::Unicast => "deliver.unicast",
+            Channel::Tunnel => "deliver.tunnel",
         },
         TraceKind::Timer { .. } => "timer",
         TraceKind::Fault { kind } => match kind {
@@ -111,7 +111,7 @@ mod tests {
             node: NodeId(7),
             kind: TraceKind::Deliver {
                 from: NodeId(3),
-                channel: TraceChannel::Tunnel,
+                channel: Channel::Tunnel,
             },
         });
         let doc = chrome_trace(&rec);

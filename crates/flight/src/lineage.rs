@@ -10,7 +10,7 @@
 //! search over the candidates at each hop recovers a cause-consistent
 //! chain even when a node received the same flood several times.
 
-use manet_sim::{NodeId, Trace, TraceChannel, TraceEntry, TraceKind};
+use manet_sim::{Channel, NodeId, Trace, TraceEntry, TraceKind};
 
 /// The reconstructed provenance of one route.
 #[derive(Clone, Debug)]
@@ -85,7 +85,7 @@ pub fn reconstruct_route(trace: &Trace, route: &[NodeId]) -> Option<RouteLineage
         if extend(trace, route, 1, first, &mut chain) {
             let tunnel_hops = chain
                 .iter()
-                .filter(|e| e.channel() == Some(TraceChannel::Tunnel))
+                .filter(|e| e.channel() == Some(Channel::Tunnel))
                 .count();
             let depth = trace.lineage_depth(chain.last().expect("non-empty").id);
             return Some(RouteLineage {
@@ -104,7 +104,7 @@ mod tests {
     use super::*;
     use manet_sim::{SimTime, Trace};
 
-    fn deliver(id: u64, cause: Option<u64>, to: u32, from: u32, ch: TraceChannel) -> TraceEntry {
+    fn deliver(id: u64, cause: Option<u64>, to: u32, from: u32, ch: Channel) -> TraceEntry {
         TraceEntry {
             id,
             cause,
@@ -124,9 +124,9 @@ mod tests {
     #[test]
     fn reconstructs_a_simple_flood_chain() {
         let mut t = Trace::with_capacity(16);
-        t.record(deliver(0, None, 1, 0, TraceChannel::Broadcast));
-        t.record(deliver(1, Some(0), 2, 1, TraceChannel::Tunnel));
-        t.record(deliver(2, Some(1), 3, 2, TraceChannel::Broadcast));
+        t.record(deliver(0, None, 1, 0, Channel::Broadcast));
+        t.record(deliver(1, Some(0), 2, 1, Channel::Tunnel));
+        t.record(deliver(2, Some(1), 3, 2, Channel::Broadcast));
         let lin = reconstruct_route(&t, &ids(&[0, 1, 2, 3])).expect("chain exists");
         assert_eq!(lin.hops.iter().map(|e| e.id).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(lin.tunnel_hops, 1);
@@ -139,10 +139,10 @@ mod tests {
         // Node 2 hears the flood twice (ids 1 and 3); only the second
         // copy's rebroadcast reached node 3, so the chain must pick it.
         let mut t = Trace::with_capacity(16);
-        t.record(deliver(0, None, 1, 0, TraceChannel::Broadcast));
-        t.record(deliver(1, Some(0), 2, 1, TraceChannel::Broadcast));
-        t.record(deliver(3, Some(0), 2, 1, TraceChannel::Broadcast));
-        t.record(deliver(4, Some(3), 3, 2, TraceChannel::Broadcast));
+        t.record(deliver(0, None, 1, 0, Channel::Broadcast));
+        t.record(deliver(1, Some(0), 2, 1, Channel::Broadcast));
+        t.record(deliver(3, Some(0), 2, 1, Channel::Broadcast));
+        t.record(deliver(4, Some(3), 3, 2, Channel::Broadcast));
         let lin = reconstruct_route(&t, &ids(&[0, 1, 2, 3])).expect("chain exists");
         assert_eq!(lin.hops.iter().map(|e| e.id).collect::<Vec<_>>(), [0, 3, 4]);
         assert_eq!(lin.tunnel_hops, 0);
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn missing_link_yields_none() {
         let mut t = Trace::with_capacity(16);
-        t.record(deliver(0, None, 1, 0, TraceChannel::Broadcast));
+        t.record(deliver(0, None, 1, 0, Channel::Broadcast));
         // No delivery 1 → 2 at all.
         assert!(reconstruct_route(&t, &ids(&[0, 1, 2])).is_none());
         assert!(reconstruct_route(&t, &ids(&[0])).is_none());
@@ -162,9 +162,9 @@ mod tests {
         // A 1 → 2 delivery exists but descends from an unrelated event,
         // so it is not evidence for this route.
         let mut t = Trace::with_capacity(16);
-        t.record(deliver(0, None, 1, 0, TraceChannel::Broadcast));
-        t.record(deliver(9, None, 5, 4, TraceChannel::Broadcast));
-        t.record(deliver(10, Some(9), 2, 1, TraceChannel::Broadcast));
+        t.record(deliver(0, None, 1, 0, Channel::Broadcast));
+        t.record(deliver(9, None, 5, 4, Channel::Broadcast));
+        t.record(deliver(10, Some(9), 2, 1, Channel::Broadcast));
         assert!(reconstruct_route(&t, &ids(&[0, 1, 2])).is_none());
     }
 }

@@ -206,7 +206,7 @@ fn bad_data(msg: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{NodeId, SimTime, TraceChannel, TraceKind};
+    use manet_sim::{Channel, NodeId, SimTime, TraceKind};
 
     fn sample() -> FlightRecording {
         let mut meta = FlightMeta::new("line", "mr", 7);
@@ -224,7 +224,7 @@ mod tests {
                 node: NodeId(1),
                 kind: TraceKind::Deliver {
                     from: NodeId(0),
-                    channel: TraceChannel::Broadcast,
+                    channel: Channel::Broadcast,
                 },
             },
             TraceEntry {
@@ -234,7 +234,7 @@ mod tests {
                 node: NodeId(2),
                 kind: TraceKind::Deliver {
                     from: NodeId(1),
-                    channel: TraceChannel::Tunnel,
+                    channel: Channel::Tunnel,
                 },
             },
         ];

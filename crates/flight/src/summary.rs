@@ -2,7 +2,7 @@
 //! diffs (e.g. "normal run vs wormhole run of the same scenario").
 
 use crate::record::FlightRecording;
-use manet_sim::TraceChannel;
+use manet_sim::Channel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -46,7 +46,7 @@ impl FlightSummary {
     /// Summarize `recording`.
     pub fn from_recording(recording: &FlightRecording) -> Self {
         let trace = recording.trace();
-        let channel_count = |c: TraceChannel| -> u64 {
+        let channel_count = |c: Channel| -> u64 {
             trace
                 .entries()
                 .iter()
@@ -67,9 +67,9 @@ impl FlightSummary {
                 .filter(|e| matches!(e.kind, manet_sim::TraceKind::Timer { .. }))
                 .count() as u64,
             faults: trace.entries().iter().filter(|e| e.is_fault()).count() as u64,
-            broadcast: channel_count(TraceChannel::Broadcast),
-            unicast: channel_count(TraceChannel::Unicast),
-            tunnel: channel_count(TraceChannel::Tunnel),
+            broadcast: channel_count(Channel::Broadcast),
+            unicast: channel_count(Channel::Unicast),
+            tunnel: channel_count(Channel::Tunnel),
             max_lineage_depth: trace.max_lineage_depth() as u64,
             spans: recording.spans.len() as u64,
             has_explanation: recording.explanation.is_some(),
@@ -151,7 +151,7 @@ mod tests {
                 node: NodeId(1),
                 kind: TraceKind::Deliver {
                     from: NodeId(0),
-                    channel: manet_sim::TraceChannel::Tunnel,
+                    channel: manet_sim::Channel::Tunnel,
                 },
             });
         }

@@ -380,10 +380,7 @@ impl<M: Clone + Debug> Network<M> {
                             cause: ev.cause,
                             at: ev.at,
                             node: to,
-                            kind: TraceKind::Deliver {
-                                from,
-                                channel: channel.into(),
-                            },
+                            kind: TraceKind::Deliver { from, channel },
                         });
                     }
                     let behavior = &mut behaviors[to.idx()];

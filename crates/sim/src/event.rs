@@ -46,7 +46,7 @@ use serde::{Deserialize, Serialize};
 
 /// How a message reached a node. Routing behaviours generally treat the
 /// channels identically, but attack analysis and traces distinguish them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Channel {
     /// Over-the-air reception of a local broadcast.
     Broadcast,

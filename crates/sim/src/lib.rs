@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::topology::grid::{grid_node, try_uniform_grid, uniform_grid};
     pub use crate::topology::random::{random_topology, random_topology_with, RandomConfig};
     pub use crate::topology::{AttackerPair, NetworkPlan, Pos, Topology};
-    pub use crate::trace::{Trace, TraceChannel, TraceEntry, TraceKind};
+    pub use crate::trace::{Trace, TraceEntry, TraceKind};
 }
 
 pub use prelude::*;

@@ -31,7 +31,7 @@ pub enum TraceKind {
         /// Sending node.
         from: NodeId,
         /// Delivery channel.
-        channel: TraceChannel,
+        channel: Channel,
     },
     /// A timer firing with the given key.
     Timer {
@@ -47,27 +47,6 @@ pub enum TraceKind {
         /// What happened.
         kind: FaultKind,
     },
-}
-
-/// Serializable mirror of [`Channel`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum TraceChannel {
-    /// Over-the-air broadcast reception.
-    Broadcast,
-    /// Over-the-air unicast reception.
-    Unicast,
-    /// Out-of-band tunnel delivery.
-    Tunnel,
-}
-
-impl From<Channel> for TraceChannel {
-    fn from(c: Channel) -> Self {
-        match c {
-            Channel::Broadcast => TraceChannel::Broadcast,
-            Channel::Unicast => TraceChannel::Unicast,
-            Channel::Tunnel => TraceChannel::Tunnel,
-        }
-    }
 }
 
 /// One dispatched event, with causal lineage.
@@ -90,7 +69,7 @@ pub struct TraceEntry {
 
 impl TraceEntry {
     /// The delivery channel, if this entry is a delivery.
-    pub fn channel(&self) -> Option<TraceChannel> {
+    pub fn channel(&self) -> Option<Channel> {
         match self.kind {
             TraceKind::Deliver { channel, .. } => Some(channel),
             TraceKind::Timer { .. } | TraceKind::Fault { .. } => None,
@@ -179,7 +158,7 @@ impl Trace {
     pub fn tunnel_deliveries(&self) -> usize {
         self.entries
             .iter()
-            .filter(|e| e.channel() == Some(TraceChannel::Tunnel))
+            .filter(|e| e.channel() == Some(Channel::Tunnel))
             .count()
     }
 
@@ -224,7 +203,7 @@ impl Trace {
     pub fn tunnel_traversals(&self, id: u64) -> usize {
         self.lineage(id)
             .iter()
-            .filter(|e| e.channel() == Some(TraceChannel::Tunnel))
+            .filter(|e| e.channel() == Some(Channel::Tunnel))
             .count()
     }
 
@@ -270,7 +249,7 @@ mod tests {
             node: NodeId(node),
             kind: TraceKind::Deliver {
                 from: NodeId(from),
-                channel: TraceChannel::Broadcast,
+                channel: Channel::Broadcast,
             },
         }
     }
@@ -279,7 +258,7 @@ mod tests {
         TraceEntry {
             kind: TraceKind::Deliver {
                 from: NodeId(from),
-                channel: TraceChannel::Tunnel,
+                channel: Channel::Tunnel,
             },
             ..deliver(id, cause, at, node, from)
         }

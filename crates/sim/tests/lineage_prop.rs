@@ -94,7 +94,7 @@ proptest! {
         let tunnel_entries = trace
             .entries()
             .iter()
-            .filter(|e| e.channel() == Some(TraceChannel::Tunnel))
+            .filter(|e| e.channel() == Some(Channel::Tunnel))
             .count() as u64;
         let tunnel_rx: u64 = net.metrics().iter().map(|(_, c)| c.tunnel_rx).sum();
         prop_assert_eq!(tunnel_entries, tunnel_rx);
@@ -104,7 +104,7 @@ proptest! {
         if let Some(t) = trace
             .entries()
             .iter()
-            .find(|e| e.channel() == Some(TraceChannel::Tunnel))
+            .find(|e| e.channel() == Some(Channel::Tunnel))
         {
             prop_assert_eq!(trace.lineage_depth(t.id), 2);
             prop_assert_eq!(trace.tunnel_traversals(t.id), 1);

@@ -71,7 +71,7 @@ fn trace_entries_reconcile_with_node_counters() {
     assert_eq!(trace.dropped(), 0, "capacity must hold the whole exchange");
 
     // Count trace deliveries per channel.
-    let deliveries = |ch: TraceChannel| {
+    let deliveries = |ch: Channel| {
         trace
             .entries()
             .iter()
@@ -79,9 +79,9 @@ fn trace_entries_reconcile_with_node_counters() {
             .count() as u64
     };
     let (bcast, ucast, tunnel) = (
-        deliveries(TraceChannel::Broadcast),
-        deliveries(TraceChannel::Unicast),
-        deliveries(TraceChannel::Tunnel),
+        deliveries(Channel::Broadcast),
+        deliveries(Channel::Unicast),
+        deliveries(Channel::Tunnel),
     );
 
     // Line of 4, flood from node 0: broadcasts by nodes 0,1,2 reach
@@ -137,7 +137,7 @@ fn trace_entries_reconcile_with_node_counters() {
     let t = trace
         .entries()
         .iter()
-        .find(|e| e.channel() == Some(TraceChannel::Tunnel))
+        .find(|e| e.channel() == Some(Channel::Tunnel))
         .expect("one tunnel delivery traced");
     assert_eq!(trace.lineage_depth(t.id), 2);
     assert_eq!(trace.tunnel_traversals(t.id), 1);
@@ -149,7 +149,7 @@ fn trace_entries_reconcile_with_node_counters() {
             trace
                 .entries()
                 .iter()
-                .filter(|e| e.channel() == Some(TraceChannel::Tunnel))
+                .filter(|e| e.channel() == Some(Channel::Tunnel))
                 .filter(|e| trace.lineage(e.id).last().map(|r| r.id) == Some(root.id))
                 .count()
         })

@@ -11,9 +11,9 @@
 //! array, so a failure names the run that moved and the whole file is
 //! compared byte for byte.
 //!
-//! The file was written while `detection` still set each run up by hand
-//! (plan, endpoints, wiring, session); it pins that the same runs built
-//! by [`Trial`] reach the same outcomes.
+//! Each run is judged by [`detection::judge`], the per-run function
+//! `detection::evaluate` maps over its held-out runs, so the file pins
+//! the path `reproduce` runs.
 //!
 //! When a change moves an outcome *intentionally*, regenerate the file
 //! and review the diff like any other code change:
@@ -23,9 +23,9 @@
 //! git diff tests/golden/
 //! ```
 
-use manet_attacks::WormholeConfig;
-use manet_routing::{ProtocolKind, RouterConfig};
+use manet_routing::ProtocolKind;
 use sam::prelude::*;
+use sam_experiments::detection;
 use sam_experiments::prelude::*;
 use sam_experiments::runner::train_normal_profile;
 use serde::Serialize;
@@ -38,25 +38,6 @@ struct GoldenRun {
     class: &'static str,
     run: u64,
     outcome: DetectionOutcome,
-}
-
-/// The full procedure over one discovery of `spec`: a blackholing
-/// wormhole on every active pair, the calibrated SAM detector, the
-/// default probe configuration.
-fn outcome(spec: &ScenarioSpec, run: u64, profile: &NormalProfile) -> DetectionOutcome {
-    let mut trial = Trial::new(
-        spec,
-        run,
-        &RouterConfig::new(spec.protocol),
-        WormholeConfig::blackholing(),
-        None,
-    );
-    let discovery = trial.discover();
-    let procedure = Procedure::new(
-        SamDetector::new(SamConfig::calibrated()),
-        ProcedureConfig::default(),
-    );
-    procedure.execute(&discovery.routes, profile, &mut trial.session)
 }
 
 /// Every run of the five configurations, each rendered as one compact
@@ -81,7 +62,7 @@ fn golden_lines() -> Vec<String> {
                     configuration: configuration.clone(),
                     class,
                     run,
-                    outcome: outcome(spec, run, &profile),
+                    outcome: detection::judge(spec, run, &profile).0,
                 };
                 lines.push(serde_json::to_string(&judged).expect("outcome serializes"));
             }
